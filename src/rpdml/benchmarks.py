@@ -42,7 +42,7 @@ def scalar_toy_problem(target: float = TOY_TARGET, bound: float = TOY_BOUND) -> 
     def constraints(x: float) -> np.ndarray:
         return np.array([x - bound])
 
-    def inner_minimizer(x_t: float, lam: np.ndarray, eta: float, **_) -> float:
+    def inner_minimizer(x_t: float, lam: np.ndarray, eta: float) -> float:
         # Stationarity of (x - target)^2 + lam (x - bound) + d2(x_t, x)/(2 eta)
         # multiplied through by x gives 2 x^2 + b x - 1/(2 eta) = 0.
         lam0 = float(lam[0])

@@ -179,7 +179,7 @@ def cmd_gen_data(args) -> int:
 # train
 
 _TRAIN_DEFAULTS = dict(
-    c1=2.0, c2=1.0, eta0=0.003, iters=200, inner_tol=1e-6, inner_iters=200,
+    c1=2.0, c2=1.0, eta0=0.003, iters=200,
     prox_mode="include", w0="identity", max_pairs=200,
     percentile_lo=5.0, percentile_hi=95.0, normalize=True, train_frac=1.0,
 )
@@ -189,7 +189,6 @@ def _rpdml_config(opts: dict, seed: int, iters: int | None = None) -> RpdmlConfi
     return RpdmlConfig(
         c1=opts["c1"], c2=opts["c2"], eta0=opts["eta0"],
         outer_iters=int(iters if iters is not None else opts["iters"]),
-        inner_tolerance=opts["inner_tol"], inner_max_iters=int(opts["inner_iters"]),
         percentile_lo=opts["percentile_lo"], percentile_hi=opts["percentile_hi"],
         prox_term_mode=opts["prox_mode"], w0_mode=opts["w0"],
         max_pairs_per_side=int(opts["max_pairs"]), seed=seed,
@@ -293,7 +292,7 @@ def cmd_eval(args) -> int:
 
 _BACKTEST_DEFAULTS = dict(
     metric="rpdml", k=10, top_n=10, mdd_window=4, normalize=True,
-    c1=2.0, c2=1.0, eta0=0.003, iters=60, inner_tol=1e-6, inner_iters=200,
+    c1=2.0, c2=1.0, eta0=0.003, iters=60,
     prox_mode="include", w0="identity", max_pairs=200,
     percentile_lo=5.0, percentile_hi=95.0,
 )
@@ -449,8 +448,6 @@ def build_parser() -> _Parser:
         p.add_argument("--c2", type=float)
         p.add_argument("--eta0", type=float)
         p.add_argument("--iters", type=int)
-        p.add_argument("--inner-tol", type=float, dest="inner_tol")
-        p.add_argument("--inner-iters", type=int, dest="inner_iters")
         p.add_argument("--prox-mode", choices=["include", "omit"], dest="prox_mode")
         p.add_argument("--w0", choices=["identity", "inverse_covariance"])
         p.add_argument("--max-pairs", type=int, dest="max_pairs")

@@ -20,7 +20,8 @@ from scipy import stats
 
 from .data import PanelDataset, PanelPeriod, normalize_features
 from .errors import ConfigError, DimensionMismatchError, NumericError
-from .manifold import SpdMatrix, rowwise_quadratic, spd_inverse, sym
+from .manifold import SpdMatrix, rowwise_quadratic
+from .metric import inverse_covariance_metric as mahalanobis_metric
 
 Array = np.ndarray
 
@@ -53,15 +54,6 @@ class PortfolioResult:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
-
-
-def mahalanobis_metric(features: Array, ridge: float = 1e-6) -> SpdMatrix:
-    """Inverse of the (ridge-regularized) sample covariance."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    if features.shape[0] < 2:
-        raise ConfigError("need at least two samples for a covariance estimate")
-    cov = np.atleast_2d(np.cov(features, rowvar=False)) + ridge * np.eye(features.shape[1])
-    return spd_inverse(SpdMatrix(sym(cov)))
 
 
 def euclidean_metric(features: Array) -> SpdMatrix:

@@ -128,10 +128,10 @@ class EigenDecomposition:
 
 
 def _fix_signs(vecs: Array) -> Array:
-    for j in range(vecs.shape[1]):
-        nz = np.flatnonzero(vecs[:, j])
-        if nz.size and vecs[nz[0], j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    if vecs.size:
+        # Each column's first nonzero entry; all-zero columns read 0 and stay.
+        first = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
+        vecs[:, first < 0] = -vecs[:, first < 0]
     return vecs
 
 
@@ -198,12 +198,15 @@ def project_to_tangent(euclidean_grad: Array, w: SpdMatrix) -> Array:
     return sym(g)
 
 
+def clip_spectrum(vals: Array) -> Array:
+    """Raise eigenvalues below the EPS_PD floor to just above it."""
+    return np.where(vals < EPS_PD, EPS_PD * (1.0 + _CLIP_MARGIN), vals)
+
+
 def retract_array(a: Array) -> Array:
     """Eigenvalue-clipped projection of a symmetric matrix into the SPD cone."""
     eig = eigendecompose(a)
-    clip_val = EPS_PD * (1.0 + _CLIP_MARGIN)
-    vals = np.where(eig.eigenvalues < EPS_PD, clip_val, eig.eigenvalues)
-    return eig.reconstruct(vals)
+    return eig.reconstruct(clip_spectrum(eig.eigenvalues))
 
 
 def retract(w: SpdMatrix, step: Array) -> SpdMatrix:

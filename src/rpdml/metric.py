@@ -9,10 +9,10 @@ x_i, the constraint vector is
     h(W, xi) = [ diag(Xp W Xp.T) - u (1 + xi_p) ;
                 -diag(Xn W Xn.T) + l (1 - xi_n) ]      (entry <= 0: satisfied)
 
-The training loop cycles four updates per outer iteration: a Riemannian
-gradient-descent inner solve for W, a closed-form prox step for the slacks,
-and projected ascent steps for the two dual vectors (lam for the distance
-constraints, gamma for slack nonnegativity):
+The training loop cycles four updates per outer iteration: a closed-form
+inner solve for W (the subproblem's exact argmin), a closed-form prox step
+for the slacks, and projected ascent steps for the two dual vectors (lam
+for the distance constraints, gamma for slack nonnegativity):
 
     W      <- argmin  d2(W, W0)/2 + <lam, h(W)>  [+ d2(W, W_t)/(2 eta_t)]
     xi     <- [ (eta_t xi_t + gamma + lam * (u;l)) / (c1 + eta_t) ]_+
@@ -43,9 +43,9 @@ from .errors import (
 )
 from .manifold import (
     SpdMatrix,
+    clip_spectrum,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    retract_array,
     rowwise_quadratic,
     spd_inverse,
     sym,
@@ -62,11 +62,6 @@ from .solver import (
 logger = logging.getLogger(__name__)
 
 Array = np.ndarray
-
-#: Line-search constants for the inner Riemannian descent.
-_ARMIJO_C = 1e-4
-_MAX_HALVINGS = 40
-
 
 @dataclass(frozen=True, eq=False)
 class PairConstraints:
@@ -145,15 +140,13 @@ class RpdmlConfig:
 
     ``prox_term_mode`` selects whether the inner objective carries the
     proximal anchor d2(W, W_t)/(2 eta_t): 'include' is the faithful proximal
-    step, 'omit' drops it so the inner solve descends the bare Lagrangian.
+    step, 'omit' drops it so the inner solve minimizes the bare Lagrangian.
     """
 
     c1: float = 2.0
     c2: float = 1.0
     eta0: float = 0.003
     outer_iters: int = 200
-    inner_tolerance: float = 1e-6
-    inner_max_iters: int = 200
     percentile_lo: float = 5.0
     percentile_hi: float = 95.0
     prox_term_mode: str = "include"
@@ -176,8 +169,8 @@ class RpdmlConfig:
             raise ConfigError(f"unknown prox_term_mode {self.prox_term_mode!r}")
         if self.w0_mode not in ("identity", "inverse_covariance"):
             raise ConfigError(f"unknown w0_mode {self.w0_mode!r}")
-        if self.outer_iters < 0 or self.inner_max_iters < 1:
-            raise ConfigError("iteration counts out of range")
+        if self.outer_iters < 0:
+            raise ConfigError("outer_iters must be >= 0")
         if self.max_pairs_per_side < 1:
             raise ConfigError("max_pairs_per_side must be >= 1")
 
@@ -369,18 +362,14 @@ def inner_solve_w(
     pc: PairConstraints,
     config: RpdmlConfig,
 ) -> SpdMatrix:
-    """Riemannian gradient descent with retraction for the W subproblem.
+    """Closed-form inner solve: the exact minimizer of the W subproblem.
 
-    Steps along the projected negative gradient with a backtracking (Armijo)
-    line search starting from step eta_t; stops when the gradient norm falls
-    below the inner tolerance or the iteration budget runs out.  The result
-    never has a larger inner objective than the start point.
-
-    Internally the objective is evaluated in the collapsed form
-    tr(W M) - c logdet(W) + const, where M folds the reference inverse, the
-    dual contraction, and (in 'include' mode) the prox anchor; this is
-    algebraically identical to :func:`inner_objective` but avoids repeated
-    eigendecompositions in the line search.
+    The inner objective collapses to J(W) = tr(W M) - c logdet(W) + const,
+    where M folds the reference inverse, the dual contraction, and (in
+    'include' mode) the prox anchor.  For M positive definite J is strictly
+    convex with the unique minimizer W* = c inv(M), taken from one
+    eigendecomposition of M and floored at EPS_PD like a retraction.  An M
+    that is not positive definite leaves J unbounded below.
     """
     include_prox = config.prox_term_mode == "include"
     m_lin = 0.5 * spd_inverse(w0).mat + grad_h_contraction(lam, pc)
@@ -388,46 +377,14 @@ def inner_solve_w(
     if include_prox:
         m_lin = m_lin + spd_inverse(w_t).mat / (2.0 * eta_t)
         c_log += 1.0 / (2.0 * eta_t)
-    # With J(W) = tr(W M) - c logdet W + const, a nonpositive direction of M
-    # is a descent ray: the subproblem has no minimizer.
-    if float(np.linalg.eigvalsh(sym(m_lin))[0]) <= 0.0:
+    vals, vecs = np.linalg.eigh(sym(m_lin))
+    # A nonpositive direction of M is a descent ray: no minimizer exists.
+    if float(vals[0]) <= 0.0:
         raise InnerSolveError(
             "inner objective is unbounded below (dual pull exceeds the log barrier); "
             "use a smaller step size"
         )
-
-    def j_fast(mat: Array) -> float:
-        sign, logdet = np.linalg.slogdet(mat)
-        if sign <= 0:
-            return math.inf
-        return float(np.einsum("ij,ji->", mat, m_lin)) - c_log * logdet
-
-    w = np.asarray(w_t.mat, dtype=float)
-    j_curr = j_fast(w)
-    for _ in range(config.inner_max_iters):
-        grad = sym(m_lin - c_log * np.linalg.inv(w))
-        gnorm_sq = float(np.sum(grad * grad))
-        if math.sqrt(gnorm_sq) <= config.inner_tolerance:
-            break
-        float_floor = 1e-14 * max(1.0, abs(j_curr))
-        step = eta_t
-        for _ in range(_MAX_HALVINGS):
-            w_new = retract_array(w - step * grad)
-            j_new = j_fast(w_new)
-            if j_new <= j_curr - _ARMIJO_C * step * gnorm_sq:
-                break
-            step *= 0.5
-        else:
-            # Exhausted halvings.  If the achievable decrease is below the
-            # floating-point resolution of J we are numerically converged;
-            # a genuine increase at a non-trivial gradient is an error.
-            if j_new <= j_curr + float_floor or _ARMIJO_C * eta_t * gnorm_sq < float_floor:
-                break
-            raise InnerSolveError(
-                f"no decrease after {_MAX_HALVINGS} halvings (grad norm {math.sqrt(gnorm_sq):.3e})"
-            )
-        w, j_curr = w_new, j_new
-    return SpdMatrix._trusted(w)
+    return SpdMatrix._trusted(sym((vecs * clip_spectrum(c_log / vals)) @ vecs.T))
 
 
 def update_slack(

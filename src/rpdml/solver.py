@@ -65,16 +65,15 @@ def aggregate_violation(h_val: Array) -> float:
 class SaddleProblem:
     """A constrained minimization problem in saddle-point form.
 
-    ``inner_minimizer(x, lam, eta, tol, max_iters)`` must return an
-    (approximate) solution of the proximal subproblem at x with dual lam and
-    step eta.  ``distance_sq`` is the squared prox distance d2(a, b) measured
-    from reference point b.
+    ``inner_minimizer(x, lam, eta)`` must return the solution of the
+    proximal subproblem at x with dual lam and step eta.  ``distance_sq`` is
+    the squared prox distance d2(a, b) measured from reference point b.
     """
 
     objective: Callable[[Any], float]
     constraints: Callable[[Any], Array]
     constraint_count: int
-    inner_minimizer: Callable[..., Any]
+    inner_minimizer: Callable[[Any, Array, float], Any]
     distance_sq: Callable[[Any, Any], float]
 
     def eval_constraints(self, x) -> Array:
@@ -106,8 +105,6 @@ class SolverConfig:
     alpha: float
     eta0: float = 1.0
     max_outer_iters: int = 100
-    inner_tolerance: float = 1e-6
-    inner_max_iters: int = 200
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -270,11 +267,7 @@ def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
     for t in range(config.max_outer_iters):
         eta = step_size(t, config.eta0)
         try:
-            x_next = problem.inner_minimizer(
-                x, lam, eta,
-                tol=config.inner_tolerance,
-                max_iters=config.inner_max_iters,
-            )
+            x_next = problem.inner_minimizer(x, lam, eta)
         except InnerSolveError as exc:
             raise DivergedError(f"inner minimizer failed at t={t}: {exc}", partial_trace(x)) from exc
         f_val = float(problem.objective(x_next))

@@ -7,6 +7,7 @@ from rpdml.errors import DimensionMismatchError, InvariantViolationError
 from rpdml.manifold import (
     EPS_PD,
     SpdMatrix,
+    _fix_signs,
     eigendecompose,
     load_matrix_csv,
     load_matrix_json,
@@ -87,6 +88,23 @@ class TestEigendecompose:
                 col = eig.eigenvectors[:, j]
                 nz = np.flatnonzero(col)
                 assert col[nz[0]] > 0
+
+    def test_fix_signs_matches_column_loop(self):
+        # The per-column loop is the reference: flip a column when its first
+        # nonzero entry is negative; all-zero columns stay as they are.
+        def loop(vecs):
+            for j in range(vecs.shape[1]):
+                nz = np.flatnonzero(vecs[:, j])
+                if nz.size and vecs[nz[0], j] < 0:
+                    vecs[:, j] = -vecs[:, j]
+            return vecs
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            a = rng.normal(size=(rng.integers(1, 7), rng.integers(1, 7)))
+            a[rng.random(a.shape) < 0.4] = 0.0
+            a[:, rng.integers(0, a.shape[1])] = 0.0
+            assert loop(a.copy()).tobytes() == _fix_signs(a.copy()).tobytes()
 
 
 class TestLogdetDivergence:

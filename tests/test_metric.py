@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpdml.errors import (
     BoundsError,
     ConfigError,
     ConstraintBuildError,
     DimensionMismatchError,
+    InnerSolveError,
 )
 from rpdml.manifold import EPS_PD, SpdMatrix
 from rpdml.metric import (
@@ -193,8 +196,7 @@ class TestInnerSolveW:
         rng = np.random.default_rng(21)
         w0, w_t = rand_spd(4, rng), rand_spd(4, rng)
         pc = PairConstraints(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), u=1.0, l=2.0)
-        cfg = RpdmlConfig(prox_term_mode="omit", inner_max_iters=500,
-                          inner_tolerance=1e-9, eta0=0.5)
+        cfg = RpdmlConfig(prox_term_mode="omit", eta0=0.5)
         out = inner_solve_w(w_t, np.zeros(4), w0, 0.5, pc, cfg)
         assert np.linalg.norm(out.mat - w0.mat) <= 1e-4
 
@@ -222,8 +224,8 @@ class TestInnerSolveW:
 
     def test_matches_analytic_subproblem_minimizer(self):
         # The subproblem objective collapses to tr(W M) - c logdet(W), whose
-        # stationary point is W* = c inv(M); a tightly-converged descent run
-        # must land there.
+        # stationary point is W* = c inv(M); the closed-form solve must land
+        # there to round-off.
         rng = np.random.default_rng(24)
         checked = 0
         for _ in range(5):
@@ -240,11 +242,47 @@ class TestInnerSolveW:
                 continue
             c = 0.5 + 1.0 / (2.0 * eta)
             w_star = c * np.linalg.inv(0.5 * (m_lin + m_lin.T))
-            cfg = RpdmlConfig(eta0=0.4, inner_tolerance=1e-10, inner_max_iters=2000)
-            out = inner_solve_w(w_t, lam, w0, eta, pc, cfg)
-            assert np.linalg.norm(out.mat - w_star) <= 1e-6 * max(1.0, np.linalg.norm(w_star))
+            out = inner_solve_w(w_t, lam, w0, eta, pc, RpdmlConfig(eta0=0.4))
+            assert np.linalg.norm(out.mat - w_star) <= 1e-10 * max(1.0, np.linalg.norm(w_star))
             checked += 1
         assert checked >= 3
+
+    @pytest.mark.parametrize("mode", ["include", "omit"])
+    def test_non_pd_subproblem_raises(self, mode):
+        # A heavily weighted dissimilar pair pulls M = I/2 [+ I/(2 eta)] - 10 e2 e2.T
+        # below zero along e2: J decreases without bound along that ray.
+        w = SpdMatrix.identity(2)
+        pc = PairConstraints([[1.0, 0.0]], [[0.0, 1.0]], u=1.0, l=2.0)
+        with pytest.raises(InnerSolveError, match="unbounded below"):
+            inner_solve_w(w, np.array([0.0, 10.0]), w, 0.5, pc, RpdmlConfig(prox_term_mode=mode))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        mode=st.sampled_from(["include", "omit"]),
+        seed=st.integers(0, 2**32 - 1),
+        lam_scale=st.floats(0.0, 2.0),
+        eta=st.floats(0.01, 2.0),
+    )
+    def test_closed_form_is_stationary_or_raises(self, n, mode, seed, lam_scale, eta):
+        rng = np.random.default_rng(seed)
+        w0, w_t = rand_spd(n, rng), rand_spd(n, rng)
+        pc = PairConstraints(rng.normal(size=(3, n)), rng.normal(size=(3, n)), u=1.0, l=3.0)
+        lam = rng.uniform(0.0, lam_scale, 6)
+        m_lin = 0.5 * np.linalg.inv(w0.mat) + grad_h_contraction(lam, pc)
+        if mode == "include":
+            m_lin = m_lin + np.linalg.inv(w_t.mat) / (2.0 * eta)
+        cfg = RpdmlConfig(prox_term_mode=mode)
+        if np.min(np.linalg.eigvalsh(0.5 * (m_lin + m_lin.T))) <= 0:
+            with pytest.raises(InnerSolveError):
+                inner_solve_w(w_t, lam, w0, eta, pc, cfg)
+            return
+        out = inner_solve_w(w_t, lam, w0, eta, pc, cfg)
+        grad = inner_gradient(out.mat, w_t, lam, w0, eta, pc, mode)
+        assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(m_lin))
+        j_out = inner_objective(out.mat, w_t, lam, w0, eta, pc, mode)
+        j_start = inner_objective(w_t.mat, w_t, lam, w0, eta, pc, mode)
+        assert j_out <= j_start + 1e-12 * max(1.0, abs(j_start))
 
 
 class TestUpdateSlack:
@@ -326,7 +364,7 @@ class TestTrain:
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(41)
         feats, labels = blob_data(rng, n=40)
-        cfg = RpdmlConfig(outer_iters=15, seed=5, inner_max_iters=30)
+        cfg = RpdmlConfig(outer_iters=15, seed=5)
         m1 = train(feats, labels, cfg)
         m2 = train(feats, labels, cfg)
         assert np.array_equal(m1.w.mat, m2.w.mat)
@@ -335,14 +373,14 @@ class TestTrain:
     def test_violation_shrinks_on_separated_blobs(self):
         rng = np.random.default_rng(42)
         feats, labels = blob_data(rng, n=60, sep=4.0)
-        model = train(feats, labels, RpdmlConfig(outer_iters=60, seed=3, inner_max_iters=50))
+        model = train(feats, labels, RpdmlConfig(outer_iters=60, seed=3))
         final = model.trace.records[-1].violation
         assert final <= 0.5 * model.trace.initial_violation
 
     def test_duals_and_slacks_stay_nonnegative(self):
         rng = np.random.default_rng(43)
         feats, labels = blob_data(rng, n=30)
-        model = train(feats, labels, RpdmlConfig(outer_iters=25, seed=2, inner_max_iters=30))
+        model = train(feats, labels, RpdmlConfig(outer_iters=25, seed=2))
         for rec in model.trace.records:
             assert rec.dual_min >= 0.0
             assert rec.extras["slack_min"] >= 0.0
@@ -351,7 +389,7 @@ class TestTrain:
     def test_every_iterate_is_spd(self):
         rng = np.random.default_rng(44)
         feats, labels = blob_data(rng, n=30)
-        model = train(feats, labels, RpdmlConfig(outer_iters=20, seed=2, inner_max_iters=30))
+        model = train(feats, labels, RpdmlConfig(outer_iters=20, seed=2))
         for rec in model.trace.records:
             SpdMatrix(rec.point.mat)  # full invariant validation
 
@@ -360,7 +398,7 @@ class TestTrain:
         feats, labels = blob_data(rng, n=50)
         pc = build_pairs(feats, labels, 200, 0)
         assert pc.n_similar >= 20 and pc.n_dissimilar >= 20
-        model = train(feats, labels, RpdmlConfig(outer_iters=1, seed=0, inner_max_iters=5))
+        model = train(feats, labels, RpdmlConfig(outer_iters=1, seed=0))
         assert model.trace.initial_violation > 0.0
 
     def test_omit_mode_completes_with_tiny_steps(self):
@@ -369,7 +407,7 @@ class TestTrain:
         # only while the duals stay very small.
         rng = np.random.default_rng(47)
         feats, labels = blob_data(rng, n=60)
-        cfg = RpdmlConfig(eta0=1e-5, outer_iters=20, seed=2, inner_max_iters=30,
+        cfg = RpdmlConfig(eta0=1e-5, outer_iters=20, seed=2,
                           prox_term_mode="omit")
         model = train(feats, labels, cfg)
         assert len(model.trace) == 20
@@ -413,7 +451,7 @@ class TestModelSerialization:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(50)
         feats, labels = blob_data(rng, n=30)
-        model = train(feats, labels, RpdmlConfig(outer_iters=5, seed=1, inner_max_iters=10))
+        model = train(feats, labels, RpdmlConfig(outer_iters=5, seed=1))
         path = tmp_path / "model.json"
         model.save(path)
         loaded = MetricModel.load(path)
