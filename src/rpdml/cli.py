@@ -44,6 +44,7 @@ from .evaluation import (
     knn_accuracy,
     knn_predict,
     mahalanobis_metric,
+    rolling_ic,
     spearman_ic,
     window_predictions,
 )
@@ -57,6 +58,10 @@ _NUMERIC_EXIT = 2
 
 #: Commands that consume randomness and therefore require --seed.
 _STOCHASTIC_COMMANDS = {"gen-data", "train", "eval", "backtest"}
+
+#: Lines of a run's config.txt snapshot that are not options, accepted so a
+#: snapshot can be fed back through --config.
+_SNAPSHOT_ONLY_KEYS = {"command", "seed"}
 
 
 @dataclass
@@ -113,6 +118,9 @@ def read_config_file(path: str | Path) -> dict:
 def _layer_options(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags (flags win)."""
     file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_cfg) - set(defaults) - _SNAPSHOT_ONLY_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in config file {args.config}: {', '.join(unknown)}")
     resolved = {}
     for key, default in defaults.items():
         flag_val = getattr(args, key, None)
@@ -326,9 +334,7 @@ def cmd_backtest(args) -> int:
     # series both come from the same predictions.
     preds = list(window_predictions(panel, provider, k=k, normalize=opts["normalize"]))
     result = backtest_from_predictions(panel, preds, top_n, mdd_window=int(opts["mdd_window"]))
-    ics = [(p.label, spearman_ic(pr, p.next_returns))
-           for p, pr, skip in preds if not skip]
-    summary = ic_summary(ics)
+    summary = ic_summary(rolling_ic(preds))
     cfg.write_snapshot(outdir)
     result.save(outdir / "result.json")
     _write_json(outdir / "metrics.json", {

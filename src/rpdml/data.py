@@ -127,17 +127,39 @@ def write_labeled_csv(data: LabeledDataset, path: str | Path) -> None:
             writer.writerow([lab, repr(float(tgt))] + [repr(float(x)) for x in row])
 
 
+def _read_header(reader, path: str | Path, required: tuple[str, ...]) -> list[str]:
+    """The CSV header row, checked to hold the required columns."""
+    header = next(reader, None)
+    if header is None:
+        raise ConfigError(f"{path}: empty file, expected columns {', '.join(required)}")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
+    return header
+
+
+def _rows(reader, path: str | Path, width: int):
+    """Nonempty data rows, each checked to have one field per header column."""
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ConfigError(
+                f"{path}: line {reader.line_num} has {len(row)} fields, header has {width}"
+            )
+        yield row
+
+
 def read_labeled_csv(path: str | Path) -> LabeledDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = _read_header(reader, path, ("label", "target"))
+        label_col, target_col = header.index("label"), header.index("target")
         feat_cols = [i for i, c in enumerate(header) if c.startswith("f_")]
         labels, targets, feats = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            labels.append(row[header.index("label")])
-            targets.append(float(row[header.index("target")]))
+        for row in _rows(reader, path, len(header)):
+            labels.append(row[label_col])
+            targets.append(float(row[target_col]))
             feats.append([float(row[i]) for i in feat_cols])
     return LabeledDataset(np.array(feats), np.array(labels), np.array(targets))
 
@@ -161,12 +183,10 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
     """Load a panel from CSV columns (period, asset_id, f_0.., next_return)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = _read_header(reader, path, ("period", "asset_id", "next_return"))
         feat_cols = [c for c in header if c.startswith("f_")]
         by_period: dict[str, list] = {}
-        for row in reader:
-            if not row:
-                continue
+        for row in _rows(reader, path, len(header)):
             rec = dict(zip(header, row))
             by_period.setdefault(rec["period"], []).append(rec)
     periods = []

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -270,20 +270,18 @@ def rolling_backtest(
 
 
 def rolling_ic(
-    data: PanelDataset,
-    metric_source: MetricProvider,
-    k: int = 10,
-    normalize: bool = True,
+    predictions: Iterable[tuple[PanelPeriod, Array | None, bool]],
 ) -> list[tuple[str, float]]:
-    """Per-period rank correlation between k-NN predictions and realizations."""
-    if len(data.periods) < 2:
-        raise ConfigError("need at least two periods")
-    out = []
-    for period, preds, skip in window_predictions(data, metric_source, k, normalize):
-        if skip or preds is None:
-            continue
-        out.append((period.label, spearman_ic(preds, period.next_returns)))
-    return out
+    """Per-period rank correlation between predictions and realizations.
+
+    Takes the ``window_predictions`` output, as ``backtest_from_predictions``
+    does; skipped periods are left out.
+    """
+    return [
+        (period.label, spearman_ic(preds, period.next_returns))
+        for period, preds, skip in predictions
+        if not (skip or preds is None)
+    ]
 
 
 def ic_summary(ics: Sequence[tuple[str, float]]) -> dict:

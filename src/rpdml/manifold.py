@@ -186,18 +186,6 @@ def logdet_divergence_gradient(w: SpdMatrix, w0: SpdMatrix) -> Array:
     return sym(spd_inverse(w0).mat - spd_inverse(w).mat)
 
 
-def project_to_tangent(euclidean_grad: Array, w: SpdMatrix) -> Array:
-    """Project a Euclidean gradient onto the tangent space at a full-rank point.
-
-    For SPD matrices the projection is the identity on symmetric matrices, so
-    this only removes numerical asymmetry.
-    """
-    g = _check_square(euclidean_grad, "gradient")
-    if g.shape[0] != w.dim:
-        raise DimensionMismatchError(f"gradient dim {g.shape[0]} != point dim {w.dim}")
-    return sym(g)
-
-
 def clip_spectrum(vals: Array) -> Array:
     """Raise eigenvalues below the EPS_PD floor to just above it."""
     return np.where(vals < EPS_PD, EPS_PD * (1.0 + _CLIP_MARGIN), vals)

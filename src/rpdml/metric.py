@@ -9,10 +9,15 @@ x_i, the constraint vector is
     h(W, xi) = [ diag(Xp W Xp.T) - u (1 + xi_p) ;
                 -diag(Xn W Xn.T) + l (1 - xi_n) ]      (entry <= 0: satisfied)
 
-The training loop cycles four updates per outer iteration: a closed-form
-inner solve for W (the subproblem's exact argmin), a closed-form prox step
-for the slacks, and projected ascent steps for the two dual vectors (lam
-for the distance constraints, gamma for slack nonnegativity):
+Training is one run of the generic primal-dual loop (``solver.run``) on
+the primal point x = (W, xi) with objective and constraints
+
+    f(x) = d2(W, W0)/2 + c1/2 ||xi||^2,        [ h(W, xi) ; -xi ] <= 0,
+
+dual [lam; gamma] (lam for the distance constraints, gamma for slack
+nonnegativity) and dual regularizer alpha = c2.  The proximal primal step
+is closed form in both blocks, and the dual step is the solver's projected
+ascent:
 
     W      <- argmin  d2(W, W0)/2 + <lam, h(W)>  [+ d2(W, W_t)/(2 eta_t)]
     xi     <- [ (eta_t xi_t + gamma + lam * (u;l)) / (c1 + eta_t) ]_+
@@ -38,12 +43,12 @@ from .errors import (
     ConfigError,
     ConstraintBuildError,
     DimensionMismatchError,
-    DivergedError,
     InnerSolveError,
 )
 from .manifold import (
     SpdMatrix,
     clip_spectrum,
+    logdet_divergence,
     matrix_from_json_dict,
     matrix_to_json_dict,
     rowwise_quadratic,
@@ -51,12 +56,12 @@ from .manifold import (
     sym,
 )
 from .solver import (
-    IterationRecord,
     RunTrace,
-    aggregate_violation,
+    SaddleProblem,
+    SolverConfig,
+    dual_ascent_step,
     positive_part,
-    select_best_index,
-    step_size,
+    run,
 )
 
 logger = logging.getLogger(__name__)
@@ -409,24 +414,12 @@ def update_slack(
 
 def update_lambda(lam_t: Array, h_val: Array, eta_t: float, c2: float) -> Array:
     """Projected dual ascent for the distance constraints."""
-    lam_t = np.asarray(lam_t, dtype=float)
-    h_val = np.asarray(h_val, dtype=float)
-    if lam_t.shape != h_val.shape:
-        raise DimensionMismatchError("dual and constraint shapes disagree")
-    if c2 * eta_t > 1.0 + 1e-15:
-        raise ConfigError(f"c2 * eta = {c2 * eta_t:.4g} exceeds 1")
-    return positive_part((1.0 - c2 * eta_t) * lam_t + eta_t * h_val)
+    return dual_ascent_step(lam_t, h_val, eta_t, c2)
 
 
 def update_gamma(gamma_t: Array, xi_next: Array, eta_t: float, c2: float) -> Array:
-    """Projected dual ascent for the slack-nonnegativity constraints."""
-    gamma_t = np.asarray(gamma_t, dtype=float)
-    xi_next = np.asarray(xi_next, dtype=float)
-    if gamma_t.shape != xi_next.shape:
-        raise DimensionMismatchError("dual and slack shapes disagree")
-    if c2 * eta_t > 1.0 + 1e-15:
-        raise ConfigError(f"c2 * eta = {c2 * eta_t:.4g} exceeds 1")
-    return positive_part((1.0 - c2 * eta_t) * gamma_t - eta_t * xi_next)
+    """Projected dual ascent for the slack-nonnegativity constraints (h = -xi)."""
+    return dual_ascent_step(gamma_t, -np.asarray(xi_next, dtype=float), eta_t, c2)
 
 
 def inverse_covariance_metric(features: Array, ridge: float = 1e-6) -> SpdMatrix:
@@ -439,19 +432,17 @@ def inverse_covariance_metric(features: Array, ridge: float = 1e-6) -> SpdMatrix
     return spd_inverse(SpdMatrix(sym(cov)))
 
 
-def _primal_objective(w: SpdMatrix, w0: SpdMatrix, xi: Array, c1: float) -> float:
-    w0_inv = spd_inverse(w0).mat
-    w0_logdet = float(np.sum(np.log(np.linalg.eigvalsh(w0.mat))))
-    return 0.5 * _logdet_div_raw(w.mat, w0_inv, w0_logdet) + 0.5 * c1 * float(xi @ xi)
-
-
 def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     """Learn a metric from labeled samples.
 
-    Builds pair constraints (seeded subsample under the cap), sets the
+    Builds pair constraints (seeded subsample under the cap) and sets the
     distance bounds from percentiles of the pair distances under the initial
-    metric, then runs the four-way update cycle for ``outer_iters``
-    iterations.  The returned model carries the final W and the full trace.
+    metric.  Then runs ``solver.run`` for ``outer_iters`` iterations on the
+    saddle problem of the module docstring, starting from (W0, 0), with
+    ``inner_solve_w`` and ``update_slack`` as the proximal primal step.  The
+    returned model carries the final W and the full trace, whose points are
+    (W, xi) pairs.  An unbounded W subproblem raises ``DivergedError``
+    carrying the partial trace.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     pc = build_pairs(features, labels, config.max_pairs_per_side, config.seed)
@@ -468,55 +459,41 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     pc = pc.with_bounds(u, l)
 
     m = pc.n_constraints
-    w = w0
-    xi = np.zeros(m)
-    lam = np.zeros(m)
-    gamma = np.zeros(m)
+    w0_inv = spd_inverse(w0).mat
+    w0_logdet = float(np.sum(np.log(np.linalg.eigvalsh(w0.mat))))
 
-    initial_objective = _primal_objective(w0, w0, xi, config.c1)
-    initial_violation = aggregate_violation(eval_h(w0, xi, pc))
+    def objective(x) -> float:
+        w, xi = x
+        return 0.5 * _logdet_div_raw(w.mat, w0_inv, w0_logdet) + 0.5 * config.c1 * float(xi @ xi)
 
-    records: list[IterationRecord] = []
+    def constraints(x) -> Array:
+        w, xi = x
+        return np.concatenate([eval_h(w, xi, pc), -xi])
 
-    def partial_trace(final) -> RunTrace:
-        best = select_best_index(records) if records else 0
-        return RunTrace(records, final, best, initial_objective, initial_violation)
+    def inner_minimizer(x, dual: Array, eta: float):
+        w, xi = x
+        lam, gamma = dual[:m], dual[m:]
+        return (inner_solve_w(w, lam, w0, eta, pc, config),
+                update_slack(xi, lam, gamma, eta, config.c1, pc))
 
-    for t in range(config.outer_iters):
-        eta = step_size(t, config.eta0)
-        try:
-            w_next = inner_solve_w(w, lam, w0, eta, pc, config)
-        except InnerSolveError as exc:
-            raise DivergedError(f"inner solve failed at t={t}: {exc}", partial_trace(w)) from exc
-        xi_next = update_slack(xi, lam, gamma, eta, config.c1, pc)
-        h_val = eval_h(w_next, xi_next, pc)
-        lam_next = update_lambda(lam, h_val, eta, config.c2)
-        gamma_next = update_gamma(gamma, xi_next, eta, config.c2)
+    def distance_sq(a, b) -> float:
+        return logdet_divergence(a[0], b[0]) + float(np.sum((a[1] - b[1]) ** 2))
 
-        obj = _primal_objective(w_next, w0, xi_next, config.c1)
-        if not (math.isfinite(obj) and np.all(np.isfinite(h_val))):
-            raise DivergedError(f"non-finite objective at t={t}", partial_trace(w))
-        records.append(IterationRecord(
-            t=t,
-            eta=eta,
-            objective=obj,
-            h=h_val,
-            violation=aggregate_violation(h_val),
-            dual_norm=float(np.linalg.norm(lam)),
-            dual_min=float(lam.min()) if m else 0.0,
-            point=w_next,
-            extras={
-                "slack_norm": float(np.linalg.norm(xi_next)),
-                "gamma_norm": float(np.linalg.norm(gamma)),
-                "slack_min": float(xi_next.min()) if m else 0.0,
-                "gamma_min": float(gamma.min()) if m else 0.0,
-            },
-        ))
-        w, xi, lam, gamma = w_next, xi_next, lam_next, gamma_next
+    def record_extras(x, dual: Array) -> dict:
+        xi, gamma = x[1], dual[m:]
+        return {
+            "slack_norm": float(np.linalg.norm(xi)),
+            "gamma_norm": float(np.linalg.norm(gamma)),
+            "slack_min": float(xi.min()),
+            "gamma_min": float(gamma.min()),
+        }
 
-    best = select_best_index(records) if records else 0
-    trace = RunTrace(records, w, best, initial_objective, initial_violation)
-    return MetricModel(w=w, w0=w0, u=u, l=l, trace=trace)
+    problem = SaddleProblem(objective, constraints, 2 * m, inner_minimizer, distance_sq,
+                            record_extras)
+    solver_config = SolverConfig(alpha=config.c2, eta0=config.eta0,
+                                 max_outer_iters=config.outer_iters)
+    trace = run(problem, (w0, np.zeros(m)), solver_config)
+    return MetricModel(w=trace.final_point[0], w0=w0, u=u, l=l, trace=trace)
 
 
 def metric_distance(model: MetricModel, a: Array, b: Array) -> float:

@@ -11,7 +11,7 @@ Each outer iteration solves
 
 through a problem-supplied inner minimizer, then updates the dual with
 
-    lam_{t+1} = [lam_t + eta_t (h(x_{t+1}) - alpha * lam_t)]_+ .
+    lam_{t+1} = [(1 - alpha eta_t) lam_t + eta_t h(x_{t+1})]_+ .
 
 Points are opaque to this module: a problem supplies the objective,
 constraints, squared prox distance, and the inner minimizer, so scalar toy
@@ -68,6 +68,8 @@ class SaddleProblem:
     ``inner_minimizer(x, lam, eta)`` must return the solution of the
     proximal subproblem at x with dual lam and step eta.  ``distance_sq`` is
     the squared prox distance d2(a, b) measured from reference point b.
+    ``record_extras(x, lam)``, if given, returns extra per-iteration trace
+    fields for the new iterate x and the dual lam it was computed with.
     """
 
     objective: Callable[[Any], float]
@@ -75,6 +77,7 @@ class SaddleProblem:
     constraint_count: int
     inner_minimizer: Callable[[Any, Array, float], Any]
     distance_sq: Callable[[Any, Any], float]
+    record_extras: Callable[[Any, Array], dict] | None = None
 
     def eval_constraints(self, x) -> Array:
         h = np.atleast_1d(np.asarray(self.constraints(x), dtype=float))
@@ -243,7 +246,7 @@ def dual_ascent_step(lam: Array, h_val: Array, eta: float, alpha: float) -> Arra
         raise ConfigError(f"alpha * eta = {alpha * eta:.4g} exceeds 1")
     if np.any(lam < 0):
         raise InvariantViolationError("dual vector has negative entries")
-    return positive_part(lam + eta * (h_val - alpha * lam))
+    return positive_part((1.0 - alpha * eta) * lam + eta * h_val)
 
 
 def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
@@ -283,6 +286,7 @@ def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
             dual_norm=float(np.linalg.norm(lam)),
             dual_min=float(lam.min()) if lam.size else 0.0,
             point=x_next,
+            extras=problem.record_extras(x_next, lam) if problem.record_extras else {},
         ))
         lam = dual_ascent_step(lam, h_val, eta, config.alpha)
         x = x_next

@@ -30,6 +30,7 @@ from rpdml.evaluation import (
     knn_accuracy,
     max_drawdown,
     rolling_ic,
+    window_predictions,
 )
 from rpdml.manifold import EPS_PD, SpdMatrix, logdet_divergence, retract
 from rpdml.metric import (
@@ -114,8 +115,8 @@ def panel_ic_artifacts():
         traces.append(model.trace)
         return model.w
 
-    ic_rpdml = rolling_ic(panel, rpdml_provider, k=10)
-    ic_eucl = rolling_ic(panel, lambda f, r: euclidean_metric(f), k=10)
+    ic_rpdml = rolling_ic(window_predictions(panel, rpdml_provider, k=10))
+    ic_eucl = rolling_ic(window_predictions(panel, lambda f, r: euclidean_metric(f), k=10))
     return dict(ic_rpdml=ic_rpdml, ic_eucl=ic_eucl, traces=traces,
                 elapsed=time.perf_counter() - t0)
 

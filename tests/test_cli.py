@@ -195,6 +195,59 @@ class TestConfigFile:
         with pytest.raises(Exception):
             read_config_file(bad)
 
+    def test_unknown_key_is_rejected(self, labeled_csv, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("iters = 3\nitres = 5\n")
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--seed", "7", "--data", str(labeled_csv),
+                       "--outdir", str(run_dir), "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "itres" in err
+        assert not (run_dir / "model.json").exists()
+
+    def test_snapshot_round_trip(self, labeled_csv, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli("train", "--seed", "7", "--data", str(labeled_csv),
+                       "--outdir", str(first), "--iters", "3", "--c1", "4.0") == 0
+        assert run_cli("train", "--seed", "7", "--data", str(labeled_csv),
+                       "--outdir", str(second), "--config", str(first / "config.txt")) == 0
+        for name in ("config.txt", "model.json", "trace.jsonl"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+class TestCsvHeaders:
+    def _assert_clean_error(self, capsys, *fragments):
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        for frag in fragments:
+            assert frag in err
+
+    def test_labeled_csv_to_backtest(self, labeled_csv, tmp_path, capsys):
+        assert run_cli("backtest", "--seed", "1", "--data", str(labeled_csv),
+                       "--outdir", str(tmp_path / "bt"), "--metric", "euclidean") == 1
+        self._assert_clean_error(capsys, str(labeled_csv), "period", "asset_id", "next_return")
+
+    def test_panel_csv_to_train(self, panel_csv, tmp_path, capsys):
+        assert run_cli("train", "--seed", "1", "--data", str(panel_csv),
+                       "--outdir", str(tmp_path / "tr")) == 1
+        self._assert_clean_error(capsys, str(panel_csv), "label", "target")
+
+    @pytest.mark.parametrize("command", ["train", "backtest"])
+    def test_empty_file(self, command, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert run_cli(command, "--seed", "1", "--data", str(empty),
+                       "--outdir", str(tmp_path / "o")) == 1
+        self._assert_clean_error(capsys, str(empty), "empty")
+
+    def test_ragged_row(self, labeled_csv, tmp_path, capsys):
+        ragged = tmp_path / "ragged.csv"
+        lines = labeled_csv.read_text().splitlines()
+        ragged.write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:]) + "\n")
+        assert run_cli("train", "--seed", "1", "--data", str(ragged),
+                       "--outdir", str(tmp_path / "o")) == 1
+        self._assert_clean_error(capsys, str(ragged), "line 4")
+
 
 class TestDeterminism:
     def test_train_reruns_byte_identical(self, labeled_csv, tmp_path):

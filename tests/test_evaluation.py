@@ -17,6 +17,7 @@ from rpdml.evaluation import (
     rolling_ic,
     rolling_max_drawdown,
     spearman_ic,
+    window_predictions,
 )
 from rpdml.manifold import SpdMatrix
 
@@ -324,7 +325,8 @@ class TestRollingIC:
         periods = [(f"p{i}", [[float(j)] for j in range(5)], [0.01 * j for j in range(5)])
                    for i in range(3)]
         panel = make_panel(periods)
-        ics = rolling_ic(panel, lambda f, r: euclidean_metric(f), k=1, normalize=False)
+        preds = window_predictions(panel, lambda f, r: euclidean_metric(f), k=1, normalize=False)
+        ics = rolling_ic(preds)
         assert len(ics) == 2
         for _, ic in ics:
             assert ic == pytest.approx(1.0)

@@ -15,7 +15,6 @@ from rpdml.manifold import (
     logdet_divergence_gradient,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    project_to_tangent,
     retract,
     save_matrix_csv,
     save_matrix_json,
@@ -169,30 +168,6 @@ class TestGradient:
                     ) / (2 * h)
             rel = np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad)))
             assert rel <= 1e-5
-
-
-class TestProjectToTangent:
-    def test_symmetric_unchanged(self):
-        g = np.array([[1.0, 2.0], [2.0, 3.0]])
-        assert np.array_equal(project_to_tangent(g, SpdMatrix.identity(2)), g)
-
-    def test_symmetrizes(self):
-        g = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = project_to_tangent(g, SpdMatrix.identity(2))
-        assert np.array_equal(out, np.array([[0.0, 0.5], [0.5, 0.0]]))
-
-    def test_idempotent_and_symmetric_on_random(self):
-        rng = np.random.default_rng(5)
-        w = SpdMatrix.identity(4)
-        for _ in range(100):
-            g = rng.normal(size=(4, 4))
-            once = project_to_tangent(g, w)
-            assert np.array_equal(once, once.T)
-            assert np.array_equal(project_to_tangent(once, w), once)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            project_to_tangent(np.eye(3), SpdMatrix.identity(2))
 
 
 class TestRetract:

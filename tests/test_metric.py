@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpdml.data import SyntheticSpec, generate_synthetic, normalize_features
 from rpdml.errors import (
     BoundsError,
     ConfigError,
     ConstraintBuildError,
     DimensionMismatchError,
+    DivergedError,
     InnerSolveError,
 )
 from rpdml.manifold import EPS_PD, SpdMatrix
@@ -391,7 +393,19 @@ class TestTrain:
         feats, labels = blob_data(rng, n=30)
         model = train(feats, labels, RpdmlConfig(outer_iters=20, seed=2))
         for rec in model.trace.records:
-            SpdMatrix(rec.point.mat)  # full invariant validation
+            SpdMatrix(rec.point[0].mat)  # full invariant validation
+
+    def test_divergence_raises_with_partial_trace(self):
+        # The CLI's exit-2 case: the labeled fixture of tests/test_cli.py,
+        # normalized, with an aggressive step size.
+        ds = generate_synthetic(SyntheticSpec(samples=80, dim=6, informative_dims=3, seed=7))
+        feats, _ = normalize_features(ds.features)
+        cfg = RpdmlConfig(eta0=0.9, c2=1.0, outer_iters=30, seed=7)
+        with pytest.raises(DivergedError, match="at t=1") as exc_info:
+            train(feats, ds.labels, cfg)
+        trace = exc_info.value.trace
+        assert len(trace) == 1
+        SpdMatrix(trace.records[0].point[0].mat)  # full invariant validation
 
     def test_initial_violation_positive_on_continuous_data(self):
         rng = np.random.default_rng(45)
