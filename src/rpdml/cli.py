@@ -42,6 +42,7 @@ from .evaluation import (
     euclidean_metric,
     ic_summary,
     knn_accuracy,
+    knn_neighbors,
     knn_predict,
     mahalanobis_metric,
     rolling_ic,
@@ -277,9 +278,10 @@ def cmd_eval(args) -> int:
     else:
         raise ConfigError(f"unknown metric {opts['metric']!r}")
     k = int(opts["k"])
-    acc = knn_accuracy(w, xtr, ytr, xte, yte, k)
-    preds = np.array([knn_predict(w, xtr, ttr, q, k) for q in xte])
-    ic = spearman_ic(preds, tte)
+    # One ranking serves both the accuracy and the IC.
+    neighbors = knn_neighbors(w, xtr, xte, k)
+    acc = knn_accuracy(ytr, neighbors, yte)
+    ic = spearman_ic(knn_predict(ttr, neighbors), tte)
     metrics = {
         "metric": opts["metric"],
         "k": k,
@@ -334,7 +336,11 @@ def cmd_backtest(args) -> int:
     # series both come from the same predictions.
     preds = list(window_predictions(panel, provider, k=k, normalize=opts["normalize"]))
     result = backtest_from_predictions(panel, preds, top_n, mdd_window=int(opts["mdd_window"]))
-    summary = ic_summary(rolling_ic(preds))
+    ics = rolling_ic(preds)
+    summary = ic_summary(ics)
+    undefined = [label for label, ic in ics if ic is None]
+    if undefined:
+        print(f"IC undefined (constant predictions or returns), left out: {', '.join(undefined)}")
     cfg.write_snapshot(outdir)
     result.save(outdir / "result.json")
     _write_json(outdir / "metrics.json", {

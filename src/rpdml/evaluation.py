@@ -20,7 +20,7 @@ from scipy import stats
 
 from .data import PanelDataset, PanelPeriod, normalize_features
 from .errors import ConfigError, DimensionMismatchError, NumericError
-from .manifold import SpdMatrix, rowwise_quadratic
+from .manifold import SpdMatrix
 from .metric import inverse_covariance_metric as mahalanobis_metric
 
 Array = np.ndarray
@@ -60,70 +60,68 @@ def euclidean_metric(features: Array) -> SpdMatrix:
     return SpdMatrix.identity(np.atleast_2d(features).shape[1])
 
 
-def _metric_distances(w: SpdMatrix, train_features: Array, query: Array) -> Array:
-    diffs = np.atleast_2d(train_features) - np.asarray(query, dtype=float)[None, :]
-    return rowwise_quadratic(w.mat, diffs)
+def knn_neighbors(w: SpdMatrix, train_features: Array, queries: Array, k: int) -> Array:
+    """Row indices of the k nearest training rows of every query, nearest first.
 
-
-def knn_predict(
-    w: SpdMatrix,
-    train_features: Array,
-    train_targets: Array,
-    query: Array,
-    k: int,
-) -> float:
-    """Mean target of the k nearest training rows under metric w.
-
-    Distance ties break toward the lower row index.
+    With W = L L^T, the squared distance (x - q)^T W (x - q) is the squared
+    Euclidean norm of x L - q L, so the training and query rows are
+    transformed once by the Cholesky factor and each query is then ranked
+    on its own.  Both the transform (``einsum``, not BLAS) and the per-query
+    ranking compute every row alone, so a query's neighbors do not depend on
+    the other queries of the batch.  Distance ties break toward the lower
+    row index.  Returns an (n_queries, k) int array.
     """
     train_features = np.atleast_2d(np.asarray(train_features, dtype=float))
-    train_targets = np.asarray(train_targets, dtype=float)
-    if train_features.shape[0] == 0:
-        raise ConfigError("training set is empty")
-    if k < 1 or k > train_features.shape[0]:
-        raise ConfigError(f"k={k} out of range for {train_features.shape[0]} training rows")
-    d = _metric_distances(w, train_features, query)
-    nearest = np.argsort(d, kind="stable")[:k]
-    return float(np.mean(train_targets[nearest]))
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    n_train, dim = train_features.shape
+    if k < 1 or k > n_train:
+        raise ConfigError(f"k={k} out of range for {n_train} training rows")
+    if dim != w.dim or queries.shape[1] != w.dim:
+        raise DimensionMismatchError(
+            f"train dim {dim} and query dim {queries.shape[1]} must equal metric dim {w.dim}"
+        )
+    try:
+        chol = np.linalg.cholesky(w.mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"metric has no Cholesky factor: {exc}") from exc
+    z_train = np.einsum("ij,jk->ik", train_features, chol)
+    z_queries = np.einsum("ij,jk->ik", queries, chol)
+    out = np.empty((z_queries.shape[0], k), dtype=np.intp)
+    for i, z_q in enumerate(z_queries):
+        diffs = z_train - z_q
+        out[i] = np.argsort(np.einsum("ij,ij->i", diffs, diffs), kind="stable")[:k]
+    return out
 
 
-def knn_classify(
-    w: SpdMatrix,
-    train_features: Array,
-    train_labels: Array,
-    query: Array,
-    k: int,
-) -> object:
-    """Majority vote of the k nearest neighbors; vote ties break toward the
-    class whose nearest member is closest."""
-    train_features = np.atleast_2d(np.asarray(train_features, dtype=float))
+def knn_predict(train_targets: Array, neighbors: Array) -> Array:
+    """Mean target of each query's neighbors (a ``knn_neighbors`` result).
+
+    The mean runs over the neighbor indices in ascending order, so the same
+    neighbor set gives a bitwise-equal prediction whatever its ranking.
+    """
+    return np.asarray(train_targets, dtype=float)[np.sort(neighbors, axis=1)].mean(axis=1)
+
+
+def knn_classify(train_labels: Array, neighbors: Array) -> list:
+    """Majority vote of each query's neighbors (a ``knn_neighbors`` result);
+    vote ties break toward the class whose nearest member is closest."""
     train_labels = np.asarray(train_labels)
-    if k < 1 or k > train_features.shape[0]:
-        raise ConfigError(f"k={k} out of range for {train_features.shape[0]} training rows")
-    d = _metric_distances(w, train_features, query)
-    nearest = np.argsort(d, kind="stable")[:k]
-    votes: dict = {}
-    for rank, idx in enumerate(nearest):
-        lab = train_labels[idx]
-        cnt, first_rank = votes.get(lab, (0, rank))
-        votes[lab] = (cnt + 1, first_rank)
-    return max(votes, key=lambda lab: (votes[lab][0], -votes[lab][1]))
+    out = []
+    for nearest in neighbors:
+        votes: dict = {}
+        for rank, idx in enumerate(nearest):
+            lab = train_labels[idx]
+            cnt, first_rank = votes.get(lab, (0, rank))
+            votes[lab] = (cnt + 1, first_rank)
+        out.append(max(votes, key=lambda lab: (votes[lab][0], -votes[lab][1])))
+    return out
 
 
-def knn_accuracy(
-    w: SpdMatrix,
-    train_features: Array,
-    train_labels: Array,
-    test_features: Array,
-    test_labels: Array,
-    k: int,
-) -> float:
-    test_features = np.atleast_2d(np.asarray(test_features, dtype=float))
-    hits = sum(
-        knn_classify(w, train_features, train_labels, q, k) == lab
-        for q, lab in zip(test_features, np.asarray(test_labels))
-    )
-    return hits / len(test_features)
+def knn_accuracy(train_labels: Array, neighbors: Array, test_labels: Array) -> float:
+    """Share of queries whose ``knn_classify`` vote equals their label."""
+    test_labels = np.asarray(test_labels)
+    hits = sum(pred == lab for pred, lab in zip(knn_classify(train_labels, neighbors), test_labels))
+    return hits / len(test_labels)
 
 
 def spearman_ic(pred: Array, actual: Array) -> float:
@@ -204,9 +202,7 @@ def window_predictions(
             feats, stats_ = normalize_features(feats)
             query_feats = stats_.apply(query_feats)
         w = metric_source(feats, train_p.next_returns)
-        preds = np.array([
-            knn_predict(w, feats, train_p.next_returns, qf, k) for qf in query_feats
-        ])
+        preds = knn_predict(train_p.next_returns, knn_neighbors(w, feats, query_feats, k))
         yield cur_p, preds, False
 
 
@@ -271,21 +267,28 @@ def rolling_backtest(
 
 def rolling_ic(
     predictions: Iterable[tuple[PanelPeriod, Array | None, bool]],
-) -> list[tuple[str, float]]:
+) -> list[tuple[str, float | None]]:
     """Per-period rank correlation between predictions and realizations.
 
     Takes the ``window_predictions`` output, as ``backtest_from_predictions``
-    does; skipped periods are left out.
+    does; skipped periods are left out.  A period whose IC is undefined
+    (constant predictions or realizations) is kept with the value None.
     """
-    return [
-        (period.label, spearman_ic(preds, period.next_returns))
-        for period, preds, skip in predictions
-        if not (skip or preds is None)
-    ]
+    out = []
+    for period, preds, skip in predictions:
+        if skip or preds is None:
+            continue
+        try:
+            ic = spearman_ic(preds, period.next_returns)
+        except NumericError:
+            ic = None
+        out.append((period.label, ic))
+    return out
 
 
-def ic_summary(ics: Sequence[tuple[str, float]]) -> dict:
-    vals = np.array([v for _, v in ics], dtype=float)
+def ic_summary(ics: Sequence[tuple[str, float | None]]) -> dict:
+    """Count, mean and standard deviation of the defined ICs (None is left out)."""
+    vals = np.array([v for _, v in ics if v is not None], dtype=float)
     return {
         "n_periods": int(vals.size),
         "ic_mean": float(np.mean(vals)) if vals.size else float("nan"),

@@ -362,7 +362,7 @@ def inner_gradient(
 def inner_solve_w(
     w_t: SpdMatrix,
     lam: Array,
-    w0: SpdMatrix,
+    w0_inv: Array,
     eta_t: float,
     pc: PairConstraints,
     config: RpdmlConfig,
@@ -370,14 +370,15 @@ def inner_solve_w(
     """Closed-form inner solve: the exact minimizer of the W subproblem.
 
     The inner objective collapses to J(W) = tr(W M) - c logdet(W) + const,
-    where M folds the reference inverse, the dual contraction, and (in
-    'include' mode) the prox anchor.  For M positive definite J is strictly
-    convex with the unique minimizer W* = c inv(M), taken from one
-    eigendecomposition of M and floored at EPS_PD like a retraction.  An M
-    that is not positive definite leaves J unbounded below.
+    where M folds the reference inverse ``w0_inv`` (taken once per train),
+    the dual contraction, and (in 'include' mode) the prox anchor.  For M
+    positive definite J is strictly convex with the unique minimizer
+    W* = c inv(M), taken from one eigendecomposition of M and floored at
+    EPS_PD like a retraction.  An M that is not positive definite leaves J
+    unbounded below.
     """
     include_prox = config.prox_term_mode == "include"
-    m_lin = 0.5 * spd_inverse(w0).mat + grad_h_contraction(lam, pc)
+    m_lin = 0.5 * w0_inv + grad_h_contraction(lam, pc)
     c_log = 0.5
     if include_prox:
         m_lin = m_lin + spd_inverse(w_t).mat / (2.0 * eta_t)
@@ -473,7 +474,7 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     def inner_minimizer(x, dual: Array, eta: float):
         w, xi = x
         lam, gamma = dual[:m], dual[m:]
-        return (inner_solve_w(w, lam, w0, eta, pc, config),
+        return (inner_solve_w(w, lam, w0_inv, eta, pc, config),
                 update_slack(xi, lam, gamma, eta, config.c1, pc))
 
     def distance_sq(a, b) -> float:

@@ -28,6 +28,7 @@ from rpdml.evaluation import (
     euclidean_metric,
     ic_summary,
     knn_accuracy,
+    knn_neighbors,
     max_drawdown,
     rolling_ic,
     window_predictions,
@@ -283,10 +284,10 @@ def test_criterion_6_dual_and_slack_feasibility(
 def test_criterion_7_metric_learning_efficacy(efficacy_artifacts):
     t0 = time.perf_counter()
     art = efficacy_artifacts
-    acc_eucl = knn_accuracy(SpdMatrix.identity(20), art["xtr"], art["ytr"],
-                            art["xte"], art["yte"], 10)
-    acc_learned = knn_accuracy(art["model"].w, art["xtr"], art["ytr"],
-                               art["xte"], art["yte"], 10)
+    acc_eucl = knn_accuracy(art["ytr"], knn_neighbors(SpdMatrix.identity(20), art["xtr"],
+                                                      art["xte"], 10), art["yte"])
+    acc_learned = knn_accuracy(art["ytr"], knn_neighbors(art["model"].w, art["xtr"],
+                                                         art["xte"], 10), art["yte"])
     trace = art["model"].trace
     viol_ratio = trace.records[-1].violation / trace.initial_violation
     elapsed = art["elapsed"] + time.perf_counter() - t0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rpdml.cli import main, read_config_file
+from rpdml.data import read_panel_csv
 
 
 def run_cli(*argv):
@@ -114,6 +115,29 @@ class TestBacktest:
         assert code == 0
         metrics = json.loads((outdir / "metrics.json").read_text())
         assert "ic_mean" in metrics and "final_return" in metrics
+
+    def test_k_equal_to_window_gives_undefined_ic(self, tmp_path, capsys):
+        # With k = assets per period every prediction is the mean of the same
+        # set, so every prediction is equal: top-N falls to the smallest asset
+        # ids and no period has a defined IC.
+        path = tmp_path / "panel40.csv"
+        assert run_cli("gen-data", "--seed", "3", "--kind", "panel", "--out", str(path),
+                       "--dim", "12", "--informative-dims", "3", "--periods", "12",
+                       "--assets", "40") == 0
+        outdir = tmp_path / "bt40"
+        code = run_cli("backtest", "--seed", "3", "--data", str(path), "--outdir", str(outdir),
+                       "--metric", "euclidean", "--k", "40", "--top-n", "10")
+        assert code == 0
+        panel = read_panel_csv(path)
+        result = json.loads((outdir / "result.json").read_text())
+        assert result["periods"] == [p.label for p in panel.periods[1:]]
+        expected = [float(np.mean(p.next_returns[:10])) for p in panel.periods[1:]]
+        assert all(p.asset_ids[:10] == sorted(p.asset_ids)[:10] for p in panel.periods[1:])
+        assert result["period_returns"] == expected
+        metrics = json.loads((outdir / "metrics.json").read_text())
+        assert metrics["n_periods"] == 0 and np.isnan(metrics["ic_mean"])
+        out = capsys.readouterr().out
+        assert "IC undefined" in out and all(lab in out for lab in result["periods"])
 
 
 class TestBenchConvergence:

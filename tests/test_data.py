@@ -10,7 +10,7 @@ from rpdml.data import (
     write_labeled_csv,
 )
 from rpdml.errors import ConfigError
-from rpdml.evaluation import knn_accuracy
+from rpdml.evaluation import knn_accuracy, knn_neighbors
 from rpdml.manifold import SpdMatrix
 
 
@@ -77,8 +77,8 @@ class TestGenerateSynthetic:
                              noise_scale=0.0, cluster_sep=6.0, seed=3)
         ds = generate_synthetic(spec)
         w = SpdMatrix.identity(6)
-        acc = knn_accuracy(w, ds.features[:40], ds.labels[:40],
-                           ds.features[40:], ds.labels[40:], 1)
+        acc = knn_accuracy(ds.labels[:40], knn_neighbors(w, ds.features[:40], ds.features[40:], 1),
+                           ds.labels[40:])
         assert acc == 1.0
 
     def test_control_condition_all_dims_informative(self):
@@ -88,8 +88,8 @@ class TestGenerateSynthetic:
                              cluster_sep=3.0, seed=4)
         ds = generate_synthetic(spec)
         assert ds.features.shape == (120, 5)
-        acc = knn_accuracy(SpdMatrix.identity(5), ds.features[:60], ds.labels[:60],
-                           ds.features[60:], ds.labels[60:], 5)
+        neighbors = knn_neighbors(SpdMatrix.identity(5), ds.features[:60], ds.features[60:], 5)
+        acc = knn_accuracy(ds.labels[:60], neighbors, ds.labels[60:])
         assert acc >= 0.9
 
     def test_noise_dims_have_larger_variance(self):

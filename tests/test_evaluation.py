@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpdml.data import PanelDataset, PanelPeriod, read_panel_csv, write_panel_csv
 from rpdml.errors import ConfigError, DimensionMismatchError, NumericError
@@ -10,6 +12,7 @@ from rpdml.evaluation import (
     ic_summary,
     knn_accuracy,
     knn_classify,
+    knn_neighbors,
     knn_predict,
     mahalanobis_metric,
     max_drawdown,
@@ -19,7 +22,7 @@ from rpdml.evaluation import (
     spearman_ic,
     window_predictions,
 )
-from rpdml.manifold import SpdMatrix
+from rpdml.manifold import SpdMatrix, rowwise_quadratic
 
 
 def make_panel(periods):
@@ -62,31 +65,39 @@ class TestMahalanobisMetric:
             mahalanobis_metric(np.ones((1, 3)))
 
 
+def predict_one(w, feats, targets, query, k):
+    return knn_predict(targets, knn_neighbors(w, feats, query, k))[0]
+
+
+def classify_one(w, feats, labels, query, k):
+    return knn_classify(labels, knn_neighbors(w, feats, query, k))[0]
+
+
 class TestKnnPredict:
     def test_exact_match_with_k1(self):
         feats = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         targets = np.array([10.0, 20.0, 30.0])
         w = SpdMatrix.identity(2)
-        assert knn_predict(w, feats, targets, np.array([1.0, 1.0]), 1) == 20.0
+        assert predict_one(w, feats, targets, np.array([1.0, 1.0]), 1) == 20.0
 
     def test_k_equals_n_gives_global_mean(self):
         feats = np.array([[0.0], [1.0], [2.0]])
         targets = np.array([1.0, 2.0, 6.0])
         w = SpdMatrix.identity(1)
-        assert knn_predict(w, feats, targets, np.array([0.5]), 3) == pytest.approx(3.0)
+        assert predict_one(w, feats, targets, np.array([0.5]), 3) == pytest.approx(3.0)
 
     def test_hand_selection(self):
         # distances 1, 4, 81 -> two nearest have targets 1 and 3.
         feats = np.array([[1.0], [2.0], [9.0]])
         targets = np.array([1.0, 3.0, 100.0])
         w = SpdMatrix.identity(1)
-        assert knn_predict(w, feats, targets, np.array([0.0]), 2) == 2.0
+        assert predict_one(w, feats, targets, np.array([0.0]), 2) == 2.0
 
     def test_distance_tie_breaks_to_lower_index(self):
         feats = np.array([[1.0], [-1.0], [5.0]])
         targets = np.array([7.0, 9.0, 100.0])
         w = SpdMatrix.identity(1)
-        assert knn_predict(w, feats, targets, np.array([0.0]), 1) == 7.0
+        assert predict_one(w, feats, targets, np.array([0.0]), 1) == 7.0
 
     def test_scaling_metric_preserves_predictions(self):
         rng = np.random.default_rng(1)
@@ -96,17 +107,26 @@ class TestKnnPredict:
         w_scaled = SpdMatrix(w.mat * 7.3)
         for _ in range(10):
             q = rng.normal(size=4)
-            assert knn_predict(w, feats, targets, q, 5) == knn_predict(
+            assert predict_one(w, feats, targets, q, 5) == predict_one(
                 w_scaled, feats, targets, q, 5
             )
 
     def test_rejects_bad_k(self):
-        feats, targets = np.ones((3, 1)), np.ones(3)
+        feats = np.ones((3, 1))
         w = SpdMatrix.identity(1)
         with pytest.raises(ConfigError):
-            knn_predict(w, feats, targets, np.array([0.0]), 4)
+            knn_neighbors(w, feats, np.array([0.0]), 4)
         with pytest.raises(ConfigError):
-            knn_predict(w, feats, targets, np.array([0.0]), 0)
+            knn_neighbors(w, feats, np.array([0.0]), 0)
+
+    def test_same_neighbor_set_gives_bitwise_equal_mean(self):
+        # Targets whose sum depends on the summation order.
+        targets = np.array([0.1, 1e16, 0.2, -1e16, 0.3])
+        rng = np.random.default_rng(2)
+        orders = np.array([rng.permutation(5) for _ in range(50)])
+        preds = knn_predict(targets, orders)
+        assert np.all(preds == preds[0])
+        assert preds[0] == np.mean(targets)
 
 
 class TestKnnClassify:
@@ -114,23 +134,112 @@ class TestKnnClassify:
         feats = np.array([[0.0], [0.1], [5.0]])
         labels = np.array(["a", "a", "b"])
         w = SpdMatrix.identity(1)
-        assert knn_classify(w, feats, labels, np.array([0.05]), 3) == "a"
+        assert classify_one(w, feats, labels, np.array([0.05]), 3) == "a"
 
     def test_vote_tie_breaks_to_nearest_class(self):
         feats = np.array([[1.0], [2.0], [3.0], [4.0]])
         labels = np.array(["far", "near", "near", "far"])
         w = SpdMatrix.identity(1)
         # query at 2.4: ranks near(2), near(3), far(1)... take k=2: both near
-        assert knn_classify(w, feats, labels, np.array([2.4]), 2) == "near"
+        assert classify_one(w, feats, labels, np.array([2.4]), 2) == "near"
         # k=4 ties 2-2; nearest neighbor (2) is 'near'
-        assert knn_classify(w, feats, labels, np.array([2.4]), 4) == "near"
+        assert classify_one(w, feats, labels, np.array([2.4]), 4) == "near"
 
     def test_accuracy_helper(self):
         feats = np.array([[0.0], [0.2], [5.0], [5.2]])
         labels = np.array([0, 0, 1, 1])
         w = SpdMatrix.identity(1)
-        acc = knn_accuracy(w, feats, labels, np.array([[0.1], [5.1]]), np.array([0, 1]), 2)
+        neighbors = knn_neighbors(w, feats, np.array([[0.1], [5.1]]), 2)
+        acc = knn_accuracy(labels, neighbors, np.array([0, 1]))
         assert acc == 1.0
+
+
+def brute_force_neighbors(w_diag, feats, queries, k):
+    """Exact integer distances under diag(w_diag), ranked by (distance, row)."""
+    out = []
+    for q in queries:
+        dist = [sum(int(wj) * (int(x) - int(y)) ** 2 for wj, x, y in zip(w_diag, row, q))
+                for row in feats]
+        out.append(sorted(range(len(feats)), key=lambda i: (dist[i], i))[:k])
+    return np.array(out)
+
+
+@st.composite
+def integer_grid_case(draw):
+    dim = draw(st.integers(1, 4))
+    n_train = draw(st.integers(1, 60))
+    n_query = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n_train))
+    cell = st.integers(-2, 2)
+    feats = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                          min_size=n_train, max_size=n_train))
+    queries = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                            min_size=n_query, max_size=n_query))
+    w_diag = draw(st.one_of(
+        st.just([1] * dim),
+        st.lists(st.integers(1, 5).map(lambda r: r * r), min_size=dim, max_size=dim),
+    ))
+    return dim, feats, queries, w_diag, k
+
+
+def random_case(seed, dim, n_train, n_query):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    w = SpdMatrix((q * rng.uniform(0.1, 10.0, dim)) @ q.T)
+    return w, rng.normal(size=(n_train, dim)), rng.normal(size=(n_query, dim))
+
+
+class TestKnnNeighbors:
+    @settings(max_examples=200, deadline=None)
+    @given(case=integer_grid_case())
+    def test_exact_ties_match_stable_brute_force(self, case):
+        # Integer grid points and W = diag(perfect squares): the Cholesky
+        # factor and every distance are exact, and ties are frequent.
+        dim, feats, queries, w_diag, k = case
+        w = SpdMatrix(np.diag(np.asarray(w_diag, dtype=float)))
+        got = knn_neighbors(w, np.array(feats, dtype=float), np.array(queries, dtype=float), k)
+        assert np.array_equal(got, brute_force_neighbors(w_diag, feats, queries, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 24),
+           n_train=st.integers(1, 80), n_query=st.integers(2, 70))
+    def test_query_result_does_not_depend_on_batch(self, seed, dim, n_train, n_query):
+        w, feats, queries = random_case(seed, dim, n_train, n_query)
+        # Mirror pairs q +- v are equidistant from q: their order is decided
+        # by round-off alone, so it shows whether a query's transformed row
+        # depends on the rest of the batch.
+        v = np.random.default_rng(seed + 2).normal(size=(n_query, dim))
+        feats = np.vstack([feats, queries + v, queries - v])
+        k = 5
+        full = knn_neighbors(w, feats, queries, k)
+        perm = np.random.default_rng(seed + 1).permutation(n_query)
+        assert np.array_equal(knn_neighbors(w, feats, queries[perm], k), full[perm])
+        for i in (0, n_query // 2, n_query - 1):
+            assert np.array_equal(knn_neighbors(w, feats, queries[i], k)[0], full[i])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 24),
+           n_train=st.integers(2, 80), k=st.integers(1, 10))
+    def test_matches_quadratic_form_reference(self, seed, dim, n_train, k):
+        w, feats, queries = random_case(seed, dim, n_train, 6)
+        k = min(k, n_train - 1)
+        got = knn_neighbors(w, feats, queries, k)
+        for q, row in zip(queries, got):
+            dist = rowwise_quadratic(w.mat, feats - q)
+            ref = np.argsort(dist, kind="stable")
+            ranked = dist[ref[: k + 1]]
+            gaps = np.diff(ranked) > 1e-9 * ranked[1:]
+            if gaps[-1]:  # the k-th and (k+1)-th distances are apart
+                assert set(row) == set(ref[:k])
+            if np.all(gaps):  # no near-tie inside the first k + 1
+                assert np.array_equal(row, ref[:k])
+
+    def test_rejects_dimension_mismatch(self):
+        w = SpdMatrix.identity(2)
+        with pytest.raises(DimensionMismatchError):
+            knn_neighbors(w, np.ones((3, 2)), np.ones((1, 3)), 1)
+        with pytest.raises(DimensionMismatchError):
+            knn_neighbors(w, np.ones((3, 3)), np.ones((1, 3)), 1)
 
 
 class TestSpearmanIC:

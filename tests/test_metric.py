@@ -12,7 +12,7 @@ from rpdml.errors import (
     DivergedError,
     InnerSolveError,
 )
-from rpdml.manifold import EPS_PD, SpdMatrix
+from rpdml.manifold import EPS_PD, SpdMatrix, spd_inverse
 from rpdml.metric import (
     MetricModel,
     PairConstraints,
@@ -191,7 +191,7 @@ class TestInnerSolveW:
         rng = np.random.default_rng(20)
         w0 = rand_spd(3, rng)
         pc = PairConstraints(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), u=1.0, l=2.0)
-        out = inner_solve_w(w0, np.zeros(4), w0, 0.5, pc, RpdmlConfig())
+        out = inner_solve_w(w0, np.zeros(4), spd_inverse(w0).mat, 0.5, pc, RpdmlConfig())
         assert np.allclose(out.mat, w0.mat, atol=1e-12)
 
     def test_converges_to_reference_without_prox(self):
@@ -199,7 +199,7 @@ class TestInnerSolveW:
         w0, w_t = rand_spd(4, rng), rand_spd(4, rng)
         pc = PairConstraints(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), u=1.0, l=2.0)
         cfg = RpdmlConfig(prox_term_mode="omit", eta0=0.5)
-        out = inner_solve_w(w_t, np.zeros(4), w0, 0.5, pc, cfg)
+        out = inner_solve_w(w_t, np.zeros(4), spd_inverse(w0).mat, 0.5, pc, cfg)
         assert np.linalg.norm(out.mat - w0.mat) <= 1e-4
 
     def test_never_increases_objective(self):
@@ -211,7 +211,7 @@ class TestInnerSolveW:
             )
             lam = rng.uniform(0.0, 0.1, 6)
             eta = 0.2
-            out = inner_solve_w(w_t, lam, w0, eta, pc, RpdmlConfig(eta0=0.2))
+            out = inner_solve_w(w_t, lam, spd_inverse(w0).mat, eta, pc, RpdmlConfig(eta0=0.2))
             j_start = inner_objective(w_t.mat, w_t, lam, w0, eta, pc, "include")
             j_end = inner_objective(out.mat, w_t, lam, w0, eta, pc, "include")
             assert j_end <= j_start + 1e-12
@@ -220,7 +220,8 @@ class TestInnerSolveW:
         rng = np.random.default_rng(23)
         w0, w_t = rand_spd(3, rng), rand_spd(3, rng)
         pc = PairConstraints(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), u=1.0, l=3.0)
-        out = inner_solve_w(w_t, rng.uniform(0, 0.05, 6), w0, 0.3, pc, RpdmlConfig())
+        out = inner_solve_w(w_t, rng.uniform(0, 0.05, 6), spd_inverse(w0).mat, 0.3, pc,
+                            RpdmlConfig())
         assert np.min(np.linalg.eigvalsh(out.mat)) >= EPS_PD - 1e-12
         SpdMatrix(out.mat)
 
@@ -244,7 +245,7 @@ class TestInnerSolveW:
                 continue
             c = 0.5 + 1.0 / (2.0 * eta)
             w_star = c * np.linalg.inv(0.5 * (m_lin + m_lin.T))
-            out = inner_solve_w(w_t, lam, w0, eta, pc, RpdmlConfig(eta0=0.4))
+            out = inner_solve_w(w_t, lam, spd_inverse(w0).mat, eta, pc, RpdmlConfig(eta0=0.4))
             assert np.linalg.norm(out.mat - w_star) <= 1e-10 * max(1.0, np.linalg.norm(w_star))
             checked += 1
         assert checked >= 3
@@ -256,7 +257,8 @@ class TestInnerSolveW:
         w = SpdMatrix.identity(2)
         pc = PairConstraints([[1.0, 0.0]], [[0.0, 1.0]], u=1.0, l=2.0)
         with pytest.raises(InnerSolveError, match="unbounded below"):
-            inner_solve_w(w, np.array([0.0, 10.0]), w, 0.5, pc, RpdmlConfig(prox_term_mode=mode))
+            inner_solve_w(w, np.array([0.0, 10.0]), spd_inverse(w).mat, 0.5, pc,
+                          RpdmlConfig(prox_term_mode=mode))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -277,9 +279,9 @@ class TestInnerSolveW:
         cfg = RpdmlConfig(prox_term_mode=mode)
         if np.min(np.linalg.eigvalsh(0.5 * (m_lin + m_lin.T))) <= 0:
             with pytest.raises(InnerSolveError):
-                inner_solve_w(w_t, lam, w0, eta, pc, cfg)
+                inner_solve_w(w_t, lam, spd_inverse(w0).mat, eta, pc, cfg)
             return
-        out = inner_solve_w(w_t, lam, w0, eta, pc, cfg)
+        out = inner_solve_w(w_t, lam, spd_inverse(w0).mat, eta, pc, cfg)
         grad = inner_gradient(out.mat, w_t, lam, w0, eta, pc, mode)
         assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(m_lin))
         j_out = inner_objective(out.mat, w_t, lam, w0, eta, pc, mode)
