@@ -57,9 +57,6 @@ logger = logging.getLogger(__name__)
 _USAGE_EXIT = 1
 _NUMERIC_EXIT = 2
 
-#: Commands that consume randomness and therefore require --seed.
-_STOCHASTIC_COMMANDS = {"gen-data", "train", "eval", "backtest"}
-
 #: Lines of a run's config.txt snapshot that are not options, accepted so a
 #: snapshot can be fed back through --config.
 _SNAPSHOT_ONLY_KEYS = {"command", "seed"}
@@ -73,14 +70,11 @@ class ExperimentConfig:
     params: dict
     seed: int | None
     input_paths: list[Path] = field(default_factory=list)
-    output_dir: Path | None = None
 
     def validate(self) -> None:
         for p in self.input_paths:
             if not p.exists():
                 raise ConfigError(f"input path does not exist: {p}")
-        if self.command in _STOCHASTIC_COMMANDS and self.seed is None:
-            raise ConfigError(f"--seed is required for {self.command}")
 
     def snapshot_lines(self) -> list[str]:
         lines = [f"command = {self.command}"]
@@ -148,7 +142,7 @@ def _resolve_outdir(args: argparse.Namespace) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +181,20 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-_TRAIN_DEFAULTS = dict(
-    c1=2.0, c2=1.0, eta0=0.003, iters=200,
-    prox_mode="include", w0="identity", max_pairs=200,
-    percentile_lo=5.0, percentile_hi=95.0, normalize=True, train_frac=1.0,
+#: Metric-learning option of train and backtest -> the RpdmlConfig field it
+#: sets.  Their defaults are RpdmlConfig's own.
+_RPDML_FIELDS = dict(
+    c1="c1", c2="c2", eta0="eta0", iters="outer_iters",
+    prox_mode="prox_term_mode", w0="w0_mode", max_pairs="max_pairs_per_side",
+    percentile_lo="percentile_lo", percentile_hi="percentile_hi",
 )
+_RPDML_DEFAULTS = {opt: getattr(RpdmlConfig, name) for opt, name in _RPDML_FIELDS.items()}
+
+_TRAIN_DEFAULTS = dict(_RPDML_DEFAULTS, normalize=True, train_frac=1.0)
 
 
-def _rpdml_config(opts: dict, seed: int, iters: int | None = None) -> RpdmlConfig:
-    return RpdmlConfig(
-        c1=opts["c1"], c2=opts["c2"], eta0=opts["eta0"],
-        outer_iters=int(iters if iters is not None else opts["iters"]),
-        percentile_lo=opts["percentile_lo"], percentile_hi=opts["percentile_hi"],
-        prox_term_mode=opts["prox_mode"], w0_mode=opts["w0"],
-        max_pairs_per_side=int(opts["max_pairs"]), seed=seed,
-    )
+def _rpdml_config(opts: dict, seed: int) -> RpdmlConfig:
+    return RpdmlConfig(seed=seed, **{name: opts[opt] for opt, name in _RPDML_FIELDS.items()})
 
 
 def _split_dataset(ds, train_frac: float, seed: int):
@@ -218,7 +211,6 @@ def cmd_train(args) -> int:
     cfg = ExperimentConfig("train", opts, args.seed, [Path(args.data)])
     cfg.validate()
     outdir = _resolve_outdir(args)
-    cfg.output_dir = outdir
     ds = read_labeled_csv(args.data)
     feats = ds.features
     if opts["train_frac"] < 1.0:
@@ -259,7 +251,6 @@ def cmd_eval(args) -> int:
     cfg = ExperimentConfig("eval", opts, args.seed, inputs)
     cfg.validate()
     outdir = _resolve_outdir(args)
-    cfg.output_dir = outdir
     ds = read_labeled_csv(args.data)
     xtr, ytr, ttr, xte, yte, tte = _split_dataset(ds, opts["train_frac"], args.seed)
     if len(yte) < 2:
@@ -300,11 +291,9 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # backtest
 
+#: A backtest trains one metric per window, so its runs are shorter.
 _BACKTEST_DEFAULTS = dict(
-    metric="rpdml", k=10, top_n=10, mdd_window=4, normalize=True,
-    c1=2.0, c2=1.0, eta0=0.003, iters=60,
-    prox_mode="include", w0="identity", max_pairs=200,
-    percentile_lo=5.0, percentile_hi=95.0,
+    _RPDML_DEFAULTS, iters=60, metric="rpdml", k=10, top_n=10, mdd_window=4, normalize=True,
 )
 
 
@@ -328,7 +317,6 @@ def cmd_backtest(args) -> int:
     cfg = ExperimentConfig("backtest", opts, args.seed, [Path(args.data)])
     cfg.validate()
     outdir = _resolve_outdir(args)
-    cfg.output_dir = outdir
     panel = read_panel_csv(args.data)
     provider = make_metric_provider(opts["metric"], opts, args.seed)
     k, top_n = int(opts["k"]), int(opts["top_n"])
@@ -351,10 +339,11 @@ def cmd_backtest(args) -> int:
         "max_drawdown": result.to_json_dict()["max_drawdown"],
         **summary,
     })
+    ic = ("undefined" if summary["ic_mean"] is None
+          else f"{summary['ic_mean']:.4f}±{summary['ic_std']:.4f}")
     print(
         f"backtest metric={opts['metric']}: periods={len(result.period_labels)} "
-        f"final_return={result.to_json_dict()['final_return']:.4f} "
-        f"IC={summary['ic_mean']:.4f}±{summary['ic_std']:.4f}"
+        f"final_return={result.to_json_dict()['final_return']:.4f} IC={ic}"
     )
     print(f"artifacts in {outdir}")
     return 0
@@ -373,7 +362,6 @@ def cmd_bench_convergence(args) -> int:
     cfg = ExperimentConfig("bench-convergence", opts, None)
     cfg.validate()
     outdir = _resolve_outdir(args)
-    cfg.output_dir = outdir
     T = int(opts["T"])
     trace = benchmarks.run_toy(T, alpha=opts["alpha"], eta0=opts["eta0"], x0=opts["x0"])
     f_star = benchmarks.grid_search_optimum()

@@ -188,8 +188,11 @@ def window_predictions(
     """Yield (period, predictions, skipped) for every tradable period.
 
     Training features are normalized with statistics fit on the training
-    window only; the same statistics transform the prediction window.
+    window only; the same statistics transform the prediction window.  A
+    panel with fewer than two periods has no window and is rejected.
     """
+    if len(data.periods) < 2:
+        raise ConfigError("need at least two periods")
     for q in range(1, len(data.periods)):
         train_p = data.periods[q - 1]
         cur_p = data.periods[q]
@@ -249,22 +252,6 @@ def backtest_from_predictions(
     )
 
 
-def rolling_backtest(
-    data: PanelDataset,
-    metric_source: MetricProvider,
-    k: int = 10,
-    top_n: int = 10,
-    mdd_window: int = 4,
-    periods_per_year: int = 4,
-    normalize: bool = True,
-) -> PortfolioResult:
-    """Walk the panel: fit a metric per window, predict with k-NN, trade top-N."""
-    if len(data.periods) < 2:
-        raise ConfigError("need at least two periods")
-    preds = list(window_predictions(data, metric_source, k, normalize))
-    return backtest_from_predictions(data, preds, top_n, mdd_window, periods_per_year)
-
-
 def rolling_ic(
     predictions: Iterable[tuple[PanelPeriod, Array | None, bool]],
 ) -> list[tuple[str, float | None]]:
@@ -287,10 +274,13 @@ def rolling_ic(
 
 
 def ic_summary(ics: Sequence[tuple[str, float | None]]) -> dict:
-    """Count, mean and standard deviation of the defined ICs (None is left out)."""
+    """Count, mean and standard deviation of the defined ICs (None is left out).
+
+    With no defined IC the mean and standard deviation are None.
+    """
     vals = np.array([v for _, v in ics if v is not None], dtype=float)
     return {
         "n_periods": int(vals.size),
-        "ic_mean": float(np.mean(vals)) if vals.size else float("nan"),
-        "ic_std": float(np.std(vals)) if vals.size else float("nan"),
+        "ic_mean": float(np.mean(vals)) if vals.size else None,
+        "ic_std": float(np.std(vals)) if vals.size else None,
     }

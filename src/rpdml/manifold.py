@@ -16,10 +16,8 @@ spectrum, reconstruct".
 
 from __future__ import annotations
 
-import csv
-import json
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -166,15 +164,27 @@ def spd_inverse(w: SpdMatrix) -> SpdMatrix:
     return SpdMatrix._trusted(eig.reconstruct(1.0 / eig.eigenvalues))
 
 
+def spd_logdet(w: SpdMatrix) -> float:
+    """log det W as the sum of the logs of the eigenvalues."""
+    return float(np.sum(np.log(np.linalg.eigvalsh(w.mat))))
+
+
+def logdet_divergence_raw(w: Array, ref_inv: Array, ref_logdet: float) -> float:
+    """d2(W, ref) of a raw matrix W, given the reference's inverse and logdet.
+
+    W need not be symmetric or SPD (so that J can be differentiated
+    numerically); a nonpositive determinant gives inf.
+    """
+    sign, logdet_w = np.linalg.slogdet(w)
+    if sign <= 0:
+        return math.inf
+    return float(np.einsum("ij,ji->", w, ref_inv)) - (logdet_w - ref_logdet) - w.shape[0]
+
+
 def logdet_divergence(w: SpdMatrix, w0: SpdMatrix) -> float:
     """LogDet divergence d2(W, W0); nonnegative, zero iff W == W0."""
     _require_same_dim(w, w0)
-    n = w.dim
-    w0_inv = spd_inverse(w0).mat
-    trace_term = float(np.einsum("ij,ji->", w.mat, w0_inv))
-    logdet_w = float(np.sum(np.log(np.linalg.eigvalsh(w.mat))))
-    logdet_w0 = float(np.sum(np.log(np.linalg.eigvalsh(w0.mat))))
-    val = trace_term - (logdet_w - logdet_w0) - n
+    val = logdet_divergence_raw(w.mat, spd_inverse(w0).mat, spd_logdet(w0))
     # The divergence is analytically nonnegative; round-off near W == W0 can
     # leave a tiny negative residue.
     return max(val, 0.0)
@@ -224,7 +234,7 @@ def rowwise_quadratic(w_mat: Array, rows: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: row-major CSV and JSON checkpoints.
+# Serialization: row-major JSON form of a matrix, used by model files.
 
 def matrix_to_json_dict(w: SpdMatrix) -> dict:
     return {"dim": w.dim, "data": [float(x) for x in w.mat.ravel()]}
@@ -236,24 +246,3 @@ def matrix_from_json_dict(obj: dict) -> SpdMatrix:
     if data.size != n * n:
         raise DimensionMismatchError(f"expected {n * n} entries, got {data.size}")
     return SpdMatrix(data.reshape(n, n))
-
-
-def save_matrix_json(w: SpdMatrix, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(matrix_to_json_dict(w)) + "\n")
-
-
-def load_matrix_json(path: str | Path) -> SpdMatrix:
-    return matrix_from_json_dict(json.loads(Path(path).read_text()))
-
-
-def save_matrix_csv(w: SpdMatrix, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in w.mat:
-            writer.writerow([repr(float(x)) for x in row])
-
-
-def load_matrix_csv(path: str | Path) -> SpdMatrix:
-    with open(path, newline="") as fh:
-        rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-    return SpdMatrix(np.asarray(rows, dtype=float))

@@ -49,10 +49,12 @@ from .manifold import (
     SpdMatrix,
     clip_spectrum,
     logdet_divergence,
+    logdet_divergence_raw,
     matrix_from_json_dict,
     matrix_to_json_dict,
     rowwise_quadratic,
     spd_inverse,
+    spd_logdet,
     sym,
 )
 from .solver import (
@@ -303,15 +305,6 @@ def grad_h_contraction(lam: Array, pc: PairConstraints) -> Array:
     return sym(out)
 
 
-def _logdet_div_raw(w: Array, ref_inv: Array, ref_logdet: float) -> float:
-    """d2(W, ref) given a precomputed inverse/logdet of the reference."""
-    n = w.shape[0]
-    sign, logdet_w = np.linalg.slogdet(w)
-    if sign <= 0:
-        return math.inf
-    return float(np.einsum("ij,ji->", w, ref_inv)) - (logdet_w - ref_logdet) - n
-
-
 def inner_objective(
     w_mat: Array,
     w_t: SpdMatrix,
@@ -326,18 +319,14 @@ def inner_objective(
     Accepts a raw (possibly slightly asymmetric) matrix so that numerical
     differentiation of J is well defined.
     """
-    w0_inv = spd_inverse(w0).mat
-    w0_logdet = float(np.sum(np.log(np.linalg.eigvalsh(w0.mat))))
-    val = 0.5 * _logdet_div_raw(w_mat, w0_inv, w0_logdet)
+    val = 0.5 * logdet_divergence_raw(w_mat, spd_inverse(w0).mat, spd_logdet(w0))
     lam = np.asarray(lam, dtype=float)
     lam_p, lam_n = lam[: pc.n_similar], lam[pc.n_similar:]
     h_plus = rowwise_quadratic(w_mat, pc.similar_diffs) - pc.u
     h_minus = -rowwise_quadratic(w_mat, pc.dissimilar_diffs) + pc.l
     val += float(lam_p @ h_plus + lam_n @ h_minus)
     if prox_term_mode == "include":
-        wt_inv = spd_inverse(w_t).mat
-        wt_logdet = float(np.sum(np.log(np.linalg.eigvalsh(w_t.mat))))
-        val += _logdet_div_raw(w_mat, wt_inv, wt_logdet) / (2.0 * eta_t)
+        val += logdet_divergence_raw(w_mat, spd_inverse(w_t).mat, spd_logdet(w_t)) / (2.0 * eta_t)
     return val
 
 
@@ -461,11 +450,12 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
 
     m = pc.n_constraints
     w0_inv = spd_inverse(w0).mat
-    w0_logdet = float(np.sum(np.log(np.linalg.eigvalsh(w0.mat))))
+    w0_logdet = spd_logdet(w0)
 
     def objective(x) -> float:
         w, xi = x
-        return 0.5 * _logdet_div_raw(w.mat, w0_inv, w0_logdet) + 0.5 * config.c1 * float(xi @ xi)
+        return (0.5 * logdet_divergence_raw(w.mat, w0_inv, w0_logdet)
+                + 0.5 * config.c1 * float(xi @ xi))
 
     def constraints(x) -> Array:
         w, xi = x
@@ -495,15 +485,3 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
                                  max_outer_iters=config.outer_iters)
     trace = run(problem, (w0, np.zeros(m)), solver_config)
     return MetricModel(w=trace.final_point[0], w0=w0, u=u, l=l, trace=trace)
-
-
-def metric_distance(model: MetricModel, a: Array, b: Array) -> float:
-    """Squared distance (a - b).T W (a - b) under the learned metric."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.shape != (model.w.dim,):
-        raise DimensionMismatchError(
-            f"vector shapes {a.shape}, {b.shape} incompatible with dim {model.w.dim}"
-        )
-    d = a - b
-    return float(d @ model.w.mat @ d)

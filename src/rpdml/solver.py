@@ -87,21 +87,6 @@ class SaddleProblem:
             )
         return h
 
-    def check_consistency(self, probe_points: Sequence[Any], tol: float = 1e-9) -> None:
-        """Check d2(x, x) == 0 and symmetry of d2 on the given probe points."""
-        for x in probe_points:
-            dxx = self.distance_sq(x, x)
-            if abs(dxx) > tol:
-                raise InvariantViolationError(f"distance_sq(x, x) = {dxx:.3e} != 0")
-        for x in probe_points:
-            for y in probe_points:
-                dxy = self.distance_sq(x, y)
-                dyx = self.distance_sq(y, x)
-                if abs(dxy - dyx) > tol:
-                    raise InvariantViolationError(
-                        f"distance_sq asymmetric on probes: {dxy:.6e} vs {dyx:.6e}"
-                    )
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -130,18 +115,15 @@ class BoundParams:
 
     ``d0_sq`` is (an estimate of) the squared distance from the solution to
     the start point, ``g`` bounds the constraint magnitudes, ``m`` is the
-    number of constraints.  ``r`` (manifold diameter) and ``c`` (gradient
-    bound) are recorded for reporting but do not enter the bound value.
+    number of constraints.
     """
 
     d0_sq: float
     g: float
     m: int
-    r: float = 0.0
-    c: float = 0.0
 
     def __post_init__(self):
-        for name in ("d0_sq", "g", "r", "c"):
+        for name in ("d0_sq", "g"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.m < 0:

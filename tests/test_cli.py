@@ -85,6 +85,16 @@ class TestTrainEval:
                        "--outdir", str(tmp_path / "e"), "--metric", "learned")
         assert code == 1
 
+    def test_prox_mode_omit_is_unbounded_at_default_step(self, labeled_csv, tmp_path, capsys):
+        # The documented failure of omit mode: without the prox anchor the
+        # dual pull outgrows the log barrier at t=1 at the default eta0.
+        run_dir = tmp_path / "omit"
+        code = run_cli("train", "--seed", "7", "--data", str(labeled_csv),
+                       "--outdir", str(run_dir), "--prox-mode", "omit")
+        assert code == 2
+        assert "unbounded below" in capsys.readouterr().err
+        assert not (run_dir / "model.json").exists()
+
     def test_trace_jsonl_schema(self, labeled_csv, tmp_path):
         run_dir = tmp_path / "run"
         assert run_cli("train", "--seed", "7", "--data", str(labeled_csv),
@@ -135,9 +145,22 @@ class TestBacktest:
         assert all(p.asset_ids[:10] == sorted(p.asset_ids)[:10] for p in panel.periods[1:])
         assert result["period_returns"] == expected
         metrics = json.loads((outdir / "metrics.json").read_text())
-        assert metrics["n_periods"] == 0 and np.isnan(metrics["ic_mean"])
+        assert metrics["n_periods"] == 0 and metrics["ic_mean"] is None
         out = capsys.readouterr().out
         assert "IC undefined" in out and all(lab in out for lab in result["periods"])
+        assert "IC=undefined" in out
+
+    def test_one_period_panel_is_rejected(self, tmp_path, capsys):
+        # A one-period panel has no training window before its only period.
+        path = tmp_path / "panel1.csv"
+        assert run_cli("gen-data", "--seed", "7", "--kind", "panel", "--out", str(path),
+                       "--dim", "6", "--informative-dims", "3", "--periods", "1",
+                       "--assets", "20") == 0
+        outdir = tmp_path / "bt1"
+        assert run_cli("backtest", "--seed", "7", "--data", str(path),
+                       "--outdir", str(outdir)) == 1
+        assert "need at least two periods" in capsys.readouterr().err
+        assert not (outdir / "metrics.json").exists()
 
 
 class TestBenchConvergence:

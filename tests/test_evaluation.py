@@ -16,7 +16,6 @@ from rpdml.evaluation import (
     knn_predict,
     mahalanobis_metric,
     max_drawdown,
-    rolling_backtest,
     rolling_ic,
     rolling_max_drawdown,
     spearman_ic,
@@ -328,6 +327,12 @@ class TestMaxDrawdown:
             max_drawdown(np.array([1.0, -1.0]))
 
 
+def run_backtest(panel, provider, k, top_n, normalize=True):
+    """The pipeline of ``rpdml backtest``: window predictions, then top-N trades."""
+    preds = list(window_predictions(panel, provider, k=k, normalize=normalize))
+    return backtest_from_predictions(panel, preds, top_n)
+
+
 class TestRollingBacktest:
     def _two_period_panel(self):
         # Period p0 trains the k=1 predictor; period p1 is traded.
@@ -342,7 +347,7 @@ class TestRollingBacktest:
 
     def test_hand_walkthrough(self):
         panel = self._two_period_panel()
-        result = rolling_backtest(
+        result = run_backtest(
             panel, lambda f, r: euclidean_metric(f), k=1, top_n=1, normalize=False
         )
         # top-1 by prediction picks asset 0; realized return 0.20
@@ -352,7 +357,7 @@ class TestRollingBacktest:
 
     def test_equal_weight_mean(self):
         panel = self._two_period_panel()
-        result = rolling_backtest(
+        result = run_backtest(
             panel, lambda f, r: euclidean_metric(f), k=1, top_n=2, normalize=False
         )
         assert result.period_returns[0] == pytest.approx(0.05, abs=1e-15)  # mean(0.2, -0.1)
@@ -393,7 +398,7 @@ class TestRollingBacktest:
             ("p1", [[0.0], [1.0], [2.0]], [0.1, 0.2, 0.3]),
             ("p2", [[0.0], [1.0], [2.0]], [0.0, 0.1, 0.2]),
         ])
-        result = rolling_backtest(
+        result = run_backtest(
             panel, lambda f, r: euclidean_metric(f), k=3, top_n=1, normalize=False
         )
         assert result.skipped_periods == ["p1"]  # p0 has only 2 < k assets
@@ -403,7 +408,7 @@ class TestRollingBacktest:
         rng = np.random.default_rng(8)
         periods = [(f"p{i}", rng.normal(size=(6, 2)), rng.uniform(-0.1, 0.2, 6)) for i in range(7)]
         panel = make_panel(periods)
-        result = rolling_backtest(panel, lambda f, r: euclidean_metric(f), k=2, top_n=2)
+        result = run_backtest(panel, lambda f, r: euclidean_metric(f), k=2, top_n=2)
         expected = np.cumprod(1.0 + result.period_returns) - 1.0
         assert np.max(np.abs(result.cumulative - expected)) <= 1e-12
 
@@ -414,7 +419,7 @@ class TestRollingBacktest:
             for i in range(8)
         ]
         panel = make_panel(periods)
-        result = rolling_backtest(panel, lambda f, r: euclidean_metric(f), k=2, top_n=1)
+        result = run_backtest(panel, lambda f, r: euclidean_metric(f), k=2, top_n=1)
         assert set(result.annual_returns) == {"2017", "2018"}
         grouped = {}
         for lab, r in zip(result.period_labels, result.period_returns):
@@ -424,8 +429,8 @@ class TestRollingBacktest:
 
     def test_requires_two_periods(self):
         panel = make_panel([("p0", [[0.0], [1.0]], [0.1, 0.2])])
-        with pytest.raises(ConfigError):
-            rolling_backtest(panel, lambda f, r: euclidean_metric(f), k=1, top_n=1)
+        with pytest.raises(ConfigError, match="need at least two periods"):
+            run_backtest(panel, lambda f, r: euclidean_metric(f), k=1, top_n=1)
 
 
 class TestRollingIC:

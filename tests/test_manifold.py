@@ -9,15 +9,11 @@ from rpdml.manifold import (
     SpdMatrix,
     _fix_signs,
     eigendecompose,
-    load_matrix_csv,
-    load_matrix_json,
     logdet_divergence,
     logdet_divergence_gradient,
     matrix_from_json_dict,
     matrix_to_json_dict,
     retract,
-    save_matrix_csv,
-    save_matrix_json,
     spd_inverse,
 )
 
@@ -226,23 +222,13 @@ class TestSpdInverse:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self, tmp_path):
+    def test_json_roundtrip(self):
         rng = np.random.default_rng(9)
         w = rand_spd(3, rng)
         obj = matrix_to_json_dict(w)
         assert obj["dim"] == 3 and len(obj["data"]) == 9
         back = matrix_from_json_dict(json.loads(json.dumps(obj)))
         assert np.array_equal(back.mat, w.mat)
-        path = tmp_path / "w.json"
-        save_matrix_json(w, path)
-        assert np.array_equal(load_matrix_json(path).mat, w.mat)
-
-    def test_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        w = rand_spd(4, rng)
-        path = tmp_path / "w.csv"
-        save_matrix_csv(w, path)
-        assert np.array_equal(load_matrix_csv(path).mat, w.mat)
 
     def test_json_rejects_bad_length(self):
         with pytest.raises(DimensionMismatchError):

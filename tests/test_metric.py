@@ -25,7 +25,6 @@ from rpdml.metric import (
     inner_objective,
     inner_solve_w,
     inverse_covariance_metric,
-    metric_distance,
     train,
     update_gamma,
     update_lambda,
@@ -437,30 +436,6 @@ class TestTrain:
         model = train(feats, labels, cfg)
         expected = np.linalg.inv(np.cov(feats, rowvar=False) + 1e-6 * np.eye(feats.shape[1]))
         assert np.allclose(model.w0.mat, expected, atol=1e-8)
-
-
-class TestMetricDistance:
-    def _model(self, w):
-        eye = SpdMatrix.identity(w.dim)
-        from rpdml.solver import RunTrace
-        return MetricModel(w=w, w0=eye, u=1.0, l=2.0, trace=RunTrace([], w, 0, 0.0, 0.0))
-
-    def test_zero_at_equal_points(self):
-        model = self._model(SpdMatrix.identity(3))
-        assert metric_distance(model, np.ones(3), np.ones(3)) == 0.0
-
-    def test_identity_gives_squared_euclidean(self):
-        model = self._model(SpdMatrix.identity(2))
-        assert metric_distance(model, np.array([3.0, 0.0]), np.array([0.0, 4.0])) == 25.0
-
-    def test_hand_value(self):
-        model = self._model(SpdMatrix(np.diag([2.0, 1.0])))
-        assert metric_distance(model, np.array([1.0, 1.0]), np.zeros(2)) == 3.0
-
-    def test_dimension_mismatch(self):
-        model = self._model(SpdMatrix.identity(2))
-        with pytest.raises(DimensionMismatchError):
-            metric_distance(model, np.ones(3), np.ones(3))
 
 
 class TestModelSerialization:
