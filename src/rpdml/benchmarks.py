@@ -14,7 +14,15 @@ import math
 
 import numpy as np
 
-from .solver import BoundParams, RunTrace, SaddleProblem, SolverConfig, run
+from .solver import (
+    BoundParams,
+    RunTrace,
+    SaddleProblem,
+    SolverConfig,
+    best_iterate_key,
+    bound_from_step_sums,
+    run,
+)
 
 #: Defaults used by the convergence benchmark and its acceptance checks.
 #: Starting at the unconstrained minimizer makes the dual do all the work;
@@ -90,30 +98,20 @@ def convergence_rows(trace: RunTrace, f_star: float, alpha: float, x0: float = T
     running_min = math.inf
     sum_eta = sum_eta_sq = 0.0
     max_abs_h = max_dual = 0.0
-    best_feasible: tuple | None = None  # (objective, violation, t)
-    least_violating: tuple | None = None  # (violation, objective, t)
-    points: dict[int, float] = {}
+    best = (math.inf,)  # least best_iterate_key so far; its last entry is the index
     for t, rec in enumerate(trace.records):
         running_min = min(running_min, rec.objective)
         sum_eta += rec.eta
         sum_eta_sq += rec.eta ** 2
         max_abs_h = max(max_abs_h, float(np.max(np.abs(rec.h))))
         max_dual = max(max_dual, rec.dual_norm)
-        points[t] = rec.point
-        if rec.violation <= 1e-8:
-            cand = (rec.objective, rec.violation, t)
-            if best_feasible is None or cand < best_feasible:
-                best_feasible = cand
-        cand = (rec.violation, rec.objective, t)
-        if least_violating is None or cand < least_violating:
-            least_violating = cand
-        best_t = best_feasible[2] if best_feasible is not None else least_violating[2]
+        best = min(best, best_iterate_key(rec, t))
         params = BoundParams(
-            d0_sq=problem.distance_sq(points[best_t], x0),
+            d0_sq=problem.distance_sq(trace.records[best[-1]].point, x0),
             g=max_abs_h + alpha * max_dual,
             m=problem.constraint_count,
         )
-        bound = (0.5 * params.d0_sq + 2.0 * params.m * params.g ** 2 * sum_eta_sq) / sum_eta
+        bound = bound_from_step_sums(params, sum_eta, sum_eta_sq)
         row = rec.to_dict()
         row["min_gap"] = running_min - f_star
         row["bound"] = bound

@@ -184,9 +184,9 @@ def cmd_gen_data(args) -> int:
 #: Metric-learning option of train and backtest -> the RpdmlConfig field it
 #: sets.  Their defaults are RpdmlConfig's own.
 _RPDML_FIELDS = dict(
-    c1="c1", c2="c2", eta0="eta0", iters="outer_iters",
-    prox_mode="prox_term_mode", w0="w0_mode", max_pairs="max_pairs_per_side",
-    percentile_lo="percentile_lo", percentile_hi="percentile_hi",
+    c1="c1", c2="c2", eta0="eta0", iters="outer_iters", w0="w0_mode",
+    max_pairs="max_pairs_per_side", percentile_lo="percentile_lo",
+    percentile_hi="percentile_hi",
 )
 _RPDML_DEFAULTS = {opt: getattr(RpdmlConfig, name) for opt, name in _RPDML_FIELDS.items()}
 
@@ -361,15 +361,16 @@ def cmd_bench_convergence(args) -> int:
     opts = _layer_options(args, _BENCH_DEFAULTS)
     cfg = ExperimentConfig("bench-convergence", opts, None)
     cfg.validate()
-    outdir = _resolve_outdir(args)
     T = int(opts["T"])
+    lower, upper = step_sum_bounds(T)  # rejects T < 1 before anything is written
     trace = benchmarks.run_toy(T, alpha=opts["alpha"], eta0=opts["eta0"], x0=opts["x0"])
     f_star = benchmarks.grid_search_optimum()
     rows = benchmarks.convergence_rows(trace, f_star, opts["alpha"], x0=opts["x0"])
+    outdir = _resolve_outdir(args)
     cfg.write_snapshot(outdir)
     trace.write_jsonl(outdir / "trace.jsonl", rows=rows)
-    lower, upper = step_sum_bounds(T)
-    etas = np.array([1.0 / np.sqrt(t + 1) for t in range(T)])
+    # The envelope is for the unit schedule 1/sqrt(t+1); check the run's own steps.
+    etas = trace.etas() / opts["eta0"]
     sums_ok = bool(etas.sum() >= lower and (etas ** 2).sum() <= upper)
     best = trace.best_record
     all_ok = all(r["bound_ok"] for r in rows)
@@ -448,7 +449,6 @@ def build_parser() -> _Parser:
         p.add_argument("--c2", type=float)
         p.add_argument("--eta0", type=float)
         p.add_argument("--iters", type=int)
-        p.add_argument("--prox-mode", choices=["include", "omit"], dest="prox_mode")
         p.add_argument("--w0", choices=["identity", "inverse_covariance"])
         p.add_argument("--max-pairs", type=int, dest="max_pairs")
         p.add_argument("--percentile-lo", type=float, dest="percentile_lo")

@@ -19,7 +19,7 @@ nonnegativity) and dual regularizer alpha = c2.  The proximal primal step
 is closed form in both blocks, and the dual step is the solver's projected
 ascent:
 
-    W      <- argmin  d2(W, W0)/2 + <lam, h(W)>  [+ d2(W, W_t)/(2 eta_t)]
+    W      <- argmin  d2(W, W0)/2 + <lam, h(W)> + d2(W, W_t)/(2 eta_t)
     xi     <- [ (eta_t xi_t + gamma + lam * (u;l)) / (c1 + eta_t) ]_+
     lam    <- [ (1 - c2 eta_t) lam + eta_t h(W, xi) ]_+
     gamma  <- [ (1 - c2 eta_t) gamma - eta_t xi ]_+
@@ -143,12 +143,7 @@ class PairConstraints:
 
 @dataclass(frozen=True)
 class RpdmlConfig:
-    """Hyperparameters of the metric-learning run.
-
-    ``prox_term_mode`` selects whether the inner objective carries the
-    proximal anchor d2(W, W_t)/(2 eta_t): 'include' is the faithful proximal
-    step, 'omit' drops it so the inner solve minimizes the bare Lagrangian.
-    """
+    """Hyperparameters of the metric-learning run."""
 
     c1: float = 2.0
     c2: float = 1.0
@@ -156,7 +151,6 @@ class RpdmlConfig:
     outer_iters: int = 200
     percentile_lo: float = 5.0
     percentile_hi: float = 95.0
-    prox_term_mode: str = "include"
     w0_mode: str = "identity"
     max_pairs_per_side: int = 200
     seed: int = 0
@@ -172,8 +166,6 @@ class RpdmlConfig:
             )
         if not (0 < self.percentile_lo < self.percentile_hi < 100):
             raise ConfigError("percentiles must satisfy 0 < lo < hi < 100")
-        if self.prox_term_mode not in ("include", "omit"):
-            raise ConfigError(f"unknown prox_term_mode {self.prox_term_mode!r}")
         if self.w0_mode not in ("identity", "inverse_covariance"):
             raise ConfigError(f"unknown w0_mode {self.w0_mode!r}")
         if self.outer_iters < 0:
@@ -312,9 +304,8 @@ def inner_objective(
     w0: SpdMatrix,
     eta_t: float,
     pc: PairConstraints,
-    prox_term_mode: str = "include",
 ) -> float:
-    """Inner objective J(W) = d2(W, W0)/2 + <lam, h(W, 0)> [+ prox anchor].
+    """Inner objective J(W) = d2(W, W0)/2 + <lam, h(W, 0)> + d2(W, W_t)/(2 eta_t).
 
     Accepts a raw (possibly slightly asymmetric) matrix so that numerical
     differentiation of J is well defined.
@@ -325,8 +316,7 @@ def inner_objective(
     h_plus = rowwise_quadratic(w_mat, pc.similar_diffs) - pc.u
     h_minus = -rowwise_quadratic(w_mat, pc.dissimilar_diffs) + pc.l
     val += float(lam_p @ h_plus + lam_n @ h_minus)
-    if prox_term_mode == "include":
-        val += logdet_divergence_raw(w_mat, spd_inverse(w_t).mat, spd_logdet(w_t)) / (2.0 * eta_t)
+    val += logdet_divergence_raw(w_mat, spd_inverse(w_t).mat, spd_logdet(w_t)) / (2.0 * eta_t)
     return val
 
 
@@ -337,41 +327,33 @@ def inner_gradient(
     w0: SpdMatrix,
     eta_t: float,
     pc: PairConstraints,
-    prox_term_mode: str = "include",
 ) -> Array:
     """Analytic gradient of the inner objective at W."""
     w_inv = np.linalg.inv(w_mat)
     grad = 0.5 * (spd_inverse(w0).mat - w_inv)
     grad = grad + grad_h_contraction(lam, pc)
-    if prox_term_mode == "include":
-        grad = grad + (spd_inverse(w_t).mat - w_inv) / (2.0 * eta_t)
-    return grad
+    return grad + (spd_inverse(w_t).mat - w_inv) / (2.0 * eta_t)
 
 
 def inner_solve_w(
-    w_t: SpdMatrix,
+    w_t_inv: Array,
     lam: Array,
     w0_inv: Array,
     eta_t: float,
     pc: PairConstraints,
-    config: RpdmlConfig,
-) -> SpdMatrix:
+) -> tuple[SpdMatrix, Array]:
     """Closed-form inner solve: the exact minimizer of the W subproblem.
 
     The inner objective collapses to J(W) = tr(W M) - c logdet(W) + const,
-    where M folds the reference inverse ``w0_inv`` (taken once per train),
-    the dual contraction, and (in 'include' mode) the prox anchor.  For M
-    positive definite J is strictly convex with the unique minimizer
-    W* = c inv(M), taken from one eigendecomposition of M and floored at
-    EPS_PD like a retraction.  An M that is not positive definite leaves J
+    where M folds the reference inverse ``w0_inv``, the dual contraction and
+    the prox anchor's ``w_t_inv``.  For M = V diag(vals) V^T positive
+    definite, J has the unique minimizer W* = c inv(M) = V diag(s) V^T with
+    s = c / vals floored at EPS_PD like a retraction; W*^-1 = V diag(1/s) V^T
+    comes back beside it.  An M that is not positive definite leaves J
     unbounded below.
     """
-    include_prox = config.prox_term_mode == "include"
-    m_lin = 0.5 * w0_inv + grad_h_contraction(lam, pc)
-    c_log = 0.5
-    if include_prox:
-        m_lin = m_lin + spd_inverse(w_t).mat / (2.0 * eta_t)
-        c_log += 1.0 / (2.0 * eta_t)
+    m_lin = 0.5 * w0_inv + grad_h_contraction(lam, pc) + w_t_inv / (2.0 * eta_t)
+    c_log = 0.5 + 1.0 / (2.0 * eta_t)
     vals, vecs = np.linalg.eigh(sym(m_lin))
     # A nonpositive direction of M is a descent ray: no minimizer exists.
     if float(vals[0]) <= 0.0:
@@ -379,7 +361,8 @@ def inner_solve_w(
             "inner objective is unbounded below (dual pull exceeds the log barrier); "
             "use a smaller step size"
         )
-    return SpdMatrix._trusted(sym((vecs * clip_spectrum(c_log / vals)) @ vecs.T))
+    s = clip_spectrum(c_log / vals)
+    return SpdMatrix._trusted(sym((vecs * s) @ vecs.T)), sym((vecs / s) @ vecs.T)
 
 
 def update_slack(
@@ -461,11 +444,14 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
         w, xi = x
         return np.concatenate([eval_h(w, xi, pc), -xi])
 
+    # Inverse of the current W, carried from each solve to the next.
+    w_inv = w0_inv
+
     def inner_minimizer(x, dual: Array, eta: float):
-        w, xi = x
+        nonlocal w_inv
         lam, gamma = dual[:m], dual[m:]
-        return (inner_solve_w(w, lam, w0_inv, eta, pc, config),
-                update_slack(xi, lam, gamma, eta, config.c1, pc))
+        w, w_inv = inner_solve_w(w_inv, lam, w0_inv, eta, pc)
+        return w, update_slack(x[1], lam, gamma, eta, config.c1, pc)
 
     def distance_sq(a, b) -> float:
         return logdet_divergence(a[0], b[0]) + float(np.sum((a[1] - b[1]) ** 2))

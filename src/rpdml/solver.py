@@ -193,18 +193,23 @@ class RunTrace:
                 fh.write(json.dumps(row) + "\n")
 
 
-def select_best_index(records: Sequence[IterationRecord], feas_tol: float = FEASIBILITY_TOL) -> int:
-    """Pick the reported solution: best objective among feasible iterates.
+def best_iterate_key(rec: IterationRecord, i: int, feas_tol: float = FEASIBILITY_TOL) -> tuple:
+    """Sort key of the best-iterate rule, ending in the index i.
 
-    If no iterate is feasible within ``feas_tol``, falls back to the least
-    violating one.  Ties break toward smaller violation, then earlier t.
+    Feasible iterates come first, by objective; the rest by violation.  Ties
+    break toward the other quantity, then the earlier index.
     """
+    if rec.violation <= feas_tol:
+        return (0, rec.objective, rec.violation, i)
+    return (1, rec.violation, rec.objective, i)
+
+
+def select_best_index(records: Sequence[IterationRecord], feas_tol: float = FEASIBILITY_TOL) -> int:
+    """Pick the reported solution: best objective among feasible iterates,
+    else the least violating one (``best_iterate_key``)."""
     if not records:
         raise ConfigError("cannot select best index from an empty trace")
-    feasible = [i for i, r in enumerate(records) if r.violation <= feas_tol]
-    if feasible:
-        return min(feasible, key=lambda i: (records[i].objective, records[i].violation, i))
-    return min(range(len(records)), key=lambda i: (records[i].violation, records[i].objective, i))
+    return min(best_iterate_key(r, i, feas_tol) for i, r in enumerate(records))[-1]
 
 
 def lagrangian(problem: SaddleProblem, x, lam: Array, alpha: float) -> float:
@@ -285,9 +290,12 @@ def suboptimality_bound(params: BoundParams, etas: Sequence[float]) -> float:
     etas = np.asarray(etas, dtype=float)
     if etas.size == 0:
         raise ConfigError("step size sequence must be nonempty")
-    s1 = float(np.sum(etas))
-    s2 = float(np.sum(etas ** 2))
-    return (0.5 * params.d0_sq + 2.0 * params.m * params.g ** 2 * s2) / s1
+    return bound_from_step_sums(params, float(np.sum(etas)), float(np.sum(etas ** 2)))
+
+
+def bound_from_step_sums(params: BoundParams, sum_eta: float, sum_eta_sq: float) -> float:
+    """``suboptimality_bound`` given sum eta_t and sum eta_t^2 directly."""
+    return (0.5 * params.d0_sq + 2.0 * params.m * params.g ** 2 * sum_eta_sq) / sum_eta
 
 
 def step_sum_bounds(T: int) -> tuple[float, float]:

@@ -85,14 +85,12 @@ class TestTrainEval:
                        "--outdir", str(tmp_path / "e"), "--metric", "learned")
         assert code == 1
 
-    def test_prox_mode_omit_is_unbounded_at_default_step(self, labeled_csv, tmp_path, capsys):
-        # The documented failure of omit mode: without the prox anchor the
-        # dual pull outgrows the log barrier at t=1 at the default eta0.
-        run_dir = tmp_path / "omit"
+    def test_prox_mode_flag_is_a_usage_error(self, labeled_csv, tmp_path):
+        # The W step is always the proximal one; there is no mode to pick.
+        run_dir = tmp_path / "run"
         code = run_cli("train", "--seed", "7", "--data", str(labeled_csv),
                        "--outdir", str(run_dir), "--prox-mode", "omit")
-        assert code == 2
-        assert "unbounded below" in capsys.readouterr().err
+        assert code == 1
         assert not (run_dir / "model.json").exists()
 
     def test_trace_jsonl_schema(self, labeled_csv, tmp_path):
@@ -172,6 +170,13 @@ class TestBenchConvergence:
         assert len(rows) == 50
         assert all(r["bound_ok"] is True for r in rows)
         assert all("bound" in r and "min_gap" in r for r in rows)
+
+    def test_zero_iterations_rejected_before_writing(self, tmp_path, capsys):
+        outdir = tmp_path / "bench"
+        outdir.mkdir()
+        assert run_cli("bench-convergence", "--T", "0", "--outdir", str(outdir)) == 1
+        assert "T must be >= 1" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
 
 
 class TestExportPlots:

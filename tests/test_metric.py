@@ -30,6 +30,7 @@ from rpdml.metric import (
     update_lambda,
     update_slack,
 )
+from rpdml.solver import dual_ascent_step
 
 
 def rand_spd(n, rng, lo=0.3, hi=3.0):
@@ -162,15 +163,14 @@ class TestGradHContraction:
 
 class TestInnerGradient:
     @pytest.mark.parametrize("n", [3, 5])
-    @pytest.mark.parametrize("mode", ["include", "omit"])
-    def test_matches_finite_differences(self, n, mode):
-        rng = np.random.default_rng(n * 10 + (mode == "omit"))
+    def test_matches_finite_differences(self, n):
+        rng = np.random.default_rng(n * 10)
         w, w0, w_t = rand_spd(n, rng), rand_spd(n, rng), rand_spd(n, rng)
         pc = PairConstraints(
             rng.normal(size=(4, n)), rng.normal(size=(5, n)), u=1.0, l=3.0
         )
         lam = rng.uniform(0.0, 2.0, 9)
-        grad = inner_gradient(w.mat, w_t, lam, w0, 0.3, pc, mode)
+        grad = inner_gradient(w.mat, w_t, lam, w0, 0.3, pc)
         h = 1e-5
         fd = np.zeros((n, n))
         for i in range(n):
@@ -178,8 +178,8 @@ class TestInnerGradient:
                 e = np.zeros((n, n))
                 e[i, j] = h
                 fd[i, j] = (
-                    inner_objective(w.mat + e, w_t, lam, w0, 0.3, pc, mode)
-                    - inner_objective(w.mat - e, w_t, lam, w0, 0.3, pc, mode)
+                    inner_objective(w.mat + e, w_t, lam, w0, 0.3, pc)
+                    - inner_objective(w.mat - e, w_t, lam, w0, 0.3, pc)
                 ) / (2 * h)
         rel = np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad)))
         assert rel <= 1e-5
@@ -190,16 +190,9 @@ class TestInnerSolveW:
         rng = np.random.default_rng(20)
         w0 = rand_spd(3, rng)
         pc = PairConstraints(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), u=1.0, l=2.0)
-        out = inner_solve_w(w0, np.zeros(4), spd_inverse(w0).mat, 0.5, pc, RpdmlConfig())
+        w0_inv = spd_inverse(w0).mat
+        out, _ = inner_solve_w(w0_inv, np.zeros(4), w0_inv, 0.5, pc)
         assert np.allclose(out.mat, w0.mat, atol=1e-12)
-
-    def test_converges_to_reference_without_prox(self):
-        rng = np.random.default_rng(21)
-        w0, w_t = rand_spd(4, rng), rand_spd(4, rng)
-        pc = PairConstraints(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), u=1.0, l=2.0)
-        cfg = RpdmlConfig(prox_term_mode="omit", eta0=0.5)
-        out = inner_solve_w(w_t, np.zeros(4), spd_inverse(w0).mat, 0.5, pc, cfg)
-        assert np.linalg.norm(out.mat - w0.mat) <= 1e-4
 
     def test_never_increases_objective(self):
         rng = np.random.default_rng(22)
@@ -210,17 +203,17 @@ class TestInnerSolveW:
             )
             lam = rng.uniform(0.0, 0.1, 6)
             eta = 0.2
-            out = inner_solve_w(w_t, lam, spd_inverse(w0).mat, eta, pc, RpdmlConfig(eta0=0.2))
-            j_start = inner_objective(w_t.mat, w_t, lam, w0, eta, pc, "include")
-            j_end = inner_objective(out.mat, w_t, lam, w0, eta, pc, "include")
+            out, _ = inner_solve_w(spd_inverse(w_t).mat, lam, spd_inverse(w0).mat, eta, pc)
+            j_start = inner_objective(w_t.mat, w_t, lam, w0, eta, pc)
+            j_end = inner_objective(out.mat, w_t, lam, w0, eta, pc)
             assert j_end <= j_start + 1e-12
 
     def test_output_is_spd(self):
         rng = np.random.default_rng(23)
         w0, w_t = rand_spd(3, rng), rand_spd(3, rng)
         pc = PairConstraints(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), u=1.0, l=3.0)
-        out = inner_solve_w(w_t, rng.uniform(0, 0.05, 6), spd_inverse(w0).mat, 0.3, pc,
-                            RpdmlConfig())
+        out, _ = inner_solve_w(spd_inverse(w_t).mat, rng.uniform(0, 0.05, 6),
+                               spd_inverse(w0).mat, 0.3, pc)
         assert np.min(np.linalg.eigvalsh(out.mat)) >= EPS_PD - 1e-12
         SpdMatrix(out.mat)
 
@@ -244,47 +237,45 @@ class TestInnerSolveW:
                 continue
             c = 0.5 + 1.0 / (2.0 * eta)
             w_star = c * np.linalg.inv(0.5 * (m_lin + m_lin.T))
-            out = inner_solve_w(w_t, lam, spd_inverse(w0).mat, eta, pc, RpdmlConfig(eta0=0.4))
+            out, _ = inner_solve_w(spd_inverse(w_t).mat, lam, spd_inverse(w0).mat, eta, pc)
             assert np.linalg.norm(out.mat - w_star) <= 1e-10 * max(1.0, np.linalg.norm(w_star))
             checked += 1
         assert checked >= 3
 
-    @pytest.mark.parametrize("mode", ["include", "omit"])
-    def test_non_pd_subproblem_raises(self, mode):
-        # A heavily weighted dissimilar pair pulls M = I/2 [+ I/(2 eta)] - 10 e2 e2.T
+    def test_non_pd_subproblem_raises(self):
+        # A heavily weighted dissimilar pair pulls M = I/2 + I/(2 eta) - 10 e2 e2.T
         # below zero along e2: J decreases without bound along that ray.
-        w = SpdMatrix.identity(2)
+        eye = np.eye(2)
         pc = PairConstraints([[1.0, 0.0]], [[0.0, 1.0]], u=1.0, l=2.0)
         with pytest.raises(InnerSolveError, match="unbounded below"):
-            inner_solve_w(w, np.array([0.0, 10.0]), spd_inverse(w).mat, 0.5, pc,
-                          RpdmlConfig(prox_term_mode=mode))
+            inner_solve_w(eye, np.array([0.0, 10.0]), eye, 0.5, pc)
 
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(2, 6),
-        mode=st.sampled_from(["include", "omit"]),
         seed=st.integers(0, 2**32 - 1),
         lam_scale=st.floats(0.0, 2.0),
         eta=st.floats(0.01, 2.0),
     )
-    def test_closed_form_is_stationary_or_raises(self, n, mode, seed, lam_scale, eta):
+    def test_closed_form_is_stationary_or_raises(self, n, seed, lam_scale, eta):
         rng = np.random.default_rng(seed)
         w0, w_t = rand_spd(n, rng), rand_spd(n, rng)
         pc = PairConstraints(rng.normal(size=(3, n)), rng.normal(size=(3, n)), u=1.0, l=3.0)
         lam = rng.uniform(0.0, lam_scale, 6)
-        m_lin = 0.5 * np.linalg.inv(w0.mat) + grad_h_contraction(lam, pc)
-        if mode == "include":
-            m_lin = m_lin + np.linalg.inv(w_t.mat) / (2.0 * eta)
-        cfg = RpdmlConfig(prox_term_mode=mode)
+        m_lin = (0.5 * np.linalg.inv(w0.mat) + grad_h_contraction(lam, pc)
+                 + np.linalg.inv(w_t.mat) / (2.0 * eta))
+        w_t_inv, w0_inv = spd_inverse(w_t).mat, spd_inverse(w0).mat
         if np.min(np.linalg.eigvalsh(0.5 * (m_lin + m_lin.T))) <= 0:
             with pytest.raises(InnerSolveError):
-                inner_solve_w(w_t, lam, spd_inverse(w0).mat, eta, pc, cfg)
+                inner_solve_w(w_t_inv, lam, w0_inv, eta, pc)
             return
-        out = inner_solve_w(w_t, lam, spd_inverse(w0).mat, eta, pc, cfg)
-        grad = inner_gradient(out.mat, w_t, lam, w0, eta, pc, mode)
+        out, out_inv = inner_solve_w(w_t_inv, lam, w0_inv, eta, pc)
+        # The returned inverse comes from the same factorization as W*.
+        assert np.linalg.norm(out_inv @ out.mat - np.eye(n)) <= 1e-10 * np.sqrt(n)
+        grad = inner_gradient(out.mat, w_t, lam, w0, eta, pc)
         assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(m_lin))
-        j_out = inner_objective(out.mat, w_t, lam, w0, eta, pc, mode)
-        j_start = inner_objective(w_t.mat, w_t, lam, w0, eta, pc, mode)
+        j_out = inner_objective(out.mat, w_t, lam, w0, eta, pc)
+        j_start = inner_objective(w_t.mat, w_t, lam, w0, eta, pc)
         assert j_out <= j_start + 1e-12 * max(1.0, abs(j_start))
 
 
@@ -416,18 +407,26 @@ class TestTrain:
         model = train(feats, labels, RpdmlConfig(outer_iters=1, seed=0))
         assert model.trace.initial_violation > 0.0
 
-    def test_omit_mode_completes_with_tiny_steps(self):
-        # Without the prox anchor the subproblem's only resistance is the
-        # fixed reference barrier, so the literal-gradient variant is stable
-        # only while the duals stay very small.
-        rng = np.random.default_rng(47)
-        feats, labels = blob_data(rng, n=60)
-        cfg = RpdmlConfig(eta0=1e-5, outer_iters=20, seed=2,
-                          prox_term_mode="omit")
+    def test_carried_inverse_matches_fresh_inverse_replay(self):
+        # train passes each solve's returned W^-1 into the next solve.
+        # Replaying the run with a freshly inverted W_t and the duals rebuilt
+        # from the trace must land on the same iterates.
+        rng = np.random.default_rng(48)
+        feats, labels = blob_data(rng, n=40)
+        cfg = RpdmlConfig(outer_iters=20, seed=4)
         model = train(feats, labels, cfg)
         assert len(model.trace) == 20
+        pc = build_pairs(feats, labels, cfg.max_pairs_per_side, cfg.seed)
+        pc = pc.without_degenerate_rows().with_bounds(model.u, model.l)
+        m = pc.n_constraints
+        w0_inv = spd_inverse(model.w0).mat
+        w_t, lam = model.w0, np.zeros(2 * m)
         for rec in model.trace.records:
-            assert rec.dual_min >= 0.0
+            w, _ = inner_solve_w(spd_inverse(w_t).mat, lam[:m], w0_inv, rec.eta, pc)
+            ref = rec.point[0].mat
+            assert np.linalg.norm(w.mat - ref) <= 1e-10 * np.linalg.norm(ref)
+            lam = dual_ascent_step(lam, rec.h, rec.eta, cfg.c2)
+            w_t = rec.point[0]
 
     def test_inverse_covariance_reference(self):
         rng = np.random.default_rng(46)
@@ -461,8 +460,6 @@ class TestConfigValidation:
             RpdmlConfig(percentile_lo=95, percentile_hi=5)
 
     def test_rejects_unknown_modes(self):
-        with pytest.raises(ConfigError):
-            RpdmlConfig(prox_term_mode="sometimes")
         with pytest.raises(ConfigError):
             RpdmlConfig(w0_mode="zeros")
 
