@@ -210,8 +210,8 @@ def cmd_train(args) -> int:
     opts = _layer_options(args, _TRAIN_DEFAULTS)
     cfg = ExperimentConfig("train", opts, args.seed, [Path(args.data)])
     cfg.validate()
-    outdir = _resolve_outdir(args)
     ds = read_labeled_csv(args.data)
+    outdir = _resolve_outdir(args)
     feats = ds.features
     if opts["train_frac"] < 1.0:
         feats, labels, _, _, _, _ = _split_dataset(ds, opts["train_frac"], args.seed)
@@ -250,8 +250,8 @@ def cmd_eval(args) -> int:
         inputs.append(Path(opts["model"]))
     cfg = ExperimentConfig("eval", opts, args.seed, inputs)
     cfg.validate()
-    outdir = _resolve_outdir(args)
     ds = read_labeled_csv(args.data)
+    outdir = _resolve_outdir(args)
     xtr, ytr, ttr, xte, yte, tte = _split_dataset(ds, opts["train_frac"], args.seed)
     if len(yte) < 2:
         raise ConfigError("test split too small; lower --train-frac")
@@ -316,8 +316,8 @@ def cmd_backtest(args) -> int:
     opts = _layer_options(args, _BACKTEST_DEFAULTS)
     cfg = ExperimentConfig("backtest", opts, args.seed, [Path(args.data)])
     cfg.validate()
-    outdir = _resolve_outdir(args)
     panel = read_panel_csv(args.data)
+    outdir = _resolve_outdir(args)
     provider = make_metric_provider(opts["metric"], opts, args.seed)
     k, top_n = int(opts["k"]), int(opts["top_n"])
     # One pass fits each window's metric once; the portfolio and the IC

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,18 +151,38 @@ def _rows(reader, path: str | Path, width: int):
         yield row
 
 
+def _require_finite(path: str | Path, lines: Sequence[int], columns: list[str],
+                    *blocks: Array) -> None:
+    """Reject the first nan or inf cell, in file order, of the column blocks.
+
+    Each block holds one row per data line (``lines`` gives their file line
+    numbers); ``columns`` names the blocks' columns left to right.
+    """
+    bad = np.argwhere(~np.column_stack([np.isfinite(b) for b in blocks]))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(
+            f"{path}: line {lines[row]}, column {columns[col]}: "
+            f"{np.column_stack(blocks)[row, col]} is not a finite number"
+        )
+
+
 def read_labeled_csv(path: str | Path) -> LabeledDataset:
+    """Load columns (label, target, f_0..); a nan or inf target or feature is rejected."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path, ("label", "target"))
         label_col, target_col = header.index("label"), header.index("target")
         feat_cols = [i for i, c in enumerate(header) if c.startswith("f_")]
-        labels, targets, feats = [], [], []
+        labels, targets, feats, lines = [], [], [], []
         for row in _rows(reader, path, len(header)):
+            lines.append(reader.line_num)
             labels.append(row[label_col])
             targets.append(float(row[target_col]))
             feats.append([float(row[i]) for i in feat_cols])
-    return LabeledDataset(np.array(feats), np.array(labels), np.array(targets))
+    feats, targets = np.array(feats), np.array(targets)
+    _require_finite(path, lines, ["target"] + [header[i] for i in feat_cols], targets, feats)
+    return LabeledDataset(feats, np.array(labels), targets)
 
 
 def write_panel_csv(data: PanelDataset, path: str | Path) -> None:
@@ -180,7 +201,8 @@ def write_panel_csv(data: PanelDataset, path: str | Path) -> None:
 
 
 def read_panel_csv(path: str | Path) -> PanelDataset:
-    """Load a panel from CSV columns (period, asset_id, f_0.., next_return)."""
+    """Load a panel from CSV columns (period, asset_id, f_0.., next_return);
+    a nan or inf feature or next return is rejected."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path, ("period", "asset_id", "next_return"))
@@ -188,15 +210,18 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
         by_period: dict[str, list] = {}
         for row in _rows(reader, path, len(header)):
             rec = dict(zip(header, row))
-            by_period.setdefault(rec["period"], []).append(rec)
+            by_period.setdefault(rec["period"], []).append((reader.line_num, rec))
     periods = []
     for label in sorted(by_period):
-        rows = sorted(by_period[label], key=lambda r: r["asset_id"])
+        lines, rows = zip(*sorted(by_period[label], key=lambda r: r[1]["asset_id"]))
+        feats = np.array([[float(r[c]) for c in feat_cols] for r in rows])
+        rets = np.array([float(r["next_return"]) for r in rows])
+        _require_finite(path, lines, feat_cols + ["next_return"], feats, rets)
         periods.append(PanelPeriod(
             label=label,
             asset_ids=[r["asset_id"] for r in rows],
-            features=np.array([[float(r[c]) for c in feat_cols] for r in rows]),
-            next_returns=np.array([float(r["next_return"]) for r in rows]),
+            features=feats,
+            next_returns=rets,
         ))
     return PanelDataset(periods)
 

@@ -68,8 +68,11 @@ def knn_neighbors(w: SpdMatrix, train_features: Array, queries: Array, k: int) -
     transformed once by the Cholesky factor and each query is then ranked
     on its own.  Both the transform (``einsum``, not BLAS) and the per-query
     ranking compute every row alone, so a query's neighbors do not depend on
-    the other queries of the batch.  Distance ties break toward the lower
-    row index.  Returns an (n_queries, k) int array.
+    the other queries of the batch.  A query's ranking partitions its
+    distances to the k-th smallest and stable-sorts only the candidates at
+    or below it, so distance ties break toward the lower row index even when
+    more than k rows tie at the k-th distance.  A transformed row that is not
+    finite raises ``NumericError``.  Returns an (n_queries, k) int array.
     """
     train_features = np.atleast_2d(np.asarray(train_features, dtype=float))
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -86,10 +89,16 @@ def knn_neighbors(w: SpdMatrix, train_features: Array, queries: Array, k: int) -
         raise NumericError(f"metric has no Cholesky factor: {exc}") from exc
     z_train = np.einsum("ij,jk->ik", train_features, chol)
     z_queries = np.einsum("ij,jk->ik", queries, chol)
+    if not (np.isfinite(z_train).all() and np.isfinite(z_queries).all()):
+        raise NumericError("k-NN input has a nan or inf after the metric transform")
     out = np.empty((z_queries.shape[0], k), dtype=np.intp)
+    diffs = np.empty_like(z_train)
+    dist = np.empty(n_train)
     for i, z_q in enumerate(z_queries):
-        diffs = z_train - z_q
-        out[i] = np.argsort(np.einsum("ij,ij->i", diffs, diffs), kind="stable")[:k]
+        np.subtract(z_train, z_q, out=diffs)
+        np.einsum("ij,ij->i", diffs, diffs, out=dist)
+        cand = (dist <= np.partition(dist, k - 1)[k - 1]).nonzero()[0]
+        out[i] = cand[dist[cand].argsort(kind="stable")[:k]]
     return out
 
 
@@ -104,17 +113,22 @@ def knn_predict(train_targets: Array, neighbors: Array) -> Array:
 
 def knn_classify(train_labels: Array, neighbors: Array) -> list:
     """Majority vote of each query's neighbors (a ``knn_neighbors`` result);
-    vote ties break toward the class whose nearest member is closest."""
-    train_labels = np.asarray(train_labels)
-    out = []
-    for nearest in neighbors:
-        votes: dict = {}
-        for rank, idx in enumerate(nearest):
-            lab = train_labels[idx]
-            cnt, first_rank = votes.get(lab, (0, rank))
-            votes[lab] = (cnt + 1, first_rank)
-        out.append(max(votes, key=lambda lab: (votes[lab][0], -votes[lab][1])))
-    return out
+    vote ties break toward the class whose nearest member is closest.
+
+    Votes and each class's nearest rank are counted in (n_queries, n_classes)
+    arrays; a class absent from a query's neighbors keeps rank k.  With
+    votes <= k and ranks in [0, k], ``votes * (k + 1) - nearest_rank``
+    orders classes by votes first, then by the nearer first member.
+    """
+    classes, codes = np.unique(np.asarray(train_labels), return_inverse=True)
+    neighbors = np.asarray(neighbors)
+    n_queries, k = neighbors.shape
+    cells = (np.arange(n_queries)[:, None], codes[neighbors])
+    votes = np.zeros((n_queries, classes.size), dtype=np.intp)
+    np.add.at(votes, cells, 1)
+    first_rank = np.full_like(votes, k)
+    np.minimum.at(first_rank, cells, np.arange(k))
+    return list(classes[np.argmax(votes * (k + 1) - first_rank, axis=1)])
 
 
 def knn_accuracy(train_labels: Array, neighbors: Array, test_labels: Array) -> float:

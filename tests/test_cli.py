@@ -301,6 +301,49 @@ class TestCsvHeaders:
         self._assert_clean_error(capsys, str(ragged), "line 4")
 
 
+class TestNonFiniteCells:
+    """A nan or inf in a numeric cell is an input error naming file, line and
+    column; the command exits 1 before creating its output directory."""
+
+    @staticmethod
+    def _poison(src, dst, line, column, token):
+        lines = src.read_text().splitlines()
+        col = lines[0].split(",").index(column)
+        cells = lines[line - 1].split(",")
+        cells[col] = token
+        lines[line - 1] = ",".join(cells)
+        dst.write_text("\n".join(lines) + "\n")
+        return dst
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("command, column", [
+        ("train", "f_2"), ("eval", "f_0"), ("eval", "target"),
+    ])
+    def test_labeled_csv(self, command, column, token, labeled_csv, tmp_path, capsys):
+        bad = self._poison(labeled_csv, tmp_path / "bad.csv", 6, column, token)
+        outdir = tmp_path / "out"
+        argv = [command, "--seed", "7", "--data", str(bad), "--outdir", str(outdir)]
+        if command == "eval":
+            argv += ["--metric", "euclidean"]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{bad}: line 6, column {column}" in err and "not a finite number" in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize("column", ["f_1", "next_return"])
+    def test_panel_csv_backtest(self, column, token, panel_csv, tmp_path, capsys):
+        bad = self._poison(panel_csv, tmp_path / "bad.csv", 30, column, token)
+        outdir = tmp_path / "out"
+        assert run_cli("backtest", "--seed", "7", "--data", str(bad), "--outdir", str(outdir),
+                       "--metric", "euclidean") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{bad}: line 30, column {column}" in err and "not a finite number" in err
+        assert not outdir.exists()
+
+
 class TestDeterminism:
     def test_train_reruns_byte_identical(self, labeled_csv, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]

@@ -128,6 +128,38 @@ class TestKnnPredict:
         assert preds[0] == np.mean(targets)
 
 
+def dict_vote_reference(train_labels, neighbors):
+    """The per-query dict loop that ``knn_classify`` replaced: count votes
+    in rank order and keep each class's first rank."""
+    train_labels = np.asarray(train_labels)
+    out = []
+    for nearest in neighbors:
+        votes: dict = {}
+        for rank, idx in enumerate(nearest):
+            lab = train_labels[idx]
+            cnt, first_rank = votes.get(lab, (0, rank))
+            votes[lab] = (cnt + 1, first_rank)
+        out.append(max(votes, key=lambda lab: (votes[lab][0], -votes[lab][1])))
+    return out
+
+
+@st.composite
+def vote_case(draw):
+    n_classes = draw(st.integers(1, 5))
+    pool = draw(st.one_of(
+        st.lists(st.integers(-3, 3), min_size=n_classes, max_size=n_classes, unique=True),
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e", "ab"]),
+                 min_size=n_classes, max_size=n_classes, unique=True),
+    ))
+    n_train = draw(st.integers(1, 30))
+    labels = draw(st.lists(st.sampled_from(pool), min_size=n_train, max_size=n_train))
+    k = draw(st.integers(1, n_train))
+    n_query = draw(st.integers(1, 8))
+    rows = st.permutations(range(n_train)).map(lambda p: p[:k])
+    neighbors = draw(st.lists(rows, min_size=n_query, max_size=n_query))
+    return np.array(labels), np.array(neighbors, dtype=np.intp)
+
+
 class TestKnnClassify:
     def test_majority_vote(self):
         feats = np.array([[0.0], [0.1], [5.0]])
@@ -151,6 +183,12 @@ class TestKnnClassify:
         neighbors = knn_neighbors(w, feats, np.array([[0.1], [5.1]]), 2)
         acc = knn_accuracy(labels, neighbors, np.array([0, 1]))
         assert acc == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=vote_case())
+    def test_matches_dict_vote_reference(self, case):
+        labels, neighbors = case
+        assert knn_classify(labels, neighbors) == dict_vote_reference(labels, neighbors)
 
 
 def brute_force_neighbors(w_diag, feats, queries, k):
@@ -232,6 +270,47 @@ class TestKnnNeighbors:
                 assert set(row) == set(ref[:k])
             if np.all(gaps):  # no near-tie inside the first k + 1
                 assert np.array_equal(row, ref[:k])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_duplicated_rows_tie_at_kth_distance(self, data):
+        # Every training row appears 2-4 times, so the k-th distance is
+        # shared by more rows than fit in k; ties must go to the lower index.
+        dim = data.draw(st.integers(1, 3))
+        cell = st.integers(-1, 1)
+        base = data.draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=8))
+        feats = [row for row in base for _ in range(data.draw(st.integers(2, 4)))]
+        order = data.draw(st.permutations(range(len(feats))))
+        feats = [feats[i] for i in order]
+        queries = data.draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                                     min_size=1, max_size=4))
+        n_train = len(feats)
+        for k in sorted({1, n_train, data.draw(st.integers(1, n_train))}):
+            got = knn_neighbors(SpdMatrix.identity(dim), np.array(feats, dtype=float),
+                                np.array(queries, dtype=float), k)
+            assert np.array_equal(got, brute_force_neighbors([1] * dim, feats, queries, k))
+
+    def test_more_ties_than_k_keep_lowest_indices(self):
+        # Five rows at distance 1, one at distance 0: k=3 keeps the exact
+        # match and the two lowest-index rows among the five.
+        feats = np.array([[1.0], [-1.0], [5.0], [1.0], [0.0], [-1.0], [1.0]])
+        w = SpdMatrix.identity(1)
+        assert knn_neighbors(w, feats, np.array([0.0]), 3).tolist() == [[4, 0, 1]]
+        assert knn_neighbors(w, feats, np.array([0.0]), 1).tolist() == [[4]]
+        assert knn_neighbors(w, feats, np.array([0.0]), 7).tolist() == [[4, 0, 1, 3, 5, 6, 2]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        w = SpdMatrix.identity(2)
+        feats = np.zeros((4, 2))
+        feats[2, 1] = bad
+        with pytest.raises(NumericError, match="nan or inf"):
+            knn_neighbors(w, feats, np.zeros((1, 2)), 2)
+        queries = np.zeros((3, 2))
+        queries[1, 0] = bad
+        with pytest.raises(NumericError, match="nan or inf"):
+            knn_neighbors(w, np.zeros((4, 2)), queries, 2)
 
     def test_rejects_dimension_mismatch(self):
         w = SpdMatrix.identity(2)
