@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,7 +140,9 @@ def _read_header(reader, path: str | Path, required: tuple[str, ...]) -> list[st
 
 
 def _rows(reader, path: str | Path, width: int):
-    """Nonempty data rows, each checked to have one field per header column."""
+    """(file line, fields) of each nonempty data row, checked to have one field
+    per header column; a file without data rows is rejected."""
+    empty = True
     for row in reader:
         if not row:
             continue
@@ -148,41 +150,45 @@ def _rows(reader, path: str | Path, width: int):
             raise ConfigError(
                 f"{path}: line {reader.line_num} has {len(row)} fields, header has {width}"
             )
-        yield row
+        empty = False
+        yield reader.line_num, row
+    if empty:
+        raise ConfigError(f"{path}: no data rows")
 
 
-def _require_finite(path: str | Path, lines: Sequence[int], columns: list[str],
-                    *blocks: Array) -> None:
-    """Reject the first nan or inf cell, in file order, of the column blocks.
-
-    Each block holds one row per data line (``lines`` gives their file line
-    numbers); ``columns`` names the blocks' columns left to right.
-    """
-    bad = np.argwhere(~np.column_stack([np.isfinite(b) for b in blocks]))
-    if bad.size:
-        row, col = bad[0]
-        raise ConfigError(
-            f"{path}: line {lines[row]}, column {columns[col]}: "
-            f"{np.column_stack(blocks)[row, col]} is not a finite number"
-        )
+def _floats(path: str | Path, line: int, header: list[str], row: list[str],
+            cols: list[int]) -> list[float]:
+    """The fields ``row[i]`` for ``i`` in ``cols`` as floats; the first one that
+    is not a finite number (nan, inf or unparseable) is rejected with its line
+    and column."""
+    values = []
+    for i in cols:
+        try:
+            value = float(row[i])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"{path}: line {line}, column {header[i]}: {row[i]!r} is not a finite number"
+            )
+        values.append(value)
+    return values
 
 
 def read_labeled_csv(path: str | Path) -> LabeledDataset:
-    """Load columns (label, target, f_0..); a nan or inf target or feature is rejected."""
+    """Load columns (label, target, f_0..); a target or feature that is not a
+    finite number is rejected."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path, ("label", "target"))
-        label_col, target_col = header.index("label"), header.index("target")
-        feat_cols = [i for i, c in enumerate(header) if c.startswith("f_")]
-        labels, targets, feats, lines = [], [], [], []
-        for row in _rows(reader, path, len(header)):
-            lines.append(reader.line_num)
+        label_col = header.index("label")
+        cols = [header.index("target")] + [i for i, c in enumerate(header) if c.startswith("f_")]
+        labels, values = [], []
+        for line, row in _rows(reader, path, len(header)):
             labels.append(row[label_col])
-            targets.append(float(row[target_col]))
-            feats.append([float(row[i]) for i in feat_cols])
-    feats, targets = np.array(feats), np.array(targets)
-    _require_finite(path, lines, ["target"] + [header[i] for i in feat_cols], targets, feats)
-    return LabeledDataset(feats, np.array(labels), targets)
+            values.append(_floats(path, line, header, row, cols))
+    values = np.array(values)
+    return LabeledDataset(values[:, 1:].copy(), np.array(labels), values[:, 0].copy())
 
 
 def write_panel_csv(data: PanelDataset, path: str | Path) -> None:
@@ -202,26 +208,24 @@ def write_panel_csv(data: PanelDataset, path: str | Path) -> None:
 
 def read_panel_csv(path: str | Path) -> PanelDataset:
     """Load a panel from CSV columns (period, asset_id, f_0.., next_return);
-    a nan or inf feature or next return is rejected."""
+    a feature or next return that is not a finite number is rejected."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path, ("period", "asset_id", "next_return"))
-        feat_cols = [c for c in header if c.startswith("f_")]
+        period_col, asset_col = header.index("period"), header.index("asset_id")
+        cols = [i for i, c in enumerate(header) if c.startswith("f_")] + [header.index("next_return")]
         by_period: dict[str, list] = {}
-        for row in _rows(reader, path, len(header)):
-            rec = dict(zip(header, row))
-            by_period.setdefault(rec["period"], []).append((reader.line_num, rec))
+        for line, row in _rows(reader, path, len(header)):
+            by_period.setdefault(row[period_col], []).append((line, row))
     periods = []
     for label in sorted(by_period):
-        lines, rows = zip(*sorted(by_period[label], key=lambda r: r[1]["asset_id"]))
-        feats = np.array([[float(r[c]) for c in feat_cols] for r in rows])
-        rets = np.array([float(r["next_return"]) for r in rows])
-        _require_finite(path, lines, feat_cols + ["next_return"], feats, rets)
+        entries = sorted(by_period[label], key=lambda e: e[1][asset_col])
+        values = np.array([_floats(path, line, header, row, cols) for line, row in entries])
         periods.append(PanelPeriod(
             label=label,
-            asset_ids=[r["asset_id"] for r in rows],
-            features=feats,
-            next_returns=rets,
+            asset_ids=[row[asset_col] for _, row in entries],
+            features=values[:, :-1].copy(),
+            next_returns=values[:, -1].copy(),
         ))
     return PanelDataset(periods)
 

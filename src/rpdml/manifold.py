@@ -6,12 +6,13 @@ used throughout the package is the LogDet divergence
 
     d2(W, W0) = tr(W @ inv(W0)) - logdet(W @ inv(W0)) - n,
 
-which is scale invariant and vanishes exactly at W == W0.  Its (unscaled)
-gradient with respect to W is inv(W0) - inv(W).  Because every full-rank
-symmetric matrix has an eigenbasis tangent space equal to the symmetric
-matrices themselves, projecting a Euclidean gradient onto the tangent space
-reduces to symmetrization, and the retraction is "eigendecompose, clip the
-spectrum, reconstruct".
+which is scale invariant and vanishes exactly at W == W0.  Every spectral
+operation goes through one pair: :func:`eigendecompose` (``eigh`` of the
+symmetric part, eigenvalues ascending) and :func:`from_spectrum`, which
+rebuilds V diag(f(vals)) V^T.  The rebuild does not depend on the signs of
+the eigenvector columns, so no sign convention is imposed.  The inverse, the
+retraction ("eigendecompose, clip the spectrum, reconstruct") and the
+closed-form W step of ``metric.inner_solve_w`` are all built from it.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ class SpdMatrix:
         return self.mat.shape[0]
 
     def scaled(self, c: float) -> "SpdMatrix":
+        """c W for c > 0; acceptance criterion 2 checks scale invariance with it."""
         if c <= 0:
             raise InvariantViolationError("scale factor must be positive")
         return SpdMatrix(self.mat * c)
@@ -108,60 +110,32 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Spectral factorization A = Q diag(values) Q.T.
+def eigendecompose(a: Array) -> tuple[Array, Array]:
+    """Eigenvalues (ascending) and eigenvectors of the symmetric part of ``a``.
 
-    Eigenvalues are sorted descending; each eigenvector column is normalized
-    so its first nonzero component is positive, which makes the factorization
-    (and everything rebuilt from it) reproducible bit-for-bit.
+    The one ``eigh`` in the package; ``perfbench/tracing.py`` traces it by name.
     """
-
-    eigenvalues: Array
-    eigenvectors: Array
-
-    def reconstruct(self, values: Array | None = None) -> Array:
-        v = self.eigenvalues if values is None else values
-        return sym((self.eigenvectors * v) @ self.eigenvectors.T)
-
-
-def _fix_signs(vecs: Array) -> Array:
-    if vecs.size:
-        # Each column's first nonzero entry; all-zero columns read 0 and stay.
-        first = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
-        vecs[:, first < 0] = -vecs[:, first < 0]
-    return vecs
-
-
-def eigendecompose(a: Array) -> EigenDecomposition:
-    """Eigendecompose a symmetric matrix (descending order, fixed signs)."""
     a = _check_square(a)
     try:
-        vals, vecs = np.linalg.eigh(sym(a))
+        return np.linalg.eigh(sym(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(vals)[::-1]
-    vals = np.ascontiguousarray(vals[order])
-    vecs = _fix_signs(np.ascontiguousarray(vecs[:, order]))
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _require_same_dim(w: SpdMatrix, w0: SpdMatrix) -> None:
-    if w.dim != w0.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {w.dim} vs {w0.dim}")
+def from_spectrum(vecs: Array, vals: Array) -> Array:
+    """Symmetric V diag(vals) V^T; unchanged by flipping the sign of any column."""
+    return sym((vecs * vals) @ vecs.T)
 
 
 def spd_inverse(w: SpdMatrix) -> SpdMatrix:
     """Inverse through the eigendecomposition, so symmetry is preserved."""
-    eig = eigendecompose(w.mat)
-    lam_min = float(eig.eigenvalues[-1])
+    vals, vecs = eigendecompose(w.mat)
+    lam_min = float(vals[0])
     if lam_min < EPS_PD * (1.0 - 1e-6) - 1e-12:
         raise InvariantViolationError(
             f"cannot invert: min eigenvalue {lam_min:.3e} below floor {EPS_PD:.1e}"
         )
-    return SpdMatrix._trusted(eig.reconstruct(1.0 / eig.eigenvalues))
+    return SpdMatrix._trusted(from_spectrum(vecs, 1.0 / vals))
 
 
 def spd_logdet(w: SpdMatrix) -> float:
@@ -182,18 +156,16 @@ def logdet_divergence_raw(w: Array, ref_inv: Array, ref_logdet: float) -> float:
 
 
 def logdet_divergence(w: SpdMatrix, w0: SpdMatrix) -> float:
-    """LogDet divergence d2(W, W0); nonnegative, zero iff W == W0."""
-    _require_same_dim(w, w0)
+    """LogDet divergence d2(W, W0); nonnegative, zero iff W == W0.
+
+    The paper's divergence; acceptance criterion 2 checks its invariants.
+    """
+    if w.dim != w0.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {w.dim} vs {w0.dim}")
     val = logdet_divergence_raw(w.mat, spd_inverse(w0).mat, spd_logdet(w0))
     # The divergence is analytically nonnegative; round-off near W == W0 can
     # leave a tiny negative residue.
     return max(val, 0.0)
-
-
-def logdet_divergence_gradient(w: SpdMatrix, w0: SpdMatrix) -> Array:
-    """Unscaled derivative of the divergence in W: inv(W0) - inv(W)."""
-    _require_same_dim(w, w0)
-    return sym(spd_inverse(w0).mat - spd_inverse(w).mat)
 
 
 def clip_spectrum(vals: Array) -> Array:
@@ -202,9 +174,12 @@ def clip_spectrum(vals: Array) -> Array:
 
 
 def retract_array(a: Array) -> Array:
-    """Eigenvalue-clipped projection of a symmetric matrix into the SPD cone."""
-    eig = eigendecompose(a)
-    return eig.reconstruct(clip_spectrum(eig.eigenvalues))
+    """Eigenvalue-clipped projection of a symmetric matrix into the SPD cone.
+
+    ``perfbench/tracing.py`` traces it by name.
+    """
+    vals, vecs = eigendecompose(a)
+    return from_spectrum(vecs, clip_spectrum(vals))
 
 
 def retract(w: SpdMatrix, step: Array) -> SpdMatrix:
@@ -212,7 +187,8 @@ def retract(w: SpdMatrix, step: Array) -> SpdMatrix:
 
     Returns the eigendecomposition of W + step with eigenvalues clipped at
     the EPS_PD floor.  When W + step is already comfortably SPD the result
-    equals W + step up to round-off.
+    equals W + step up to round-off.  The paper's retraction; acceptance
+    criterion 2 checks that its output stays SPD.
     """
     s = _check_square(step, "step")
     if s.shape[0] != w.dim:
@@ -231,18 +207,3 @@ def rowwise_quadratic(w_mat: Array, rows: Array) -> Array:
             f"rows shape {rows.shape} incompatible with metric dim {w_mat.shape[0]}"
         )
     return np.einsum("ij,jk,ik->i", rows, w_mat, rows)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: row-major JSON form of a matrix, used by model files.
-
-def matrix_to_json_dict(w: SpdMatrix) -> dict:
-    return {"dim": w.dim, "data": [float(x) for x in w.mat.ravel()]}
-
-
-def matrix_from_json_dict(obj: dict) -> SpdMatrix:
-    n = int(obj["dim"])
-    data = np.asarray(obj["data"], dtype=float)
-    if data.size != n * n:
-        raise DimensionMismatchError(f"expected {n * n} entries, got {data.size}")
-    return SpdMatrix(data.reshape(n, n))

@@ -48,10 +48,10 @@ from .errors import (
 from .manifold import (
     SpdMatrix,
     clip_spectrum,
+    eigendecompose,
+    from_spectrum,
     logdet_divergence,
     logdet_divergence_raw,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
     rowwise_quadratic,
     spd_inverse,
     spd_logdet,
@@ -187,8 +187,8 @@ class MetricModel:
     def to_json_dict(self) -> dict:
         return {
             "dim": self.w.dim,
-            "w": matrix_to_json_dict(self.w)["data"],
-            "w0": matrix_to_json_dict(self.w0)["data"],
+            "w": [float(x) for x in self.w.mat.ravel()],
+            "w0": [float(x) for x in self.w0.mat.ravel()],
             "u": self.u,
             "l": self.l,
         }
@@ -200,8 +200,15 @@ class MetricModel:
     def load(cls, path: str | Path) -> "MetricModel":
         obj = json.loads(Path(path).read_text())
         n = int(obj["dim"])
-        w = matrix_from_json_dict({"dim": n, "data": obj["w"]})
-        w0 = matrix_from_json_dict({"dim": n, "data": obj["w0"]})
+
+        def matrix(key: str) -> SpdMatrix:
+            # Row-major entries of an n x n matrix, validated as SPD.
+            data = np.asarray(obj[key], dtype=float)
+            if data.size != n * n:
+                raise DimensionMismatchError(f"{key}: expected {n * n} entries, got {data.size}")
+            return SpdMatrix(data.reshape(n, n))
+
+        w, w0 = matrix("w"), matrix("w0")
         empty = RunTrace([], w, 0, 0.0, 0.0)
         return cls(w=w, w0=w0, u=float(obj["u"]), l=float(obj["l"]), trace=empty)
 
@@ -346,15 +353,15 @@ def inner_solve_w(
 
     The inner objective collapses to J(W) = tr(W M) - c logdet(W) + const,
     where M folds the reference inverse ``w0_inv``, the dual contraction and
-    the prox anchor's ``w_t_inv``.  For M = V diag(vals) V^T positive
-    definite, J has the unique minimizer W* = c inv(M) = V diag(s) V^T with
-    s = c / vals floored at EPS_PD like a retraction; W*^-1 = V diag(1/s) V^T
-    comes back beside it.  An M that is not positive definite leaves J
-    unbounded below.
+    the prox anchor's ``w_t_inv``.  One ``eigendecompose`` gives
+    M = V diag(vals) V^T.  For M positive definite, J has the unique minimizer
+    W* = c inv(M) = V diag(s) V^T (``from_spectrum``) with s = c / vals
+    floored at EPS_PD like a retraction; W*^-1 = V diag(1/s) V^T comes back
+    beside it.  An M that is not positive definite leaves J unbounded below.
     """
     m_lin = 0.5 * w0_inv + grad_h_contraction(lam, pc) + w_t_inv / (2.0 * eta_t)
     c_log = 0.5 + 1.0 / (2.0 * eta_t)
-    vals, vecs = np.linalg.eigh(sym(m_lin))
+    vals, vecs = eigendecompose(m_lin)
     # A nonpositive direction of M is a descent ray: no minimizer exists.
     if float(vals[0]) <= 0.0:
         raise InnerSolveError(
@@ -362,7 +369,8 @@ def inner_solve_w(
             "use a smaller step size"
         )
     s = clip_spectrum(c_log / vals)
-    return SpdMatrix._trusted(sym((vecs * s) @ vecs.T)), sym((vecs / s) @ vecs.T)
+    # Divide, not from_spectrum(vecs, 1 / s): the reciprocal moves the trace at round-off.
+    return SpdMatrix._trusted(from_spectrum(vecs, s)), sym((vecs / s) @ vecs.T)
 
 
 def update_slack(

@@ -286,11 +286,14 @@ class TestCsvHeaders:
 
     @pytest.mark.parametrize("command", ["train", "backtest"])
     def test_empty_file(self, command, tmp_path, capsys):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        assert run_cli(command, "--seed", "1", "--data", str(empty),
-                       "--outdir", str(tmp_path / "o")) == 1
-        self._assert_clean_error(capsys, str(empty), "empty")
+        header = {"train": "label,target,f_0", "backtest": "period,asset_id,f_0,next_return"}
+        for text, fragment in (("", "empty"), (header[command] + "\n", "no data rows")):
+            empty = tmp_path / "empty.csv"
+            empty.write_text(text)
+            assert run_cli(command, "--seed", "1", "--data", str(empty),
+                           "--outdir", str(tmp_path / "o")) == 1
+            self._assert_clean_error(capsys, str(empty), fragment)
+            assert not (tmp_path / "o").exists()
 
     def test_ragged_row(self, labeled_csv, tmp_path, capsys):
         ragged = tmp_path / "ragged.csv"
@@ -302,8 +305,8 @@ class TestCsvHeaders:
 
 
 class TestNonFiniteCells:
-    """A nan or inf in a numeric cell is an input error naming file, line and
-    column; the command exits 1 before creating its output directory."""
+    """A nan, inf or unparseable numeric cell is an input error naming file,
+    line and column; the command exits 1 before creating its output directory."""
 
     @staticmethod
     def _poison(src, dst, line, column, token):
@@ -315,7 +318,7 @@ class TestNonFiniteCells:
         dst.write_text("\n".join(lines) + "\n")
         return dst
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "abc"])
     @pytest.mark.parametrize("command, column", [
         ("train", "f_2"), ("eval", "f_0"), ("eval", "target"),
     ])
@@ -331,7 +334,7 @@ class TestNonFiniteCells:
         assert f"{bad}: line 6, column {column}" in err and "not a finite number" in err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "abc"])
     @pytest.mark.parametrize("column", ["f_1", "next_return"])
     def test_panel_csv_backtest(self, column, token, panel_csv, tmp_path, capsys):
         bad = self._poison(panel_csv, tmp_path / "bad.csv", 30, column, token)

@@ -7,15 +7,14 @@ from rpdml.errors import DimensionMismatchError, InvariantViolationError
 from rpdml.manifold import (
     EPS_PD,
     SpdMatrix,
-    _fix_signs,
     eigendecompose,
+    from_spectrum,
     logdet_divergence,
-    logdet_divergence_gradient,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
     retract,
     spd_inverse,
 )
+from rpdml.metric import MetricModel
+from rpdml.solver import RunTrace
 
 
 def rand_spd(n, rng, lo=0.3, hi=3.0):
@@ -65,41 +64,18 @@ class TestEigendecompose:
         for _ in range(50):
             a = rng.normal(size=(5, 5))
             a = 0.5 * (a + a.T)
-            eig = eigendecompose(a)
+            vals, vecs = eigendecompose(a)
             scale = max(1.0, np.linalg.norm(a))
-            assert np.linalg.norm(eig.reconstruct() - a) <= 1e-8 * scale
-            q = eig.eigenvectors
-            assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-8
-            assert np.all(np.diff(eig.eigenvalues) <= 1e-12)
+            assert np.linalg.norm(from_spectrum(vecs, vals) - a) <= 1e-8 * scale
+            assert np.linalg.norm(vecs.T @ vecs - np.eye(5)) <= 1e-8
+            assert np.all(np.diff(vals) >= -1e-12)
 
-    def test_sign_convention(self):
+    def test_rebuild_ignores_column_signs(self):
         rng = np.random.default_rng(123)
-        mats = [np.diag([3.0, 1.0])] + [
-            0.5 * (m + m.T) for m in (rng.normal(size=(4, 4)) for _ in range(20))
-        ]
-        for a in mats:
-            eig = eigendecompose(a)
-            for j in range(a.shape[0]):
-                col = eig.eigenvectors[:, j]
-                nz = np.flatnonzero(col)
-                assert col[nz[0]] > 0
-
-    def test_fix_signs_matches_column_loop(self):
-        # The per-column loop is the reference: flip a column when its first
-        # nonzero entry is negative; all-zero columns stay as they are.
-        def loop(vecs):
-            for j in range(vecs.shape[1]):
-                nz = np.flatnonzero(vecs[:, j])
-                if nz.size and vecs[nz[0], j] < 0:
-                    vecs[:, j] = -vecs[:, j]
-            return vecs
-
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a = rng.normal(size=(rng.integers(1, 7), rng.integers(1, 7)))
-            a[rng.random(a.shape) < 0.4] = 0.0
-            a[:, rng.integers(0, a.shape[1])] = 0.0
-            assert loop(a.copy()).tobytes() == _fix_signs(a.copy()).tobytes()
+        a = rng.normal(size=(6, 6))
+        vals, vecs = eigendecompose(a + a.T)
+        flipped = vecs * np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
+        assert from_spectrum(flipped, vals).tobytes() == from_spectrum(vecs, vals).tobytes()
 
 
 class TestLogdetDivergence:
@@ -135,35 +111,6 @@ class TestLogdetDivergence:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             logdet_divergence(SpdMatrix.identity(2), SpdMatrix.identity(3))
-
-
-class TestGradient:
-    def test_zero_at_equal_points(self):
-        rng = np.random.default_rng(3)
-        w = rand_spd(3, rng)
-        assert np.allclose(logdet_divergence_gradient(w, w), 0.0, atol=1e-12)
-
-    def test_one_by_one(self):
-        g = logdet_divergence_gradient(SpdMatrix(np.array([[2.0]])), SpdMatrix(np.array([[1.0]])))
-        assert g == pytest.approx(np.array([[0.5]]))  # 1/1 - 1/2
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
-        h = 1e-5
-        for _ in range(5):
-            w, w0 = rand_spd(4, rng), rand_spd(4, rng)
-            grad = logdet_divergence_gradient(w, w0)
-            fd = np.zeros((4, 4))
-            for i in range(4):
-                for j in range(4):
-                    e = np.zeros((4, 4))
-                    e[i, j] = h
-                    fd[i, j] = (
-                        divergence_oracle(w.mat + e, w0.mat)
-                        - divergence_oracle(w.mat - e, w0.mat)
-                    ) / (2 * h)
-            rel = np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad)))
-            assert rel <= 1e-5
 
 
 class TestRetract:
@@ -222,14 +169,22 @@ class TestSpdInverse:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(9)
-        w = rand_spd(3, rng)
-        obj = matrix_to_json_dict(w)
-        assert obj["dim"] == 3 and len(obj["data"]) == 9
-        back = matrix_from_json_dict(json.loads(json.dumps(obj)))
-        assert np.array_equal(back.mat, w.mat)
+    """The model file stores W and W0 as row-major entry lists beside ``dim``."""
 
-    def test_json_rejects_bad_length(self):
+    def test_json_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(9)
+        w, w0 = rand_spd(3, rng), rand_spd(3, rng)
+        path = tmp_path / "model.json"
+        MetricModel(w=w, w0=w0, u=1.5, l=4.0, trace=RunTrace([], w, 0, 0.0, 0.0)).save(path)
+        obj = json.loads(path.read_text())
+        assert obj["dim"] == 3 and len(obj["w"]) == 9 and len(obj["w0"]) == 9
+        back = MetricModel.load(path)
+        assert np.array_equal(back.w.mat, w.mat) and np.array_equal(back.w0.mat, w0.mat)
+        assert (back.u, back.l) == (1.5, 4.0)
+
+    def test_json_rejects_bad_length(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"dim": 2, "w": [1.0, 2.0, 3.0],
+                                    "w0": [1.0, 0.0, 0.0, 1.0], "u": 1.0, "l": 2.0}))
         with pytest.raises(DimensionMismatchError):
-            matrix_from_json_dict({"dim": 2, "data": [1.0, 2.0, 3.0]})
+            MetricModel.load(path)
