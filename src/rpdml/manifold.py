@@ -200,10 +200,16 @@ def retract(w: SpdMatrix, step: Array) -> SpdMatrix:
 
 
 def rowwise_quadratic(w_mat: Array, rows: Array) -> Array:
-    """diag(X @ W @ X.T) computed row-by-row without the full product."""
+    """diag(X @ W @ X.T) from one BLAS product X @ W and a row-wise dot.
+
+    A row's value may move at round-off with the rest of the batch, so
+    ``metric`` passes one fixed pair matrix per train and
+    ``evaluation.knn_neighbors`` keeps its own batch-independent form.
+    ``perfbench/tracing.py`` wraps this by name and reads ``rows`` from args[1].
+    """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != w_mat.shape[0]:
         raise DimensionMismatchError(
             f"rows shape {rows.shape} incompatible with metric dim {w_mat.shape[0]}"
         )
-    return np.einsum("ij,jk,ik->i", rows, w_mat, rows)
+    return np.einsum("ij,ij->i", rows @ w_mat, rows)

@@ -9,6 +9,11 @@ x_i, the constraint vector is
     h(W, xi) = [ diag(Xp W Xp.T) - u (1 + xi_p) ;
                 -diag(Xn W Xn.T) + l (1 - xi_n) ]      (entry <= 0: satisfied)
 
+The constraint layer works on one stacked pair matrix X = [Xp; Xn] with
+signs s = [+1; -1] and bounds b = [u; l], fixed for the whole train:
+h = s * (diag(X W X.T) - b) - b * xi is one quadratic form over all rows,
+and its dual contraction <lam, dh/dW> = X.T diag(s * lam) X is one GEMM.
+
 Training is one run of the generic primal-dual loop (``solver.run``) on
 the primal point x = (W, xi) with objective and constraints
 
@@ -33,7 +38,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,16 +77,24 @@ Array = np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class PairConstraints:
-    """Difference vectors of similar / dissimilar sample pairs with bounds."""
+    """Difference vectors of similar / dissimilar sample pairs with bounds.
+
+    One read-only stacked matrix ``diffs`` (similar rows first) with its
+    ``signs`` (+1 similar, -1 dissimilar) and, once u and l are set, its
+    bound vector; ``similar_diffs`` and ``dissimilar_diffs`` are views.
+    """
 
     similar_diffs: Array
     dissimilar_diffs: Array
     u: float | None = None
     l: float | None = None
+    diffs: Array = field(init=False, repr=False)
+    signs: Array = field(init=False, repr=False)
+    _bounds: Array | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        sd = np.atleast_2d(np.array(self.similar_diffs, dtype=float))
-        dd = np.atleast_2d(np.array(self.dissimilar_diffs, dtype=float))
+        sd = np.atleast_2d(np.asarray(self.similar_diffs, dtype=float))
+        dd = np.atleast_2d(np.asarray(self.dissimilar_diffs, dtype=float))
         if sd.shape[0] < 1 or dd.shape[0] < 1:
             raise ConstraintBuildError("need at least one pair on each side")
         if sd.shape[1] != dd.shape[1]:
@@ -93,10 +106,21 @@ class PairConstraints:
                 raise ConfigError("set both bounds or neither")
             if not (self.u > 0 and self.l > 0 and self.u < self.l):
                 raise ConfigError(f"bounds must satisfy 0 < u < l, got u={self.u}, l={self.l}")
-        sd.flags.writeable = False
-        dd.flags.writeable = False
-        object.__setattr__(self, "similar_diffs", sd)
-        object.__setattr__(self, "dissimilar_diffs", dd)
+        n_s = sd.shape[0]
+        diffs = np.vstack([sd, dd])
+        signs = np.ones(diffs.shape[0])
+        signs[n_s:] = -1.0
+        bounds = None
+        if self.u is not None:
+            bounds = np.where(signs > 0, self.u, self.l)
+            bounds.flags.writeable = False
+        diffs.flags.writeable = False
+        signs.flags.writeable = False
+        object.__setattr__(self, "diffs", diffs)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "similar_diffs", diffs[:n_s])
+        object.__setattr__(self, "dissimilar_diffs", diffs[n_s:])
 
     @property
     def n_similar(self) -> int:
@@ -108,31 +132,28 @@ class PairConstraints:
 
     @property
     def n_constraints(self) -> int:
-        return self.n_similar + self.n_dissimilar
+        return self.diffs.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.similar_diffs.shape[1]
+        return self.diffs.shape[1]
 
     def bound_vector(self) -> Array:
-        """Per-constraint bound (u for similar rows, l for dissimilar rows)."""
-        if self.u is None:
+        """Per-constraint bound (u for similar rows, l for dissimilar rows), read-only."""
+        if self._bounds is None:
             raise ConfigError("bounds are unset")
-        return np.concatenate([
-            np.full(self.n_similar, self.u),
-            np.full(self.n_dissimilar, self.l),
-        ])
+        return self._bounds
 
     def with_bounds(self, u: float, l: float) -> "PairConstraints":
         return PairConstraints(self.similar_diffs, self.dissimilar_diffs, u=u, l=l)
 
     def without_degenerate_rows(self, tol: float = 1e-12) -> "PairConstraints":
         """Drop all-zero difference rows (duplicate points in a pair)."""
-        keep_s = np.linalg.norm(self.similar_diffs, axis=1) > tol
-        keep_d = np.linalg.norm(self.dissimilar_diffs, axis=1) > tol
-        dropped = int((~keep_s).sum() + (~keep_d).sum())
+        keep = np.linalg.norm(self.diffs, axis=1) > tol
+        dropped = int((~keep).sum())
         if dropped == 0:
             return self
+        keep_s, keep_d = keep[: self.n_similar], keep[self.n_similar:]
         if not keep_s.any() or not keep_d.any():
             raise ConstraintBuildError("all pairs on one side are degenerate (zero difference)")
         logger.warning("dropping %d degenerate zero-difference pair rows", dropped)
@@ -276,6 +297,12 @@ def compute_bounds(distances: Array, p_lo: float = 5.0, p_hi: float = 95.0) -> t
     return u, l
 
 
+def _constraint_values(w_mat: Array, xi: Array | float, pc: PairConstraints) -> Array:
+    """signs * (diag(X W X^T) - b) - b * xi over the stacked pair rows X."""
+    b = pc.bound_vector()
+    return pc.signs * (rowwise_quadratic(w_mat, pc.diffs) - b) - b * xi
+
+
 def eval_h(w: SpdMatrix, xi: Array, pc: PairConstraints) -> Array:
     """Constraint vector [h_plus; h_minus] at metric w and slacks xi."""
     xi = np.asarray(xi, dtype=float)
@@ -285,23 +312,18 @@ def eval_h(w: SpdMatrix, xi: Array, pc: PairConstraints) -> Array:
         )
     if pc.dim != w.dim:
         raise DimensionMismatchError(f"pair dim {pc.dim} != metric dim {w.dim}")
-    xi_p, xi_n = xi[: pc.n_similar], xi[pc.n_similar:]
-    h_plus = rowwise_quadratic(w.mat, pc.similar_diffs) - pc.u * (1.0 + xi_p)
-    h_minus = -rowwise_quadratic(w.mat, pc.dissimilar_diffs) + pc.l * (1.0 - xi_n)
-    return np.concatenate([h_plus, h_minus])
+    return _constraint_values(w.mat, xi, pc)
 
 
 def grad_h_contraction(lam: Array, pc: PairConstraints) -> Array:
-    """<lam, dh/dW>: weighted sum of pair outer products, sign-split by side."""
+    """<lam, dh/dW> = X^T diag(signs * lam) X over the stacked pair rows X."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (pc.n_constraints,):
         raise DimensionMismatchError(
             f"dual shape {lam.shape}, expected ({pc.n_constraints},)"
         )
-    lam_p, lam_n = lam[: pc.n_similar], lam[pc.n_similar:]
-    xp, xn = pc.similar_diffs, pc.dissimilar_diffs
-    out = (xp * lam_p[:, None]).T @ xp - (xn * lam_n[:, None]).T @ xn
-    return sym(out)
+    x = pc.diffs
+    return sym((x * (pc.signs * lam)[:, None]).T @ x)
 
 
 def inner_objective(
@@ -318,11 +340,7 @@ def inner_objective(
     differentiation of J is well defined.
     """
     val = 0.5 * logdet_divergence_raw(w_mat, spd_inverse(w0).mat, spd_logdet(w0))
-    lam = np.asarray(lam, dtype=float)
-    lam_p, lam_n = lam[: pc.n_similar], lam[pc.n_similar:]
-    h_plus = rowwise_quadratic(w_mat, pc.similar_diffs) - pc.u
-    h_minus = -rowwise_quadratic(w_mat, pc.dissimilar_diffs) + pc.l
-    val += float(lam_p @ h_plus + lam_n @ h_minus)
+    val += float(np.asarray(lam, dtype=float) @ _constraint_values(w_mat, 0.0, pc))
     val += logdet_divergence_raw(w_mat, spd_inverse(w_t).mat, spd_logdet(w_t)) / (2.0 * eta_t)
     return val
 
@@ -403,14 +421,19 @@ def update_gamma(gamma_t: Array, xi_next: Array, eta_t: float, c2: float) -> Arr
     return dual_ascent_step(gamma_t, -np.asarray(xi_next, dtype=float), eta_t, c2)
 
 
-def inverse_covariance_metric(features: Array, ridge: float = 1e-6) -> SpdMatrix:
-    """Ridge-regularized inverse covariance of the samples."""
+def _ridged_covariance(features: Array, ridge: float = 1e-6) -> SpdMatrix:
+    """Sample covariance plus ``ridge`` on the diagonal."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     if features.shape[0] < 2:
         raise ConfigError("need at least two samples for a covariance estimate")
     cov = np.cov(features, rowvar=False)
     cov = np.atleast_2d(cov) + ridge * np.eye(features.shape[1])
-    return spd_inverse(SpdMatrix(sym(cov)))
+    return SpdMatrix(sym(cov))
+
+
+def inverse_covariance_metric(features: Array, ridge: float = 1e-6) -> SpdMatrix:
+    """Ridge-regularized inverse covariance of the samples."""
+    return spd_inverse(_ridged_covariance(features, ridge))
 
 
 def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
@@ -429,18 +452,19 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     pc = build_pairs(features, labels, config.max_pairs_per_side, config.seed)
     pc = pc.without_degenerate_rows()
 
+    # W0 and W0^-1 from one spd_inverse: the ridged covariance is W0^-1 itself.
     if config.w0_mode == "identity":
         w0 = SpdMatrix.identity(features.shape[1])
+        w0_inv = spd_inverse(w0).mat
     else:
-        w0 = inverse_covariance_metric(features)
+        cov = _ridged_covariance(features)
+        w0, w0_inv = spd_inverse(cov), cov.mat
 
-    all_diffs = np.vstack([pc.similar_diffs, pc.dissimilar_diffs])
-    init_dists = rowwise_quadratic(w0.mat, all_diffs)
+    init_dists = rowwise_quadratic(w0.mat, pc.diffs)
     u, l = compute_bounds(init_dists, config.percentile_lo, config.percentile_hi)
     pc = pc.with_bounds(u, l)
 
     m = pc.n_constraints
-    w0_inv = spd_inverse(w0).mat
     w0_logdet = spd_logdet(w0)
 
     def objective(x) -> float:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpdml import metric as metric_module
 from rpdml.data import SyntheticSpec, generate_synthetic, normalize_features
 from rpdml.errors import (
     BoundsError,
@@ -159,6 +160,77 @@ class TestGradHContraction:
         pc = PairConstraints([[5.0, 5.0]], [[0.0, 1.0]], u=1.0, l=200.0)
         out = grad_h_contraction(np.array([0.0, 3.0]), pc)
         assert np.array_equal(out, [[0.0, 0.0], [0.0, -3.0]])
+
+
+def per_side_reference(w_mat, xi, lam, sd, dd, u, l):
+    """h and <lam, dh/dW> side by side, with the 3-operand row-wise einsum."""
+    n_s = sd.shape[0]
+    q_p = np.einsum("ij,jk,ik->i", sd, w_mat, sd)
+    q_n = np.einsum("ij,jk,ik->i", dd, w_mat, dd)
+    h = np.concatenate([q_p - u * (1.0 + xi[:n_s]), -q_n + l * (1.0 - xi[n_s:])])
+    lam_p, lam_n = lam[:n_s], lam[n_s:]
+    g = (sd * lam_p[:, None]).T @ sd - (dd * lam_n[:, None]).T @ dd
+    # Magnitudes of the summed terms, the scale of the round-off.
+    h_scale = np.concatenate([q_p + u * (1.0 + xi[:n_s]), q_n + l * (1.0 + xi[n_s:])])
+    g_scale = float(lam_p @ (sd**2).sum(axis=1) + lam_n @ (dd**2).sum(axis=1))
+    return h, 0.5 * (g + g.T), h_scale, g_scale
+
+
+class TestStackedConstraintLayer:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        n_s=st.integers(1, 40),
+        n_d=st.integers(1, 40),
+        u=st.floats(1e-3, 1e3),
+        gap=st.floats(1.001, 100.0),
+        row_scale=st.floats(1e-2, 1e2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_side_reference(self, n, n_s, n_d, u, gap, row_scale, seed):
+        rng = np.random.default_rng(seed)
+        sd = row_scale * rng.normal(size=(n_s, n))
+        dd = row_scale * rng.normal(size=(n_d, n))
+        l = u * gap
+        pc = PairConstraints(sd, dd, u=u, l=l)
+        w = rand_spd(n, rng, lo=0.05, hi=20.0)
+        m = n_s + n_d
+        xi = rng.uniform(0.0, 2.0, m) * rng.integers(0, 2, m)
+        lam = rng.uniform(0.0, 5.0, m) * rng.integers(0, 2, m)
+        h_ref, g_ref, h_scale, g_scale = per_side_reference(w.mat, xi, lam, sd, dd, u, l)
+        h = eval_h(w, xi, pc)
+        assert h.shape == (m,)
+        assert np.all(np.abs(h - h_ref) <= 1e-12 * h_scale)
+        g = grad_h_contraction(lam, pc)
+        assert np.array_equal(g, g.T)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * g_scale
+
+    @pytest.mark.parametrize("bounds_first", [False, True])
+    def test_dropping_rows_keeps_rows_signs_bounds_aligned(self, bounds_first):
+        sd = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0]]
+        dd = [[3.0, 0.0], [0.0, 0.0], [0.0, 4.0]]
+        if bounds_first:
+            pc = PairConstraints(sd, dd, u=1.0, l=5.0).without_degenerate_rows()
+        else:
+            pc = PairConstraints(sd, dd).without_degenerate_rows().with_bounds(1.0, 5.0)
+        assert (pc.n_similar, pc.n_dissimilar, pc.n_constraints) == (2, 2, 4)
+        assert np.array_equal(pc.diffs, [[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [0.0, 4.0]])
+        assert np.array_equal(pc.signs, [1.0, 1.0, -1.0, -1.0])
+        assert np.array_equal(pc.bound_vector(), [1.0, 1.0, 5.0, 5.0])
+        assert np.array_equal(pc.similar_diffs, pc.diffs[:2])
+        assert np.array_equal(pc.dissimilar_diffs, pc.diffs[2:])
+        assert np.shares_memory(pc.similar_diffs, pc.diffs)
+        assert np.shares_memory(pc.dissimilar_diffs, pc.diffs)
+        # h at W = I: [1 - 1, 5 - 1, -9 + 5, -16 + 5].
+        h = eval_h(SpdMatrix.identity(2), np.zeros(4), pc)
+        assert np.array_equal(h, [0.0, 4.0, -4.0, -11.0])
+
+    def test_arrays_are_read_only_and_bounds_cached(self):
+        pc = PairConstraints(np.ones((2, 3)), np.ones((1, 3)), u=1.0, l=2.0)
+        assert pc.bound_vector() is pc.bound_vector()
+        for arr in (pc.diffs, pc.signs, pc.bound_vector(), pc.similar_diffs, pc.dissimilar_diffs):
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
 
 
 class TestInnerGradient:
@@ -435,6 +507,21 @@ class TestTrain:
         model = train(feats, labels, cfg)
         expected = np.linalg.inv(np.cov(feats, rowvar=False) + 1e-6 * np.eye(feats.shape[1]))
         assert np.allclose(model.w0.mat, expected, atol=1e-8)
+
+    @pytest.mark.parametrize("w0_mode", ["identity", "inverse_covariance"])
+    def test_one_spd_inverse_per_train(self, w0_mode, monkeypatch):
+        # W0^-1 is carried from W0's construction and W*^-1 from each solve.
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return spd_inverse(a)
+
+        monkeypatch.setattr(metric_module, "spd_inverse", counting)
+        rng = np.random.default_rng(47)
+        feats, labels = blob_data(rng, n=40)
+        train(feats, labels, RpdmlConfig(outer_iters=10, seed=0, w0_mode=w0_mode))
+        assert len(calls) == 1
 
 
 class TestModelSerialization:
