@@ -14,15 +14,7 @@ import math
 
 import numpy as np
 
-from .solver import (
-    BoundParams,
-    RunTrace,
-    SaddleProblem,
-    SolverConfig,
-    best_iterate_key,
-    bound_from_step_sums,
-    run,
-)
+from .solver import RunTrace, SaddleProblem, SolverConfig, prefix_bounds, run
 
 #: Defaults used by the convergence benchmark and its acceptance checks.
 #: Starting at the unconstrained minimizer makes the dual do all the work;
@@ -63,7 +55,6 @@ def scalar_toy_problem(target: float = TOY_TARGET, bound: float = TOY_BOUND) -> 
         constraints=constraints,
         constraint_count=1,
         inner_minimizer=inner_minimizer,
-        distance_sq=scalar_distance_sq,
     )
 
 
@@ -88,30 +79,15 @@ def run_toy(T: int, alpha: float = TOY_ALPHA, eta0: float = TOY_ETA0, x0: float 
 def convergence_rows(trace: RunTrace, f_star: float, alpha: float, x0: float = TOY_X0) -> list[dict]:
     """Trace rows augmented with a cumulative bound check.
 
-    For every prefix [0..t] the row carries the guaranteed gap, computed from
-    constants estimated over that prefix, and whether the observed minimum
-    gap respects it.  Running statistics are maintained incrementally so the
-    whole report is linear in the trace length.
+    For every prefix [0..t] the row carries the guaranteed gap from
+    ``prefix_bounds`` (with the LogDet distance of the half-line) and whether
+    the observed minimum gap respects it.
     """
-    problem = scalar_toy_problem()
+    bounds = prefix_bounds(trace.records, x0, scalar_distance_sq, alpha)
     rows = []
     running_min = math.inf
-    sum_eta = sum_eta_sq = 0.0
-    max_abs_h = max_dual = 0.0
-    best = (math.inf,)  # least best_iterate_key so far; its last entry is the index
-    for t, rec in enumerate(trace.records):
+    for rec, (_, bound) in zip(trace.records, bounds):
         running_min = min(running_min, rec.objective)
-        sum_eta += rec.eta
-        sum_eta_sq += rec.eta ** 2
-        max_abs_h = max(max_abs_h, float(np.max(np.abs(rec.h))))
-        max_dual = max(max_dual, rec.dual_norm)
-        best = min(best, best_iterate_key(rec, t))
-        params = BoundParams(
-            d0_sq=problem.distance_sq(trace.records[best[-1]].point, x0),
-            g=max_abs_h + alpha * max_dual,
-            m=problem.constraint_count,
-        )
-        bound = bound_from_step_sums(params, sum_eta, sum_eta_sq)
         row = rec.to_dict()
         row["min_gap"] = running_min - f_star
         row["bound"] = bound

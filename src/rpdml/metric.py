@@ -55,7 +55,6 @@ from .manifold import (
     clip_spectrum,
     eigendecompose,
     from_spectrum,
-    logdet_divergence,
     logdet_divergence_raw,
     rowwise_quadratic,
     spd_inverse,
@@ -485,9 +484,6 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
         w, w_inv = inner_solve_w(w_inv, lam, w0_inv, eta, pc)
         return w, update_slack(x[1], lam, gamma, eta, config.c1, pc)
 
-    def distance_sq(a, b) -> float:
-        return logdet_divergence(a[0], b[0]) + float(np.sum((a[1] - b[1]) ** 2))
-
     def record_extras(x, dual: Array) -> dict:
         xi, gamma = x[1], dual[m:]
         return {
@@ -497,8 +493,7 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
             "gamma_min": float(gamma.min()),
         }
 
-    problem = SaddleProblem(objective, constraints, 2 * m, inner_minimizer, distance_sq,
-                            record_extras)
+    problem = SaddleProblem(objective, constraints, 2 * m, inner_minimizer, record_extras)
     solver_config = SolverConfig(alpha=config.c2, eta0=config.eta0,
                                  max_outer_iters=config.outer_iters)
     trace = run(problem, (w0, np.zeros(m)), solver_config)

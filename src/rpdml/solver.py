@@ -14,8 +14,9 @@ through a problem-supplied inner minimizer, then updates the dual with
     lam_{t+1} = [(1 - alpha eta_t) lam_t + eta_t h(x_{t+1})]_+ .
 
 Points are opaque to this module: a problem supplies the objective,
-constraints, squared prox distance, and the inner minimizer, so scalar toy
-problems and SPD matrix problems run through the same loop.
+constraints and the inner minimizer, so scalar toy problems and SPD matrix
+problems run through the same loop.  ``prefix_bounds`` turns a run's records
+into the paper's suboptimality bound for every prefix of the run.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ class SaddleProblem:
     """A constrained minimization problem in saddle-point form.
 
     ``inner_minimizer(x, lam, eta)`` must return the solution of the
-    proximal subproblem at x with dual lam and step eta.  ``distance_sq`` is
-    the squared prox distance d2(a, b) measured from reference point b.
+    proximal subproblem at x with dual lam and step eta.
     ``record_extras(x, lam)``, if given, returns extra per-iteration trace
     fields for the new iterate x and the dual lam it was computed with.
     """
@@ -76,7 +76,6 @@ class SaddleProblem:
     constraints: Callable[[Any], Array]
     constraint_count: int
     inner_minimizer: Callable[[Any, Array, float], Any]
-    distance_sq: Callable[[Any, Any], float]
     record_extras: Callable[[Any, Array], dict] | None = None
 
     def eval_constraints(self, x) -> Array:
@@ -107,27 +106,6 @@ class SolverConfig:
             )
         if self.max_outer_iters < 0:
             raise ConfigError("max_outer_iters must be >= 0")
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Constants entering the suboptimality bound.
-
-    ``d0_sq`` is (an estimate of) the squared distance from the solution to
-    the start point, ``g`` bounds the constraint magnitudes, ``m`` is the
-    number of constraints.
-    """
-
-    d0_sq: float
-    g: float
-    m: int
-
-    def __post_init__(self):
-        for name in ("d0_sq", "g"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        if self.m < 0:
-            raise ConfigError("m must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -212,15 +190,6 @@ def select_best_index(records: Sequence[IterationRecord], feas_tol: float = FEAS
     return min(best_iterate_key(r, i, feas_tol) for i, r in enumerate(records))[-1]
 
 
-def lagrangian(problem: SaddleProblem, x, lam: Array, alpha: float) -> float:
-    """L(x, lam) = f(x) + <lam, h(x)> - alpha/2 ||lam||^2."""
-    lam = np.asarray(lam, dtype=float)
-    h = problem.eval_constraints(x)
-    if lam.shape != h.shape:
-        raise DimensionMismatchError(f"dual shape {lam.shape} != constraint shape {h.shape}")
-    return float(problem.objective(x) + lam @ h - 0.5 * alpha * float(lam @ lam))
-
-
 def dual_ascent_step(lam: Array, h_val: Array, eta: float, alpha: float) -> Array:
     """Projected ascent lam <- [(1 - eta*alpha) lam + eta h]_+ ."""
     lam = np.asarray(lam, dtype=float)
@@ -239,10 +208,11 @@ def dual_ascent_step(lam: Array, h_val: Array, eta: float, alpha: float) -> Arra
 def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
     """Alternate proximal primal steps and projected dual ascent.
 
-    The trace records every iterate; the reported solution is the best
-    objective among feasible (or least-violating) iterates, since the
-    convergence guarantee controls the minimum over the run rather than the
-    last point.
+    The trace records every iterate.  ``final_point`` is the last iterate
+    (the ``w`` that ``train`` saves).  ``best_index`` picks the best
+    objective among feasible (or least-violating) iterates: the convergence
+    guarantee certifies that iterate, not the last one, and
+    ``bench-convergence`` reports it.
     """
     lam = np.zeros(problem.constraint_count)
     records: list[IterationRecord] = []
@@ -278,24 +248,43 @@ def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
         lam = dual_ascent_step(lam, h_val, eta, config.alpha)
         x = x_next
 
-    best = select_best_index(records) if records else 0
-    return RunTrace(records, x, best, initial_objective, initial_violation)
+    return partial_trace(x)
 
 
-def suboptimality_bound(params: BoundParams, etas: Sequence[float]) -> float:
-    """Guaranteed gap after running with the given step sizes:
+def prefix_bounds(
+    records: Sequence[IterationRecord],
+    x0,
+    distance_sq: Callable[[Any, Any], float],
+    alpha: float,
+) -> list[tuple[int, float]]:
+    """Best index and guaranteed gap of every prefix ``records[:t + 1]``.
 
-        (1 / sum eta_t) * (d0_sq / 2 + 2 m g^2 sum eta_t^2).
+    The gap is the paper's rate for the steps taken so far,
+
+        (d0_sq / 2 + 2 m g^2 sum eta_t^2) / sum eta_t,
+
+    with constants estimated from the prefix: d0_sq is
+    ``distance_sq(best point, x0)``, the best iterate (``best_iterate_key``)
+    standing in for the unknown optimum; g is the largest observed |h| plus
+    alpha * max ||lam||, which also covers the dual gradient h - alpha*lam;
+    m is the number of constraints.  One pass over the records.
     """
-    etas = np.asarray(etas, dtype=float)
-    if etas.size == 0:
-        raise ConfigError("step size sequence must be nonempty")
-    return bound_from_step_sums(params, float(np.sum(etas)), float(np.sum(etas ** 2)))
-
-
-def bound_from_step_sums(params: BoundParams, sum_eta: float, sum_eta_sq: float) -> float:
-    """``suboptimality_bound`` given sum eta_t and sum eta_t^2 directly."""
-    return (0.5 * params.d0_sq + 2.0 * params.m * params.g ** 2 * sum_eta_sq) / sum_eta
+    out = []
+    best_key = (math.inf,)  # sorts after every best_iterate_key
+    sum_eta = sum_eta_sq = max_abs_h = max_dual = 0.0
+    for i, rec in enumerate(records):
+        sum_eta += rec.eta
+        sum_eta_sq += rec.eta ** 2
+        max_abs_h = max(max_abs_h, float(np.max(np.abs(rec.h))))
+        max_dual = max(max_dual, rec.dual_norm)
+        key = best_iterate_key(rec, i)
+        if key < best_key:
+            best_key = key
+            d0_sq = float(distance_sq(rec.point, x0))
+        g = max_abs_h + alpha * max_dual
+        bound = (0.5 * d0_sq + 2.0 * rec.h.size * g ** 2 * sum_eta_sq) / sum_eta
+        out.append((best_key[-1], bound))
+    return out
 
 
 def step_sum_bounds(T: int) -> tuple[float, float]:
@@ -307,19 +296,3 @@ def step_sum_bounds(T: int) -> tuple[float, float]:
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
     return 2.0 * (math.sqrt(T) - 1.0), 1.0 + math.log(T)
-
-
-def estimate_bound_params(trace: RunTrace, problem: SaddleProblem, x0, alpha: float) -> BoundParams:
-    """Estimate bound constants from an observed run.
-
-    The constraint bound is taken as the largest observed |h| plus
-    alpha * max ||lam||, which also covers the dual gradient h - alpha*lam;
-    the initial distance uses the best iterate in place of the unknown
-    optimum.
-    """
-    if not trace.records:
-        raise ConfigError("trace is empty")
-    g_h = max(float(np.max(np.abs(r.h))) for r in trace.records)
-    g = g_h + alpha * float(np.max(trace.dual_norms()))
-    d0_sq = float(problem.distance_sq(trace.best_record.point, x0))
-    return BoundParams(d0_sq=d0_sq, g=g, m=problem.constraint_count)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rpdml.benchmarks import TOY_ALPHA, run_toy, scalar_toy_problem
+from rpdml.benchmarks import TOY_ALPHA, run_toy, scalar_distance_sq
 from rpdml.cli import main as cli_main
 from rpdml.data import (
     PanelDataset,
@@ -41,11 +41,7 @@ from rpdml.metric import (
     inner_objective,
     train,
 )
-from rpdml.solver import (
-    estimate_bound_params,
-    select_best_index,
-    suboptimality_bound,
-)
+from rpdml.solver import prefix_bounds
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -194,21 +190,12 @@ def test_criterion_3_toy_saddle_point_oracle(toy_trace_500):
 def test_criterion_4_suboptimality_bound_holds(toy_trace_500):
     trace, fixture_elapsed = toy_trace_500
     t0 = time.perf_counter()
-    problem = scalar_toy_problem()
     x0 = 2.0
+    bounds = prefix_bounds(trace.records, x0, scalar_distance_sq, TOY_ALPHA)
     results = []
     for T in (10, 50, 100, 500):
-        prefix = trace.records[:T]
-        sub = type(trace)(
-            records=prefix,
-            final_point=prefix[-1].point,
-            best_index=select_best_index(prefix),
-            initial_objective=trace.initial_objective,
-            initial_violation=trace.initial_violation,
-        )
-        params = estimate_bound_params(sub, problem, x0, TOY_ALPHA)
-        bound = suboptimality_bound(params, sub.etas())
-        min_gap = min(r.objective for r in prefix) - F_STAR
+        bound = bounds[T - 1][1]
+        min_gap = min(r.objective for r in trace.records[:T]) - F_STAR
         results.append((T, min_gap, bound, min_gap <= bound))
     elapsed = fixture_elapsed + time.perf_counter() - t0
     ok = all(r[3] for r in results) and elapsed < 60.0

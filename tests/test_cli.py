@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -170,6 +171,14 @@ class TestBenchConvergence:
         assert len(rows) == 50
         assert all(r["bound_ok"] is True for r in rows)
         assert all("bound" in r and "min_gap" in r for r in rows)
+
+    def test_t500_trace_is_byte_identical_to_pinned_hash(self, tmp_path):
+        # The README benchmark trace must not move: any change to the solver
+        # loop, the toy problem or the bound shows up as a new digest.
+        outdir = tmp_path / "bench"
+        assert run_cli("bench-convergence", "--T", "500", "--outdir", str(outdir)) == 0
+        digest = hashlib.sha256((outdir / "trace.jsonl").read_bytes()).hexdigest()
+        assert digest == "75c065beb07b021d3debd7b49a89c8c68f7f2c68b95699b9cca334d1c54cd344"
 
     def test_zero_iterations_rejected_before_writing(self, tmp_path, capsys):
         outdir = tmp_path / "bench"

@@ -10,20 +10,21 @@ from rpdml.benchmarks import (
     scalar_distance_sq,
     scalar_toy_problem,
 )
+from rpdml.data import SyntheticSpec, generate_synthetic, normalize_features
 from rpdml.errors import ConfigError, DivergedError, InnerSolveError, InvariantViolationError
+from rpdml.manifold import logdet_divergence
+from rpdml.metric import RpdmlConfig, train
 from rpdml.solver import (
-    BoundParams,
+    IterationRecord,
     SaddleProblem,
     SolverConfig,
     dual_ascent_step,
-    estimate_bound_params,
-    lagrangian,
     positive_part,
+    prefix_bounds,
     run,
     select_best_index,
     step_size,
     step_sum_bounds,
-    suboptimality_bound,
 )
 
 
@@ -62,33 +63,6 @@ class TestPositivePart:
             v = rng.normal(size=7)
             once = positive_part(v)
             assert np.array_equal(positive_part(once), once)
-
-
-class TestLagrangian:
-    @staticmethod
-    def _problem(f_val, h_val):
-        return SaddleProblem(
-            objective=lambda x: f_val,
-            constraints=lambda x: np.asarray(h_val, dtype=float),
-            constraint_count=len(h_val),
-            inner_minimizer=lambda x, lam, eta, **kw: x,
-            distance_sq=lambda a, b: 0.0,
-        )
-
-    def test_zero_dual_reduces_to_objective(self):
-        prob = self._problem(4.2, [1.0, -2.0])
-        assert lagrangian(prob, 0.0, np.zeros(2), 0.5) == pytest.approx(4.2)
-
-    def test_hand_value(self):
-        prob = self._problem(1.0, [0.5])
-        # 1 + 2*0.5 - 0.1/2 * 4 = 1.8
-        assert lagrangian(prob, 0.0, np.array([2.0]), 0.1) == pytest.approx(1.8, abs=1e-12)
-
-    def test_decreasing_in_alpha(self):
-        prob = self._problem(1.0, [0.5])
-        lam = np.array([2.0])
-        vals = [lagrangian(prob, 0.0, lam, a) for a in (0.1, 0.5, 1.0)]
-        assert vals[0] > vals[1] > vals[2]
 
 
 class TestDualAscentStep:
@@ -141,7 +115,6 @@ class TestRun:
             constraints=lambda x: np.array([-1.0]),
             constraint_count=1,
             inner_minimizer=problem.inner_minimizer,
-            distance_sq=problem.distance_sq,
         )
         trace = run(inactive, 0.5, SolverConfig(alpha=TOY_ALPHA, eta0=1.0, max_outer_iters=300))
         assert np.all(trace.dual_norms() == 0.0)
@@ -224,7 +197,6 @@ class TestRun:
             constraints=problem.constraints,
             constraint_count=1,
             inner_minimizer=failing_inner,
-            distance_sq=problem.distance_sq,
         )
         with pytest.raises(DivergedError) as exc_info:
             run(bad, 0.5, SolverConfig(alpha=0.01, eta0=1.0, max_outer_iters=50))
@@ -249,26 +221,42 @@ class TestBestIndexSelection:
             assert recs[i].violation == min(r.violation for r in recs)
 
 
+def hand_records(etas, h, dual_norm=0.0, point=1.0):
+    """Records with the given steps and one constraint vector h throughout."""
+    h = np.asarray(h, dtype=float)
+    return [IterationRecord(t=t, eta=eta, objective=0.0, h=h,
+                            violation=float(np.sum(positive_part(h))),
+                            dual_norm=dual_norm, dual_min=0.0, point=point)
+            for t, eta in enumerate(etas)]
+
+
+def unit_distance(a, b):
+    return 1.0
+
+
 class TestSuboptimalityBound:
     def test_zero_numerator(self):
-        assert suboptimality_bound(BoundParams(d0_sq=0.0, g=0.0, m=2), [1.0, 0.5]) == 0.0
+        # Best point equals x0 (d0 = 0) and h = 0 with a zero dual (g = 0).
+        records = hand_records([1.0, 0.5], [0.0, 0.0], point=1.7)
+        bounds = prefix_bounds(records, 1.7, scalar_distance_sq, 0.1)
+        assert [b for _, b in bounds] == [0.0, 0.0]
 
     def test_hand_value(self):
+        # d0^2 = 1, g = max|h| = 1, m = 2.
         etas = [1.0, 1.0 / math.sqrt(2.0)]
+        records = hand_records(etas, [1.0, -1.0])
         expected = (0.5 * 1.0 + 2 * 2 * 1.0 * 1.5) / (1.0 + 1.0 / math.sqrt(2.0))
-        got = suboptimality_bound(BoundParams(d0_sq=1.0, g=1.0, m=2), etas)
+        got = prefix_bounds(records, 1.0, unit_distance, 0.1)[-1][1]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(3.8076, abs=1e-4)
 
     def test_decreasing_in_horizon(self):
-        params = BoundParams(d0_sq=1.0, g=1.0, m=1)
-        etas_100 = [1.0 / math.sqrt(t + 1) for t in range(100)]
-        etas_1000 = [1.0 / math.sqrt(t + 1) for t in range(1000)]
-        assert suboptimality_bound(params, etas_1000) < suboptimality_bound(params, etas_100)
+        etas = [1.0 / math.sqrt(t + 1) for t in range(1000)]
+        bounds = prefix_bounds(hand_records(etas, [1.0]), 1.0, unit_distance, 0.1)
+        assert bounds[999][1] < bounds[99][1]
 
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            suboptimality_bound(BoundParams(d0_sq=1.0, g=1.0, m=1), [])
+    def test_empty_records_give_no_bounds(self):
+        assert prefix_bounds([], 1.0, unit_distance, 0.1) == []
 
 
 class TestStepSumBounds:
@@ -301,25 +289,66 @@ class TestStepSumBounds:
             step_sum_bounds(0)
 
 
+def reference_bound(prefix, x0, distance_sq, alpha):
+    """Bound of one prefix, computed from scratch over the whole prefix."""
+    etas = np.array([r.eta for r in prefix])
+    best = select_best_index(prefix)
+    d0_sq = float(distance_sq(prefix[best].point, x0))
+    g = max(float(np.max(np.abs(r.h))) for r in prefix) + alpha * max(r.dual_norm for r in prefix)
+    m = prefix[0].h.size
+    return best, (0.5 * d0_sq + 2.0 * m * g ** 2 * float(np.sum(etas ** 2))) / float(np.sum(etas))
+
+
+class TestPrefixBounds:
+    def test_matches_reference_on_toy_run(self):
+        trace = run_toy(500)
+        bounds = prefix_bounds(trace.records, TOY_X0, scalar_distance_sq, TOY_ALPHA)
+        assert len(bounds) == 500
+        for T in [*range(1, 101), *range(110, 501, 10)]:
+            best, bound = reference_bound(trace.records[:T], TOY_X0, scalar_distance_sq, TOY_ALPHA)
+            assert bounds[T - 1][0] == best
+            assert bounds[T - 1][1] == pytest.approx(bound, rel=1e-12, abs=0.0)
+
+    def test_matches_reference_on_desk_train(self):
+        ds = generate_synthetic(SyntheticSpec(samples=80, dim=6, informative_dims=3, seed=7))
+        feats, _ = normalize_features(ds.features)
+        cfg = RpdmlConfig(outer_iters=20, seed=7)
+        model = train(feats, ds.labels, cfg)
+        records = model.trace.records
+        x0 = (model.w0, np.zeros(records[0].point[1].size))
+
+        def distance_sq(a, b):
+            # LogDet divergence of W plus the squared slack distance.
+            return logdet_divergence(a[0], b[0]) + float(np.sum((a[1] - b[1]) ** 2))
+
+        bounds = prefix_bounds(records, x0, distance_sq, cfg.c2)
+        assert bounds[-1][0] == model.trace.best_index
+        for T in range(1, len(records) + 1):
+            best, bound = reference_bound(records[:T], x0, distance_sq, cfg.c2)
+            assert bounds[T - 1][0] == best
+            assert bounds[T - 1][1] == pytest.approx(bound, rel=1e-12, abs=0.0)
+
+
 class TestEmpiricalBound:
     def test_bound_holds_on_every_prefix(self):
-        problem = scalar_toy_problem()
         trace = run_toy(500)
         f_ref = trace.best_record.objective  # best-found stand-in for f(x*)
+        bounds = prefix_bounds(trace.records, TOY_X0, scalar_distance_sq, TOY_ALPHA)
         running_min = math.inf
-        for t in range(len(trace)):
-            running_min = min(running_min, trace.records[t].objective)
-            prefix = trace.records[: t + 1]
-            sub = type(trace)(
-                records=prefix,
-                final_point=prefix[-1].point,
-                best_index=select_best_index(prefix),
-                initial_objective=trace.initial_objective,
-                initial_violation=trace.initial_violation,
-            )
-            params = estimate_bound_params(sub, problem, TOY_X0, TOY_ALPHA)
-            bound = suboptimality_bound(params, sub.etas())
+        for rec, (_, bound) in zip(trace.records, bounds):
+            running_min = min(running_min, rec.objective)
             assert running_min - f_ref <= bound + 1e-12
+
+    def test_best_iterate_gap_within_bound_on_every_prefix(self):
+        # The certificate is about the best iterate, not the smallest
+        # objective: infeasible iterates near x = 2 have f ~ 0 < f*, which
+        # would make a min-objective gap negative and the check vacuous.
+        trace = run_toy(2000)
+        f_star = grid_oracle()
+        bounds = prefix_bounds(trace.records, TOY_X0, scalar_distance_sq, TOY_ALPHA)
+        assert len(bounds) == 2000
+        for best, bound in bounds:
+            assert trace.records[best].objective - f_star <= bound
 
 
 class TestProblemConsistency:
