@@ -1,102 +1,10 @@
-"""Primal-dual proximal optimization on the SPD manifold, with metric learning."""
+"""Primal-dual proximal optimization on the SPD manifold, with metric learning.
 
-from .manifold import (
-    EPS_PD,
-    SpdMatrix,
-    eigendecompose,
-    logdet_divergence,
-    retract,
-    spd_inverse,
-)
-from .solver import (
-    RunTrace,
-    SaddleProblem,
-    SolverConfig,
-    dual_ascent_step,
-    positive_part,
-    prefix_bounds,
-    run,
-    step_size,
-    step_sum_bounds,
-)
-from .metric import (
-    MetricModel,
-    PairConstraints,
-    RpdmlConfig,
-    build_pairs,
-    compute_bounds,
-    eval_h,
-    grad_h_contraction,
-    inner_solve_w,
-    train,
-    update_gamma,
-    update_lambda,
-    update_slack,
-)
-from .data import (
-    LabeledDataset,
-    PanelDataset,
-    PanelPeriod,
-    SyntheticSpec,
-    generate_synthetic,
-    generate_synthetic_panel,
-    normalize_features,
-)
-from .evaluation import (
-    PortfolioResult,
-    accumulated_return,
-    knn_neighbors,
-    knn_predict,
-    mahalanobis_metric,
-    max_drawdown,
-    rolling_ic,
-    spearman_ic,
-)
+Import names from their modules (``rpdml.manifold``, ``rpdml.solver``,
+``rpdml.metric``, ``rpdml.data``, ``rpdml.evaluation``, ``rpdml.cli``), so
+that loading one layer does not load the others.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EPS_PD",
-    "SpdMatrix",
-    "eigendecompose",
-    "logdet_divergence",
-    "retract",
-    "spd_inverse",
-    "RunTrace",
-    "SaddleProblem",
-    "SolverConfig",
-    "dual_ascent_step",
-    "positive_part",
-    "prefix_bounds",
-    "run",
-    "step_size",
-    "step_sum_bounds",
-    "MetricModel",
-    "PairConstraints",
-    "RpdmlConfig",
-    "build_pairs",
-    "compute_bounds",
-    "eval_h",
-    "grad_h_contraction",
-    "inner_solve_w",
-    "train",
-    "update_gamma",
-    "update_lambda",
-    "update_slack",
-    "LabeledDataset",
-    "PanelDataset",
-    "PanelPeriod",
-    "SyntheticSpec",
-    "generate_synthetic",
-    "generate_synthetic_panel",
-    "normalize_features",
-    "PortfolioResult",
-    "accumulated_return",
-    "knn_neighbors",
-    "knn_predict",
-    "mahalanobis_metric",
-    "max_drawdown",
-    "rolling_ic",
-    "spearman_ic",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -36,7 +36,7 @@ from .data import (
     write_labeled_csv,
     write_panel_csv,
 )
-from .errors import ConfigError, NumericError, RpdmlError
+from .errors import ConfigError, DivergedError, NumericError, RpdmlError
 from .evaluation import (
     backtest_from_predictions,
     euclidean_metric,
@@ -110,30 +110,45 @@ def read_config_file(path: str | Path) -> dict:
     return out
 
 
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("1", "true", "yes"):
+        return True
+    if low in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {raw!r}")
+
+
+def _option_type(default):
+    """Type of an option, from its default: bools parse strictly, None takes a string."""
+    if isinstance(default, bool):
+        return _parse_bool
+    return str if default is None else type(default)
+
+
 def _layer_options(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags (flags win)."""
-    file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
+    file_cfg = read_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_cfg) - set(defaults) - _SNAPSHOT_ONLY_KEYS)
     if unknown:
         raise ConfigError(f"unknown key(s) in config file {args.config}: {', '.join(unknown)}")
     resolved = {}
     for key, default in defaults.items():
-        flag_val = getattr(args, key, None)
+        flag_val = getattr(args, key)
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_cfg:
-            raw = file_cfg[key]
-            caster = type(default) if default is not None else str
-            resolved[key] = raw if caster is str else (
-                caster(raw) if caster is not bool else raw.lower() in ("1", "true", "yes")
-            )
+            try:
+                resolved[key] = _option_type(default)(file_cfg[key])
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key} in config file {args.config}: {exc}") from exc
         else:
             resolved[key] = default
     return resolved
 
 
-def _resolve_outdir(args: argparse.Namespace) -> Path:
-    outdir = os.environ.get("RPDML_OUTPUT_DIR") or getattr(args, "outdir", None)
+def _resolve_outdir(args: argparse.Namespace, default: Path | None = None) -> Path:
+    outdir = os.environ.get("RPDML_OUTPUT_DIR") or args.outdir or default
     if outdir is None:
         raise ConfigError("--outdir is required (or set RPDML_OUTPUT_DIR)")
     path = Path(outdir)
@@ -219,7 +234,13 @@ def cmd_train(args) -> int:
         labels = ds.labels
     if opts["normalize"]:
         feats, _ = normalize_features(feats)
-    model = train(feats, labels, _rpdml_config(opts, args.seed))
+    try:
+        model = train(feats, labels, _rpdml_config(opts, args.seed))
+    except DivergedError as exc:
+        # A failed run still records what ran and how far it got.
+        cfg.write_snapshot(outdir)
+        exc.trace.write_jsonl(outdir / "trace.jsonl")
+        raise
     cfg.write_snapshot(outdir)
     model.save(outdir / "model.json")
     model.trace.write_jsonl(outdir / "trace.jsonl")
@@ -388,8 +409,7 @@ def cmd_export_plots(args) -> int:
     run_dir = Path(args.run)
     cfg = ExperimentConfig("export-plots", {"run": str(run_dir)}, None, [run_dir])
     cfg.validate()
-    outdir = Path(os.environ.get("RPDML_OUTPUT_DIR") or args.outdir or (run_dir / "plots"))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _resolve_outdir(args, run_dir / "plots")
     wrote = []
     trace_path = run_dir / "trace.jsonl"
     if trace_path.exists():
@@ -424,82 +444,63 @@ def cmd_export_plots(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _add_options(parser: argparse.ArgumentParser, defaults: dict, choices: dict) -> None:
+    """One ``--<key-with-dashes>`` flag per defaults-table key.
+
+    Every flag defaults to None, so ``_layer_options`` can tell an explicit
+    flag from an unset one and fall back to the config file.
+    """
+    for key, default in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
+        else:
+            parser.add_argument(flag, type=_option_type(default), choices=choices.get(key))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rpdml", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    rpdml_choices = {"w0": ["identity", "inverse_covariance"]}
 
-    def add_common(p, seed_required=True):
+    def add_command(name, help, func, defaults, choices, seed_required=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value config file; flags override it")
         if seed_required:
             p.add_argument("--seed", type=int, required=True, help="PRNG seed (required)")
+        _add_options(p, defaults, choices)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate a synthetic labeled or panel dataset")
-    add_common(p)
+    p = add_command("gen-data", "generate a synthetic labeled or panel dataset", cmd_gen_data,
+                    _GEN_DEFAULTS, {"kind": ["labeled", "panel"]})
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--kind", choices=["labeled", "panel"])
-    for name in ("classes", "samples", "dim", "informative-dims", "periods", "assets"):
-        p.add_argument(f"--{name}", type=int, dest=name.replace("-", "_"))
-    p.add_argument("--noise-scale", type=float, dest="noise_scale")
-    p.add_argument("--cluster-sep", type=float, dest="cluster_sep")
-    p.set_defaults(func=cmd_gen_data)
 
-    def add_rpdml_flags(p):
-        p.add_argument("--c1", type=float)
-        p.add_argument("--c2", type=float)
-        p.add_argument("--eta0", type=float)
-        p.add_argument("--iters", type=int)
-        p.add_argument("--w0", choices=["identity", "inverse_covariance"])
-        p.add_argument("--max-pairs", type=int, dest="max_pairs")
-        p.add_argument("--percentile-lo", type=float, dest="percentile_lo")
-        p.add_argument("--percentile-hi", type=float, dest="percentile_hi")
-
-    p = sub.add_parser("train", help="learn a metric from a labeled dataset")
-    add_common(p)
+    p = add_command("train", "learn a metric from a labeled dataset", cmd_train,
+                    _TRAIN_DEFAULTS, rpdml_choices)
     p.add_argument("--data", required=True)
     p.add_argument("--outdir")
-    p.add_argument("--train-frac", type=float, dest="train_frac")
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=None)
-    add_rpdml_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="k-NN accuracy and IC for a metric")
-    add_common(p)
+    p = add_command("eval", "k-NN accuracy and IC for a metric", cmd_eval, _EVAL_DEFAULTS,
+                    {"metric": ["euclidean", "mahalanobis", "learned"]})
     p.add_argument("--data", required=True)
     p.add_argument("--outdir")
-    p.add_argument("--metric", choices=["euclidean", "mahalanobis", "learned"])
-    p.add_argument("--model", help="model.json for --metric learned")
-    p.add_argument("--k", type=int)
-    p.add_argument("--train-frac", type=float, dest="train_frac")
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("backtest", help="rolling-window top-N portfolio backtest")
-    add_common(p)
+    p = add_command("backtest", "rolling-window top-N portfolio backtest", cmd_backtest,
+                    _BACKTEST_DEFAULTS,
+                    dict(rpdml_choices, metric=["euclidean", "mahalanobis", "rpdml"]))
     p.add_argument("--data", required=True, help="panel CSV")
     p.add_argument("--outdir")
-    p.add_argument("--metric", choices=["euclidean", "mahalanobis", "rpdml"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--top-n", type=int, dest="top_n")
-    p.add_argument("--mdd-window", type=int, dest="mdd_window")
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=None)
-    add_rpdml_flags(p)
-    p.set_defaults(func=cmd_backtest)
 
-    p = sub.add_parser("bench-convergence", help="scalar benchmark with bound checks")
-    add_common(p, seed_required=False)
+    p = add_command("bench-convergence", "scalar benchmark with bound checks",
+                    cmd_bench_convergence, _BENCH_DEFAULTS, {}, seed_required=False)
     p.add_argument("--outdir")
-    p.add_argument("--T", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--x0", type=float)
-    p.set_defaults(func=cmd_bench_convergence)
 
-    p = sub.add_parser("export-plots", help="emit CSV series from run artifacts")
-    add_common(p, seed_required=False)
+    p = add_command("export-plots", "emit CSV series from run artifacts", cmd_export_plots,
+                    {}, {}, seed_required=False)
     p.add_argument("--run", required=True, help="run directory (train/backtest/bench output)")
     p.add_argument("--outdir")
-    p.set_defaults(func=cmd_export_plots)
 
     return parser
 

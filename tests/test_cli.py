@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from rpdml import cli
 from rpdml.cli import main, read_config_file
 from rpdml.data import read_panel_csv
 
@@ -178,7 +180,7 @@ class TestBenchConvergence:
         outdir = tmp_path / "bench"
         assert run_cli("bench-convergence", "--T", "500", "--outdir", str(outdir)) == 0
         digest = hashlib.sha256((outdir / "trace.jsonl").read_bytes()).hexdigest()
-        assert digest == "75c065beb07b021d3debd7b49a89c8c68f7f2c68b95699b9cca334d1c54cd344"
+        assert digest == "51f8c95d03fde6167d0a8b4cf77af167040fe38a7ed9086691f94e00b0f62841"
 
     def test_zero_iterations_rejected_before_writing(self, tmp_path, capsys):
         outdir = tmp_path / "bench"
@@ -232,6 +234,13 @@ class TestExitCodes:
                        "--outdir", str(tmp_path / "r"), "--iters", "30",
                        "--eta0", "0.9", "--c2", "1.0")
         assert code == 2
+        # The failed run leaves its config and the partial trace (one record:
+        # it fails at t=1), but no model.
+        run_dir = tmp_path / "r"
+        assert "eta0 = 0.9" in (run_dir / "config.txt").read_text()
+        rows = [json.loads(l) for l in (run_dir / "trace.jsonl").read_text().splitlines()]
+        assert [r["t"] for r in rows] == [0]
+        assert not (run_dir / "model.json").exists()
 
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
@@ -266,6 +275,27 @@ class TestConfigFile:
         assert "error:" in err and "itres" in err
         assert not (run_dir / "model.json").exists()
 
+    @pytest.mark.parametrize("line, key", [("normalize = maybe", "normalize"),
+                                           ("iters = 3.5", "iters")])
+    def test_bad_value_is_rejected(self, labeled_csv, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--seed", "7", "--data", str(labeled_csv),
+                       "--outdir", str(run_dir), "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfg) in err and key in err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("raw, value", [("1", True), ("true", True), ("YES", True),
+                                            ("0", False), ("False", False), ("no", False)])
+    def test_bool_spellings(self, tmp_path, raw, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"normalize = {raw}\n")
+        args = cli.build_parser().parse_args(
+            ["eval", "--seed", "1", "--data", "d.csv", "--config", str(cfg)])
+        assert cli._layer_options(args, cli._EVAL_DEFAULTS)["normalize"] is value
+
     def test_snapshot_round_trip(self, labeled_csv, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
         assert run_cli("train", "--seed", "7", "--data", str(labeled_csv),
@@ -274,6 +304,73 @@ class TestConfigFile:
                        "--outdir", str(second), "--config", str(first / "config.txt")) == 0
         for name in ("config.txt", "model.json", "trace.jsonl"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+#: Each command's defaults table and the flags it needs to parse at all.
+_COMMAND_TABLES = {
+    "gen-data": (cli._GEN_DEFAULTS, ["--seed", "1", "--out", "x.csv"]),
+    "train": (cli._TRAIN_DEFAULTS, ["--seed", "1", "--data", "d.csv"]),
+    "eval": (cli._EVAL_DEFAULTS, ["--seed", "1", "--data", "d.csv"]),
+    "backtest": (cli._BACKTEST_DEFAULTS, ["--seed", "1", "--data", "d.csv"]),
+    "bench-convergence": (cli._BENCH_DEFAULTS, []),
+}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestOptionTable:
+    def test_option_strings_are_pinned(self):
+        # The flags are generated from the defaults tables; renaming a key
+        # would rename a documented flag.
+        rpdml = ["--c1", "--c2", "--eta0", "--iters", "--max-pairs",
+                 "--percentile-hi", "--percentile-lo", "--w0"]
+        expected = {
+            "gen-data": ["--assets", "--classes", "--cluster-sep", "--dim",
+                         "--informative-dims", "--kind", "--noise-scale", "--out",
+                         "--periods", "--samples", "--seed"],
+            "train": rpdml + ["--data", "--no-normalize", "--normalize", "--outdir",
+                              "--seed", "--train-frac"],
+            "eval": ["--data", "--k", "--metric", "--model", "--no-normalize", "--normalize",
+                     "--outdir", "--seed", "--train-frac"],
+            "backtest": rpdml + ["--data", "--k", "--mdd-window", "--metric", "--no-normalize",
+                                 "--normalize", "--outdir", "--seed", "--top-n"],
+            "bench-convergence": ["--T", "--alpha", "--eta0", "--outdir", "--x0"],
+            "export-plots": ["--outdir", "--run"],
+        }
+        got = {
+            name: sorted(o for a in sp._actions for o in a.option_strings
+                         if o not in ("-h", "--help", "--config"))
+            for name, sp in _subparsers().items()
+        }
+        assert got == {name: sorted(opts) for name, opts in expected.items()}
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, (defaults, _) in _COMMAND_TABLES.items() for key in defaults
+    ])
+    def test_flag_and_config_file_resolve_equal(self, tmp_path, command, key):
+        defaults, base = _COMMAND_TABLES[command]
+        default = defaults[key]
+        action = next(a for a in _subparsers()[command]._actions if a.dest == key)
+        if isinstance(default, bool):
+            value = not default
+            flag = [f"--{'' if value else 'no-'}{key.replace('_', '-')}"]
+        else:
+            if action.choices:
+                value = next(c for c in action.choices if c != default)
+            else:
+                value = "m.json" if default is None else default + 1
+            flag = [action.option_strings[0], str(value)]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        parser = cli.build_parser()
+        from_flag = cli._layer_options(parser.parse_args([command, *base, *flag]), defaults)
+        from_file = cli._layer_options(
+            parser.parse_args([command, *base, "--config", str(cfg)]), defaults)
+        assert from_flag == from_file
+        assert from_flag[key] == value
 
 
 class TestCsvHeaders:
