@@ -141,7 +141,8 @@ def _layer_options(args: argparse.Namespace, defaults: dict) -> dict:
             try:
                 resolved[key] = _option_type(default)(file_cfg[key])
             except ValueError as exc:
-                raise ConfigError(f"bad value for {key} in config file {args.config}: {exc}") from exc
+                raise ConfigError(
+                    f"bad value for {key} in config file {args.config}: {exc}") from exc
         else:
             resolved[key] = default
     return resolved
