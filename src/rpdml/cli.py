@@ -127,7 +127,11 @@ def _option_type(default):
 
 
 def _layer_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags (flags win)."""
+    """defaults < config file < explicit flags (flags win).
+
+    A file value is cast by its option's type and checked against the
+    choices the command's parser holds (``args.choices``), as a flag is.
+    """
     file_cfg = read_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_cfg) - set(defaults) - _SNAPSHOT_ONLY_KEYS)
     if unknown:
@@ -139,10 +143,13 @@ def _layer_options(args: argparse.Namespace, defaults: dict) -> dict:
             resolved[key] = flag_val
         elif key in file_cfg:
             try:
-                resolved[key] = _option_type(default)(file_cfg[key])
+                value = _option_type(default)(file_cfg[key])
+                if key in args.choices and value not in args.choices[key]:
+                    raise ValueError(f"{value!r} is not one of {', '.join(args.choices[key])}")
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key} in config file {args.config}: {exc}") from exc
+            resolved[key] = value
         else:
             resolved[key] = default
     return resolved
@@ -183,13 +190,11 @@ def cmd_gen_data(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     if opts["kind"] == "labeled":
         write_labeled_csv(generate_synthetic(spec), out)
-    elif opts["kind"] == "panel":
+    else:
         write_panel_csv(
             generate_synthetic_panel(spec, periods=opts["periods"], assets_per_period=opts["assets"]),
             out,
         )
-    else:
-        raise ConfigError(f"unknown dataset kind {opts['kind']!r}")
     print(f"wrote {opts['kind']} dataset to {out}")
     return 0
 
@@ -284,12 +289,10 @@ def cmd_eval(args) -> int:
         w = euclidean_metric(xtr)
     elif opts["metric"] == "mahalanobis":
         w = mahalanobis_metric(xtr)
-    elif opts["metric"] == "learned":
+    else:
         w = MetricModel.load(opts["model"]).w
         if w.dim != xtr.shape[1]:
             raise ConfigError(f"model dim {w.dim} != data dim {xtr.shape[1]}")
-    else:
-        raise ConfigError(f"unknown metric {opts['metric']!r}")
     k = int(opts["k"])
     # One ranking serves both the accuracy and the IC.
     neighbors = knn_neighbors(w, xtr, xte, k)
@@ -320,18 +323,18 @@ _BACKTEST_DEFAULTS = dict(
 
 
 def make_metric_provider(name: str, opts: dict, seed: int):
-    """Window-level metric factory for the backtest."""
+    """Window-level metric factory for the backtest: ``euclidean``,
+    ``mahalanobis``, or (any other name) ``rpdml``."""
     if name == "euclidean":
         return lambda feats, rets: euclidean_metric(feats)
     if name == "mahalanobis":
         return lambda feats, rets: mahalanobis_metric(feats)
-    if name == "rpdml":
-        def provider(feats, rets):
-            # Two groups: assets above / below the window's median return.
-            labels = (rets > np.median(rets)).astype(int)
-            return train(feats, labels, _rpdml_config(opts, seed)).w
-        return provider
-    raise ConfigError(f"unknown metric {name!r}")
+
+    def provider(feats, rets):
+        # Two groups: assets above / below the window's median return.
+        labels = (rets > np.median(rets)).astype(int)
+        return train(feats, labels, _rpdml_config(opts, seed)).w
+    return provider
 
 
 def cmd_backtest(args) -> int:
@@ -471,7 +474,7 @@ def build_parser() -> _Parser:
         if seed_required:
             p.add_argument("--seed", type=int, required=True, help="PRNG seed (required)")
         _add_options(p, defaults, choices)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, choices=choices)
         return p
 
     p = add_command("gen-data", "generate a synthetic labeled or panel dataset", cmd_gen_data,

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .data import PanelDataset, PanelPeriod, normalize_features
 from .errors import ConfigError, DimensionMismatchError, NumericError
@@ -138,16 +137,27 @@ def knn_accuracy(train_labels: Array, neighbors: Array, test_labels: Array) -> f
     return hits / len(test_labels)
 
 
+def _average_ranks(v: Array) -> Array:
+    """1-based ranks of v; each run of tied values shares the mean of its ranks."""
+    _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2.0)[inv]
+
+
 def spearman_ic(pred: Array, actual: Array) -> float:
-    """Rank correlation (mean-rank ties) between predictions and realizations."""
+    """Rank correlation between predictions and realizations: average ranks
+    for ties, then the Pearson correlation of the ranks on their (n, 2)
+    column layout, ``scipy.stats.spearmanr``'s own path (bitwise equal).
+    A constant vector, or one holding a nan, raises ``NumericError``.
+    """
     pred = np.asarray(pred, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if pred.shape != actual.shape or pred.ndim != 1 or pred.size < 2:
         raise DimensionMismatchError("need two equal-length vectors of size >= 2")
-    if np.ptp(pred) == 0 or np.ptp(actual) == 0:
-        raise NumericError("rank correlation undefined for a constant vector")
-    rho = stats.spearmanr(pred, actual).statistic
-    return float(rho)
+    if not (np.ptp(pred) > 0 and np.ptp(actual) > 0):  # a nan spread also fails
+        raise NumericError("rank correlation undefined for a constant vector or a nan")
+    ranks = np.column_stack([_average_ranks(pred), _average_ranks(actual)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def accumulated_return(period_returns: Array) -> Array:

@@ -275,14 +275,29 @@ class TestConfigFile:
         assert "error:" in err and "itres" in err
         assert not (run_dir / "model.json").exists()
 
-    @pytest.mark.parametrize("line, key", [("normalize = maybe", "normalize"),
-                                           ("iters = 3.5", "iters")])
-    def test_bad_value_is_rejected(self, labeled_csv, tmp_path, capsys, line, key):
+    # A value that fails its cast, or lies outside the flag's choices for
+    # this command (eval has no `rpdml` metric, backtest no `learned`).
+    _BAD_VALUES = [
+        ("train", "normalize = maybe", "normalize"),
+        ("train", "iters = 3.5", "iters"),
+        ("train", "w0 = bogus", "w0"),
+        ("eval", "metric = rpdml", "metric"),
+        ("backtest", "metric = learned", "metric"),
+        ("gen-data", "kind = bogus", "kind"),
+    ]
+
+    @pytest.mark.parametrize("command, line, key", _BAD_VALUES,
+                             ids=[f"{line}-{key}" for _, line, key in _BAD_VALUES])
+    def test_bad_value_is_rejected(self, request, tmp_path, capsys, command, line, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         run_dir = tmp_path / "run"
-        assert run_cli("train", "--seed", "7", "--data", str(labeled_csv),
-                       "--outdir", str(run_dir), "--config", str(cfg)) == 1
+        if command == "gen-data":
+            where = ["--out", str(run_dir / "x.csv")]
+        else:
+            data = request.getfixturevalue("panel_csv" if command == "backtest" else "labeled_csv")
+            where = ["--data", str(data), "--outdir", str(run_dir)]
+        assert run_cli(command, "--seed", "7", *where, "--config", str(cfg)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(cfg) in err and key in err
         assert not run_dir.exists()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rpdml.data import PanelDataset, PanelPeriod, read_panel_csv, write_panel_csv
@@ -320,7 +320,40 @@ class TestKnnNeighbors:
             knn_neighbors(w, np.ones((3, 3)), np.ones((1, 3)), 1)
 
 
+@st.composite
+def rank_vectors(draw):
+    """Two equal-length vectors: continuous values, or a small grid whose
+    heavy ties include 0.0 against -0.0."""
+    n = draw(st.integers(2, 200))
+    continuous = st.floats(-1e6, 1e6)
+    grid = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    return tuple(
+        np.array(draw(st.lists(draw(st.sampled_from([continuous, grid])),
+                               min_size=n, max_size=n)))
+        for _ in range(2)
+    )
+
+
 class TestSpearmanIC:
+    @settings(max_examples=300, deadline=None)
+    @given(case=rank_vectors())
+    def test_matches_scipy_spearmanr_bitwise(self, case):
+        from scipy import stats  # a test oracle only; the package does not import scipy
+
+        pred, actual = case
+        assume(np.ptp(pred) > 0 and np.ptp(actual) > 0)
+        assert spearman_ic(pred, actual) == float(stats.spearmanr(pred, actual).statistic)
+
+    def test_signed_zeros_tie(self):
+        # Ranks (1.5, 1.5, 3) against (1, 2, 3).
+        actual = [1.0, 2.0, 3.0]
+        ic = spearman_ic([0.0, -0.0, 1.0], actual)
+        assert ic == spearman_ic([0.0, 0.0, 1.0], actual) == pytest.approx(np.sqrt(0.75))
+
+    def test_nan_raises(self):
+        with pytest.raises(NumericError, match="nan"):
+            spearman_ic([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+
     def test_identical_order(self):
         assert spearman_ic([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]) == pytest.approx(1.0)
 

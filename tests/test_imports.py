@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rpdml
 
 SRC = str(Path(rpdml.__file__).resolve().parents[1])
@@ -19,10 +21,15 @@ def loaded_after(statement: str) -> set[str]:
     return set(out.stdout.split())
 
 
-def test_core_layers_load_neither_evaluation_nor_scipy():
+@pytest.mark.parametrize("statement, loads, absent", [
     # The package root re-exports nothing, so the solver, geometry and
-    # learner import without the evaluation layer and its scipy dependency.
-    loaded = loaded_after("import rpdml.manifold, rpdml.solver, rpdml.metric")
-    assert "rpdml.metric" in loaded
-    assert "rpdml.evaluation" not in loaded
-    assert "scipy" not in loaded
+    # learner import without the evaluation layer.
+    ("import rpdml.manifold, rpdml.solver, rpdml.metric", "rpdml.metric",
+     {"rpdml.evaluation", "scipy"}),
+    # numpy is the only runtime dependency; scipy is a test oracle.
+    ("import rpdml.cli", "rpdml.evaluation", {"scipy"}),
+], ids=["core", "cli"])
+def test_import_leaves_modules_unloaded(statement, loads, absent):
+    loaded = loaded_after(statement)
+    assert loads in loaded
+    assert not absent & loaded

@@ -330,15 +330,6 @@ class TestPrefixBounds:
 
 
 class TestEmpiricalBound:
-    def test_bound_holds_on_every_prefix(self):
-        trace = run_toy(500)
-        f_ref = trace.best_record.objective  # best-found stand-in for f(x*)
-        bounds = prefix_bounds(trace.records, TOY_X0, scalar_distance_sq, TOY_ALPHA)
-        running_min = math.inf
-        for rec, (_, bound) in zip(trace.records, bounds):
-            running_min = min(running_min, rec.objective)
-            assert running_min - f_ref <= bound + 1e-12
-
     def test_best_iterate_gap_within_bound_on_every_prefix(self):
         # The certificate is about the best iterate, not the smallest
         # objective: infeasible iterates near x = 2 have f ~ 0 < f*, which
