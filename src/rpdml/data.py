@@ -183,11 +183,14 @@ def read_labeled_csv(path: str | Path) -> LabeledDataset:
         header = _read_header(reader, path, ("label", "target"))
         label_col = header.index("label")
         cols = [header.index("target")] + [i for i, c in enumerate(header) if c.startswith("f_")]
-        labels, values = [], []
-        for line, row in _rows(reader, path, len(header)):
-            labels.append(row[label_col])
-            values.append(_floats(path, line, header, row, cols))
-    values = np.array(values)
+        labels = []
+
+        def fields():  # one growing float buffer, not a list of floats per row
+            for line, row in _rows(reader, path, len(header)):
+                labels.append(row[label_col])
+                yield from _floats(path, line, header, row, cols)
+
+        values = np.fromiter(fields(), dtype=float).reshape(-1, len(cols))
     return LabeledDataset(values[:, 1:].copy(), np.array(labels), values[:, 0].copy())
 
 

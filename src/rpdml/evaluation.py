@@ -59,19 +59,57 @@ def euclidean_metric(features: Array) -> SpdMatrix:
     return SpdMatrix.identity(np.atleast_2d(features).shape[1])
 
 
+#: Queries screened together by ``knn_neighbors``: one (block, n_train)
+#: distance screen at a time, so its memory does not grow with the batch.
+KNN_BLOCK = 32
+
+
+def _sq_distances(rows: Array, z_q: Array) -> Array:
+    """Squared Euclidean distance of every gathered row to z_q (broadcast),
+    each row summed on its own: ``rows`` (a copy) is overwritten by the
+    differences, which one 2-D row-wise ``einsum`` then sums, flattened."""
+    rows -= z_q
+    diffs = rows.reshape(-1, rows.shape[-1])
+    return np.einsum("ij,ij->i", diffs, diffs)
+
+
+def _k_smallest(dist: Array, k: int) -> Array:
+    """Positions of the k smallest distances, nearest first; a tie goes to the
+    lower position, even when more than k positions tie at the k-th distance."""
+    cand = (dist <= np.partition(dist, k - 1)[k - 1]).nonzero()[0]
+    return cand[dist[cand].argsort(kind="stable")[:k]]
+
+
 def knn_neighbors(w: SpdMatrix, train_features: Array, queries: Array, k: int) -> Array:
     """Row indices of the k nearest training rows of every query, nearest first.
 
     With W = L L^T, the squared distance (x - q)^T W (x - q) is the squared
     Euclidean norm of x L - q L, so the training and query rows are
-    transformed once by the Cholesky factor and each query is then ranked
-    on its own.  Both the transform (``einsum``, not BLAS) and the per-query
-    ranking compute every row alone, so a query's neighbors do not depend on
-    the other queries of the batch.  A query's ranking partitions its
-    distances to the k-th smallest and stable-sorts only the candidates at
-    or below it, so distance ties break toward the lower row index even when
-    more than k rows tie at the k-th distance.  A transformed row that is not
-    finite raises ``NumericError``.  Returns an (n_queries, k) int array.
+    transformed once by the Cholesky factor (``einsum``, row by row).  The
+    answer is fixed by the exact distances, each a row-wise ``subtract`` and
+    ``einsum`` of one row pair: the k rows that come first in (distance, row
+    index) order, ranked in that order, so distance ties break toward the
+    lower row index even when more than k rows tie at the k-th distance.
+
+    Queries are ranked in blocks of ``KNN_BLOCK``.  A block's screen is one
+    BLAS product, giving approximate distances |q|^2 + |x|^2 - 2 q.x, and
+    each query keeps its k smallest.  Their exact distances are computed, and
+    tau is the largest.  Both the screen and the exact sum err from the true
+    distance by at most about (d + 2) u (|q| + |x|)^2 (u = eps / 2: each of
+    the d + 2 roundings of a sum, in any order, with FMA or not, errs by u
+    times at most (|q| + |x|)^2), plus underflow, so the margin
+    m = 8 (d + 4) (eps (|q| + max |x|)^2 + the smallest subnormal) covers
+    both: a row screened above tau + m has an exact distance above tau, and
+    cannot be among the k.  When exactly k rows screen at or below tau + m,
+    those k are the answer, ranked by exact distance.  Otherwise (ties or
+    near-ties at the k-th distance) the query ranks the exact distances of
+    those candidates on its own, or of every row when its screen is not
+    finite (an overflow, from |z| ~ 1e154 on).  The screen only chooses which
+    exact distances are ranked, never the answer, so a query's neighbors do
+    not depend on the other queries of the batch or on the BLAS.
+
+    A transformed row that is not finite raises ``NumericError``.  Returns an
+    (n_queries, k) int array.
     """
     train_features = np.atleast_2d(np.asarray(train_features, dtype=float))
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -90,14 +128,31 @@ def knn_neighbors(w: SpdMatrix, train_features: Array, queries: Array, k: int) -
     z_queries = np.einsum("ij,jk->ik", queries, chol)
     if not (np.isfinite(z_train).all() and np.isfinite(z_queries).all()):
         raise NumericError("k-NN input has a nan or inf after the metric transform")
+    sq_train = np.einsum("ij,ij->i", z_train, z_train)
+    sq_queries = np.einsum("ij,ij->i", z_queries, z_queries)
+    finfo = np.finfo(float)
+    with np.errstate(over="ignore"):  # an overflow gives an inf margin: no fast path
+        reach = (np.sqrt(sq_queries) + np.sqrt(sq_train.max())) ** 2
+        margins = 8 * (dim + 4) * (finfo.eps * reach + finfo.smallest_subnormal)
     out = np.empty((z_queries.shape[0], k), dtype=np.intp)
-    diffs = np.empty_like(z_train)
-    dist = np.empty(n_train)
-    for i, z_q in enumerate(z_queries):
-        np.subtract(z_train, z_q, out=diffs)
-        np.einsum("ij,ij->i", diffs, diffs, out=dist)
-        cand = (dist <= np.partition(dist, k - 1)[k - 1]).nonzero()[0]
-        out[i] = cand[dist[cand].argsort(kind="stable")[:k]]
+    for start in range(0, z_queries.shape[0], KNN_BLOCK):
+        block = slice(start, start + KNN_BLOCK)
+        z_q = z_queries[block]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row ranks every row
+            approx = z_q @ z_train.T
+            approx *= -2.0
+            approx += sq_queries[block, None]
+            approx += sq_train
+        screened = np.sort(np.argpartition(approx, k - 1, axis=1)[:, :k], axis=1)
+        exact = _sq_distances(z_train[screened], z_q[:, None]).reshape(screened.shape)
+        inside = approx <= (exact.max(axis=1) + margins[block])[:, None]
+        counts = inside.sum(axis=1)
+        finite = np.isfinite(approx).all(axis=1)
+        order = exact.argsort(axis=1, kind="stable")
+        out[block] = np.take_along_axis(screened, order, axis=1)
+        for i in np.flatnonzero(~finite | (counts != k)):
+            cand = inside[i].nonzero()[0] if finite[i] and counts[i] > k else np.arange(n_train)
+            out[start + i] = cand[_k_smallest(_sq_distances(z_train[cand], z_q[i]), k)]
     return out
 
 

@@ -203,8 +203,10 @@ def rowwise_quadratic(w_mat: Array, rows: Array) -> Array:
     """diag(X @ W @ X.T) from one BLAS product X @ W and a row-wise dot.
 
     A row's value may move at round-off with the rest of the batch, so
-    ``metric`` passes one fixed pair matrix per train and
-    ``evaluation.knn_neighbors`` keeps its own batch-independent form.
+    ``metric`` passes one fixed pair matrix per train, and
+    ``evaluation.knn_neighbors`` uses its own BLAS screen only to choose
+    candidates, then ranks them by row-wise distances that do not depend on
+    the batch.
     ``perfbench/tracing.py`` wraps this by name and reads ``rows`` from args[1].
     """
     rows = np.asarray(rows, dtype=float)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -318,6 +320,98 @@ class TestKnnNeighbors:
             knn_neighbors(w, np.ones((3, 2)), np.ones((1, 3)), 1)
         with pytest.raises(DimensionMismatchError):
             knn_neighbors(w, np.ones((3, 3)), np.ones((1, 3)), 1)
+
+
+def per_query_neighbors(w, feats, queries, k):
+    """The per-query ranking that ``knn_neighbors`` did before its blocked
+    screen, frozen as an oracle: each query's full distance row, partitioned
+    to the k-th distance, then the candidates at or below it stable-sorted."""
+    chol = np.linalg.cholesky(w.mat)
+    z_train = np.einsum("ij,jk->ik", feats, chol)
+    z_queries = np.einsum("ij,jk->ik", np.atleast_2d(queries), chol)
+    out = np.empty((z_queries.shape[0], k), dtype=np.intp)
+    diffs = np.empty_like(z_train)
+    dist = np.empty(z_train.shape[0])
+    for i, z_q in enumerate(z_queries):
+        np.subtract(z_train, z_q, out=diffs)
+        np.einsum("ij,ij->i", diffs, diffs, out=dist)
+        cand = (dist <= np.partition(dist, k - 1)[k - 1]).nonzero()[0]
+        out[i] = cand[dist[cand].argsort(kind="stable")[:k]]
+    return out
+
+
+@st.composite
+def screen_case(draw):
+    """Queries on both sides of the block edges, with exact ties (integer
+    grids, duplicated rows), near-ties (queries 1e-9 off a training row) and
+    scales 1e-3..1e3, under the identity or a random SPD metric."""
+    n_query = draw(st.sampled_from([1, 31, 32, 33, 65]))
+    dim = draw(st.integers(1, 24))
+    n_train = draw(st.integers(1, 80))
+    k = draw(st.integers(1, n_train))
+    kind = draw(st.sampled_from(["grid", "duplicates", "near", "continuous"]))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        feats = rng.integers(-2, 3, size=(n_train, dim)).astype(float)
+        queries = rng.integers(-2, 3, size=(n_query, dim)).astype(float)
+    else:
+        feats = rng.normal(size=(n_train, dim))
+        if kind == "duplicates":
+            feats = feats[rng.integers(0, max(1, n_train // 3), n_train)]
+        queries = rng.normal(size=(n_query, dim))
+        if kind == "near":
+            queries = feats[rng.integers(0, n_train, n_query)] + 1e-9 * queries
+        feats, queries = scale * feats, scale * queries
+    if draw(st.booleans()):
+        w = SpdMatrix.identity(dim)
+    else:
+        w = random_case(int(rng.integers(2**32)), dim, 1, 1)[0]
+    return w, feats, queries, k
+
+
+class TestKnnScreen:
+    @settings(max_examples=300, deadline=None)
+    @given(case=screen_case())
+    def test_matches_per_query_ranking_bitwise(self, case):
+        w, feats, queries, k = case
+        assert np.array_equal(knn_neighbors(w, feats, queries, k),
+                              per_query_neighbors(w, feats, queries, k))
+
+    def test_overflowing_screen_matches_per_query_ranking(self):
+        # Rows near 1e155 overflow the screen's q.x (and some exact
+        # distances, which then tie at inf and go to the lower index).
+        rng = np.random.default_rng(3)
+        feats = rng.normal(size=(50, 4))
+        feats[::3] *= 1e155
+        queries = np.vstack([feats[:33], rng.normal(size=(7, 4))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(feats @ feats.T).all()
+        for k in (1, 10, 50):
+            assert np.array_equal(knn_neighbors(SpdMatrix.identity(4), feats, queries, k),
+                                  per_query_neighbors(SpdMatrix.identity(4), feats, queries, k))
+
+    def test_continuous_data_skips_the_per_query_ranking(self, monkeypatch):
+        # Without ties at the k-th distance every query's screened k are
+        # provably the answer; a margin grown too wide would rank per query.
+        calls = []
+        monkeypatch.setattr("rpdml.evaluation._k_smallest", lambda *a: calls.append(a))
+        w, feats, queries = random_case(5, 20, 300, 100)
+        knn_neighbors(w, feats, queries, 10)
+        assert calls == []
+
+    def test_peak_memory_stays_flat(self):
+        # A full 2000 x 2000 distance matrix would be 32 MB; the blocked
+        # screen holds a few (KNN_BLOCK, n_train) arrays at a time.
+        rng = np.random.default_rng(0)
+        feats, queries = rng.normal(size=(2000, 20)), rng.normal(size=(2000, 20))
+        tracemalloc.start()
+        try:
+            knn_neighbors(SpdMatrix.identity(20), feats, queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 @st.composite
