@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -139,58 +141,89 @@ def _read_header(reader, path: str | Path, required: tuple[str, ...]) -> list[st
     return header
 
 
-def _rows(reader, path: str | Path, width: int):
-    """(file line, fields) of each nonempty data row, checked to have one field
-    per header column; a file without data rows is rejected."""
-    empty = True
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != width:
-            raise ConfigError(
-                f"{path}: line {reader.line_num} has {len(row)} fields, header has {width}"
-            )
-        empty = False
-        yield reader.line_num, row
-    if empty:
-        raise ConfigError(f"{path}: no data rows")
+def _feature_cols(header: list[str]) -> list[int]:
+    return [i for i, c in enumerate(header) if c.startswith("f_")]
 
 
-def _floats(path: str | Path, line: int, header: list[str], row: list[str],
-            cols: list[int]) -> list[float]:
-    """The fields ``row[i]`` for ``i`` in ``cols`` as floats; the first one that
-    is not a finite number (nan, inf or unparseable) is rejected with its line
-    and column."""
-    values = []
-    for i in cols:
+def _raise_first_fault(path: str | Path, header: list[str], cols: list[int],
+                       key_names: tuple[str, ...] | None = None):
+    """Walk the data rows again, one at a time, and raise the first fault in
+    file order: a row whose field count differs from the header's, a ``cols``
+    cell that is not a finite number (nan, inf or unparseable), or, given
+    ``key_names``, a row whose fields in those columns an earlier row had."""
+    key = operator.itemgetter(*map(header.index, key_names)) if key_names else None
+    first_line = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in filter(None, reader):
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"{path}: line {line} has {len(row)} fields, header has {len(header)}"
+                )
+            for i in cols:
+                try:
+                    value = float(row[i])
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"{path}: line {line}, column {header[i]}: {row[i]!r} is not a finite number"
+                    )
+            if key and first_line.setdefault(key(row), line) != line:
+                held = ", ".join(f"{n} {v!r}" for n, v in zip(key_names, key(row)))
+                raise ConfigError(f"{path}: lines {first_line[key(row)]} and {line} both hold {held}")
+    raise ConfigError(f"{path}: changed while it was read")
+
+
+def _read_rows(path: str | Path, required: tuple[str, ...], key_names: tuple[str, ...],
+               value_cols, unique_keys: bool = False) -> tuple[list, Array]:
+    """(keys, values) of a CSV file's data rows, in file order: ``keys`` holds
+    each row's fields in the ``key_names`` columns (one field for one name, a
+    tuple for more), ``values`` the (n_rows, n_cols) floats of the columns
+    ``value_cols(header)``.  Blank lines are skipped.
+
+    One streamed pass: each row's cells are picked by an ``itemgetter`` and
+    chained into one ``map(float, ...)`` that ``np.fromiter`` collects, then
+    one ``np.isfinite`` checks them all.  Only the keys are kept, not the
+    rows.  On any fault, or a repeated key when ``unique_keys``, the file is
+    walked again (``_raise_first_fault``) to name the first fault in file
+    order; a file without data rows is rejected.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path, required)
+        cols = value_cols(header)
+        width = len(header)
+        key = operator.itemgetter(*map(header.index, key_names))
+        pick = operator.itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
+        keys = []
+
+        def picked():
+            for row in filter(None, reader):
+                if len(row) != width:
+                    raise ValueError("ragged row")
+                keys.append(key(row))
+                yield pick(row)
+
         try:
-            value = float(row[i])
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ConfigError(
-                f"{path}: line {line}, column {header[i]}: {row[i]!r} is not a finite number"
-            )
-        values.append(value)
-    return values
+            values = np.fromiter(map(float, chain.from_iterable(picked())), dtype=float)
+        except ValueError:  # a ragged row or a cell float() cannot read
+            values = None
+    repeated = unique_keys and len(set(keys)) < len(keys)
+    if values is None or repeated or not np.isfinite(values).all():
+        _raise_first_fault(path, header, cols, key_names if unique_keys else None)
+    if not keys:
+        raise ConfigError(f"{path}: no data rows")
+    return keys, values.reshape(-1, len(cols))
 
 
 def read_labeled_csv(path: str | Path) -> LabeledDataset:
     """Load columns (label, target, f_0..); a target or feature that is not a
     finite number is rejected."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path, ("label", "target"))
-        label_col = header.index("label")
-        cols = [header.index("target")] + [i for i, c in enumerate(header) if c.startswith("f_")]
-        labels = []
-
-        def fields():  # one growing float buffer, not a list of floats per row
-            for line, row in _rows(reader, path, len(header)):
-                labels.append(row[label_col])
-                yield from _floats(path, line, header, row, cols)
-
-        values = np.fromiter(fields(), dtype=float).reshape(-1, len(cols))
+    labels, values = _read_rows(path, ("label", "target"), ("label",),
+                                lambda h: [h.index("target")] + _feature_cols(h))
     return LabeledDataset(values[:, 1:].copy(), np.array(labels), values[:, 0].copy())
 
 
@@ -211,24 +244,23 @@ def write_panel_csv(data: PanelDataset, path: str | Path) -> None:
 
 def read_panel_csv(path: str | Path) -> PanelDataset:
     """Load a panel from CSV columns (period, asset_id, f_0.., next_return);
-    a feature or next return that is not a finite number is rejected."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path, ("period", "asset_id", "next_return"))
-        period_col, asset_col = header.index("period"), header.index("asset_id")
-        cols = [i for i, c in enumerate(header) if c.startswith("f_")] + [header.index("next_return")]
-        by_period: dict[str, list] = {}
-        for line, row in _rows(reader, path, len(header)):
-            by_period.setdefault(row[period_col], []).append((line, row))
-    periods = []
-    for label in sorted(by_period):
-        entries = sorted(by_period[label], key=lambda e: e[1][asset_col])
-        values = np.array([_floats(path, line, header, row, cols) for line, row in entries])
+    a feature or next return that is not a finite number, or a second row
+    for one (period, asset_id), is rejected."""
+    keys, values = _read_rows(path, ("period", "asset_id", "next_return"), ("period", "asset_id"),
+                              lambda h: _feature_cols(h) + [h.index("next_return")],
+                              unique_keys=True)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    values = values[order]
+    periods, start = [], 0
+    for label, group in groupby((keys[i] for i in order), key=operator.itemgetter(0)):
+        asset_ids = [asset for _, asset in group]
+        block = values[start:start + len(asset_ids)]
+        start += len(asset_ids)
         periods.append(PanelPeriod(
             label=label,
-            asset_ids=[row[asset_col] for _, row in entries],
-            features=values[:, :-1].copy(),
-            next_returns=values[:, -1].copy(),
+            asset_ids=asset_ids,
+            features=block[:, :-1].copy(),
+            next_returns=block[:, -1].copy(),
         ))
     return PanelDataset(periods)
 

@@ -80,6 +80,13 @@ def _k_smallest(dist: Array, k: int) -> Array:
     return cand[dist[cand].argsort(kind="stable")[:k]]
 
 
+def _partition(screen: Array, k: int) -> tuple[Array, Array]:
+    """Positions of each row's k smallest values, ascending, and the row's
+    (k + 1)-th smallest value, from one ``argpartition`` at ``kth=k``."""
+    part = np.argpartition(screen, k, axis=1)
+    return np.sort(part[:, :k], axis=1), screen[np.arange(screen.shape[0]), part[:, k]]
+
+
 def knn_neighbors(w: SpdMatrix, train_features: Array, queries: Array, k: int) -> Array:
     """Row indices of the k nearest training rows of every query, nearest first.
 
@@ -92,21 +99,35 @@ def knn_neighbors(w: SpdMatrix, train_features: Array, queries: Array, k: int) -
     lower row index even when more than k rows tie at the k-th distance.
 
     Queries are ranked in blocks of ``KNN_BLOCK``.  A block's screen is one
-    BLAS product, giving approximate distances |q|^2 + |x|^2 - 2 q.x, and
-    each query keeps its k smallest.  Their exact distances are computed, and
-    tau is the largest.  Both the screen and the exact sum err from the true
-    distance by at most about (d + 2) u (|q| + |x|)^2 (u = eps / 2: each of
-    the d + 2 roundings of a sum, in any order, with FMA or not, errs by u
-    times at most (|q| + |x|)^2), plus underflow, so the margin
-    m = 8 (d + 4) (eps (|q| + max |x|)^2 + the smallest subnormal) covers
-    both: a row screened above tau + m has an exact distance above tau, and
-    cannot be among the k.  When exactly k rows screen at or below tau + m,
-    those k are the answer, ranked by exact distance.  Otherwise (ties or
-    near-ties at the k-th distance) the query ranks the exact distances of
-    those candidates on its own, or of every row when its screen is not
-    finite (an overflow, from |z| ~ 1e154 on).  The screen only chooses which
-    exact distances are ranked, never the answer, so a query's neighbors do
-    not depend on the other queries of the batch or on the BLAS.
+    BLAS product, into one reused buffer, of the rows [-2 q, 1] with the
+    (d + 1, n_train) basis [x^T; |x|^2], built once per call and also where
+    the transformed training rows are kept.  It gives s(x) = |x|^2 - 2 q.x
+    (the scaling by -2 is exact): the distance less |q|^2, which is the same
+    along a query's row.  One partition at ``kth=k`` gives each query its k
+    screened rows and its (k + 1)-th screen value.  The screened rows' exact
+    distances are computed, and tau is the largest.
+
+    The margin.  With u = eps / 2 and R = (|q| + max |x|)^2, a rounded sum of
+    n products, in any order and with FMA or not, errs by at most n u times
+    the sum of the terms' sizes, plus n half-subnormals of underflow.  The
+    screen (d + 1 terms, one of them |x|^2 rounded over d terms) and the
+    rounded |q|^2 (d terms) err from the true distance by about (2 d + 1) u R;
+    the exact distance (d + 2 roundings of nonnegative terms) by (d + 2) u R;
+    the threshold tau - |q|^2 + m by 2 u R, one rounding per operation.
+    Underflow adds at most 2 d smallest subnormals.  So m = 8 (d + 4)
+    (eps R + the smallest subnormal) covers the (3 d + 5) u R of the three:
+    a row screened above the threshold has an exact distance above tau, and
+    cannot be among the k.
+
+    When the (k + 1)-th screen value is above the threshold, the k screened
+    rows are the answer, ranked by exact distance (with k equal to n_train
+    every row is, and there is no screen).  Otherwise (ties or near-ties at
+    the k-th distance) the query ranks on its own the exact distances of the
+    rows screened at or below the threshold, or of every row when R is not
+    below a quarter of the largest float (a screen that could overflow, from
+    |z| ~ 1e154 on).  The screen only chooses which exact distances are
+    ranked, never the answer, so a query's neighbors do not depend on the
+    other queries of the batch or on the BLAS.
 
     A transformed row that is not finite raises ``NumericError``.  Returns an
     (n_queries, k) int array.
@@ -131,28 +152,40 @@ def knn_neighbors(w: SpdMatrix, train_features: Array, queries: Array, k: int) -
     sq_train = np.einsum("ij,ij->i", z_train, z_train)
     sq_queries = np.einsum("ij,ij->i", z_queries, z_queries)
     finfo = np.finfo(float)
-    with np.errstate(over="ignore"):  # an overflow gives an inf margin: no fast path
-        reach = (np.sqrt(sq_queries) + np.sqrt(sq_train.max())) ** 2
-        margins = 8 * (dim + 4) * (finfo.eps * reach + finfo.smallest_subnormal)
+    # The screen's basis [x^T; |x|^2] holds the transformed training rows
+    # once: z_train becomes a view of it.
+    basis = np.empty((dim + 1, n_train))
+    basis[:dim] = z_train.T
+    basis[dim] = sq_train
+    z_train = basis[:dim].T
+    augmented = np.ones((KNN_BLOCK, dim + 1))
+    screen = np.empty((KNN_BLOCK, n_train))
+    lanes = np.arange(KNN_BLOCK)
     out = np.empty((z_queries.shape[0], k), dtype=np.intp)
-    for start in range(0, z_queries.shape[0], KNN_BLOCK):
-        block = slice(start, start + KNN_BLOCK)
-        z_q = z_queries[block]
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row ranks every row
-            approx = z_q @ z_train.T
-            approx *= -2.0
-            approx += sq_queries[block, None]
-            approx += sq_train
-        screened = np.sort(np.argpartition(approx, k - 1, axis=1)[:, :k], axis=1)
-        exact = _sq_distances(z_train[screened], z_q[:, None]).reshape(screened.shape)
-        inside = approx <= (exact.max(axis=1) + margins[block])[:, None]
-        counts = inside.sum(axis=1)
-        finite = np.isfinite(approx).all(axis=1)
-        order = exact.argsort(axis=1, kind="stable")
-        out[block] = np.take_along_axis(screened, order, axis=1)
-        for i in np.flatnonzero(~finite | (counts != k)):
-            cand = inside[i].nonzero()[0] if finite[i] and counts[i] > k else np.arange(n_train)
-            out[start + i] = cand[_k_smallest(_sq_distances(z_train[cand], z_q[i]), k)]
+    # A query whose screen could overflow is ranked over every row instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = (np.sqrt(sq_queries) + np.sqrt(sq_train.max())) ** 2
+        offsets = 8 * (dim + 4) * (finfo.eps * reach + finfo.smallest_subnormal) - sq_queries
+        screenable = reach < finfo.max / 4
+        for start in range(0, z_queries.shape[0], KNN_BLOCK):
+            block = slice(start, start + KNN_BLOCK)
+            z_q = z_queries[block]
+            n_q = z_q.shape[0]
+            if k == n_train:
+                screened = np.broadcast_to(np.arange(n_train), (n_q, k))
+            else:
+                np.multiply(z_q, -2.0, out=augmented[:n_q, :dim])
+                np.matmul(augmented[:n_q], basis, out=screen[:n_q])
+                screened, following = _partition(screen[:n_q], k)
+            exact = _sq_distances(z_train[screened], z_q[:, None]).reshape(screened.shape)
+            out[block] = screened[lanes[:n_q, None], exact.argsort(axis=1, kind="stable")]
+            if k == n_train:
+                continue
+            threshold = exact.max(axis=1) + offsets[block]
+            for i in (~(screenable[block] & (following > threshold))).nonzero()[0]:
+                rows = ((screen[i] <= threshold[i]).nonzero()[0] if screenable[start + i]
+                        else np.arange(n_train))
+                out[start + i] = rows[_k_smallest(_sq_distances(z_train[rows], z_q[i]), k)]
     return out
 
 
@@ -188,7 +221,7 @@ def knn_classify(train_labels: Array, neighbors: Array) -> list:
 def knn_accuracy(train_labels: Array, neighbors: Array, test_labels: Array) -> float:
     """Share of queries whose ``knn_classify`` vote equals their label."""
     test_labels = np.asarray(test_labels)
-    hits = sum(pred == lab for pred, lab in zip(knn_classify(train_labels, neighbors), test_labels))
+    hits = np.count_nonzero(np.asarray(knn_classify(train_labels, neighbors)) == test_labels)
     return hits / len(test_labels)
 
 

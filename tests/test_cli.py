@@ -424,6 +424,19 @@ class TestCsvHeaders:
                        "--outdir", str(tmp_path / "o")) == 1
         self._assert_clean_error(capsys, str(ragged), "line 4")
 
+    def test_repeated_panel_row(self, panel_csv, tmp_path, capsys):
+        # A second row for one (period, asset_id) would train and trade that
+        # asset twice.
+        repeated = tmp_path / "repeated.csv"
+        lines = panel_csv.read_text().splitlines()
+        repeated.write_text("\n".join(lines + [lines[4]]) + "\n")
+        period, asset = lines[4].split(",")[:2]
+        assert run_cli("backtest", "--seed", "1", "--data", str(repeated),
+                       "--outdir", str(tmp_path / "o"), "--metric", "euclidean") == 1
+        self._assert_clean_error(capsys, str(repeated), f"lines 5 and {len(lines) + 1} both hold "
+                                 f"period {period!r}, asset_id {asset!r}")
+        assert not (tmp_path / "o").exists()
+
 
 class TestNonFiniteCells:
     """A nan, inf or unparseable numeric cell is an input error naming file,

@@ -400,6 +400,22 @@ class TestKnnScreen:
         knn_neighbors(w, feats, queries, 10)
         assert calls == []
 
+    def test_k_equal_to_n_train_skips_the_per_query_ranking(self, monkeypatch):
+        # Every row is in the answer, so the screen has nothing to prove.
+        w, feats, queries = random_case(6, 20, 50, 40)
+        want = per_query_neighbors(w, feats, queries, 50)
+        calls = []
+        monkeypatch.setattr("rpdml.evaluation._k_smallest", lambda *a: calls.append(a))
+        assert np.array_equal(knn_neighbors(w, feats, queries, 50), want)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_backtest_window_shape_matches_per_query_ranking(self, seed):
+        # 40 training and 40 query assets, d=12, k=10: one backtest window.
+        w, feats, queries = random_case(seed, 12, 40, 40)
+        assert np.array_equal(knn_neighbors(w, feats, queries, 10),
+                              per_query_neighbors(w, feats, queries, 10))
+
     def test_peak_memory_stays_flat(self):
         # A full 2000 x 2000 distance matrix would be 32 MB; the blocked
         # screen holds a few (KNN_BLOCK, n_train) arrays at a time.
