@@ -25,6 +25,8 @@ TOY_BOUND = 1.0
 TOY_X0 = 2.0
 TOY_ALPHA = 0.001
 TOY_ETA0 = 2.0
+#: The toy optimum: with target > bound it sits on the boundary x = bound.
+TOY_OPTIMUM = (TOY_BOUND - TOY_TARGET) ** 2
 
 
 def scalar_distance_sq(a: float, b: float) -> float:
@@ -56,18 +58,6 @@ def scalar_toy_problem(target: float = TOY_TARGET, bound: float = TOY_BOUND) -> 
         constraint_count=1,
         inner_minimizer=inner_minimizer,
     )
-
-
-def grid_search_optimum(
-    target: float = TOY_TARGET,
-    bound: float = TOY_BOUND,
-    hi: float = 3.0,
-    resolution: float = 1e-4,
-) -> float:
-    """Brute-force optimum of the toy problem over the grid (0, hi]."""
-    xs = np.arange(resolution, hi + resolution / 2, resolution)
-    feasible = xs[xs <= bound]
-    return float(np.min((feasible - target) ** 2))
 
 
 def run_toy(T: int, alpha: float = TOY_ALPHA, eta0: float = TOY_ETA0, x0: float = TOY_X0) -> RunTrace:

@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,32 +59,6 @@ _NUMERIC_EXIT = 2
 #: Lines of a run's config.txt snapshot that are not options, accepted so a
 #: snapshot can be fed back through --config.
 _SNAPSHOT_ONLY_KEYS = {"command", "seed"}
-
-
-@dataclass
-class ExperimentConfig:
-    """Resolved parameters of one CLI invocation."""
-
-    command: str
-    params: dict
-    seed: int | None
-    input_paths: list[Path] = field(default_factory=list)
-
-    def validate(self) -> None:
-        for p in self.input_paths:
-            if not p.exists():
-                raise ConfigError(f"input path does not exist: {p}")
-
-    def snapshot_lines(self) -> list[str]:
-        lines = [f"command = {self.command}"]
-        if self.seed is not None:
-            lines.append(f"seed = {self.seed}")
-        for key in sorted(self.params):
-            lines.append(f"{key} = {self.params[key]}")
-        return lines
-
-    def write_snapshot(self, outdir: Path) -> None:
-        (outdir / "config.txt").write_text("\n".join(self.snapshot_lines()) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,13 +128,26 @@ def _layer_options(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
+def _check_inputs(*paths) -> None:
+    for p in paths:
+        if not Path(p).exists():
+            raise ConfigError(f"input path does not exist: {p}")
+
+
 def _resolve_outdir(args: argparse.Namespace, default: Path | None = None) -> Path:
+    """The run's output directory; it is created only when a file is written."""
     outdir = os.environ.get("RPDML_OUTPUT_DIR") or args.outdir or default
     if outdir is None:
         raise ConfigError("--outdir is required (or set RPDML_OUTPUT_DIR)")
-    path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(outdir)
+
+
+def _write_snapshot(outdir: Path, command: str, seed: int | None, opts: dict) -> None:
+    """Create the output directory and write config.txt, the resolved options."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    lines = [f"command = {command}"] + ([] if seed is None else [f"seed = {seed}"])
+    lines += [f"{key} = {opts[key]}" for key in sorted(opts)]
+    (outdir / "config.txt").write_text("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -179,8 +165,6 @@ _GEN_DEFAULTS = dict(
 
 def cmd_gen_data(args) -> int:
     opts = _layer_options(args, _GEN_DEFAULTS)
-    cfg = ExperimentConfig("gen-data", opts, args.seed)
-    cfg.validate()
     spec = SyntheticSpec(
         classes=opts["classes"], samples=opts["samples"], dim=opts["dim"],
         informative_dims=opts["informative_dims"], noise_scale=opts["noise_scale"],
@@ -229,10 +213,9 @@ def _split_dataset(ds, train_frac: float, seed: int):
 
 def cmd_train(args) -> int:
     opts = _layer_options(args, _TRAIN_DEFAULTS)
-    cfg = ExperimentConfig("train", opts, args.seed, [Path(args.data)])
-    cfg.validate()
-    ds = read_labeled_csv(args.data)
+    _check_inputs(args.data)
     outdir = _resolve_outdir(args)
+    ds = read_labeled_csv(args.data)
     feats = ds.features
     if opts["train_frac"] < 1.0:
         feats, labels, _, _, _, _ = _split_dataset(ds, opts["train_frac"], args.seed)
@@ -244,10 +227,10 @@ def cmd_train(args) -> int:
         model = train(feats, labels, _rpdml_config(opts, args.seed))
     except DivergedError as exc:
         # A failed run still records what ran and how far it got.
-        cfg.write_snapshot(outdir)
+        _write_snapshot(outdir, "train", args.seed, opts)
         exc.trace.write_jsonl(outdir / "trace.jsonl")
         raise
-    cfg.write_snapshot(outdir)
+    _write_snapshot(outdir, "train", args.seed, opts)
     model.save(outdir / "model.json")
     model.trace.write_jsonl(outdir / "trace.jsonl")
     last = model.trace.records[-1] if model.trace.records else None
@@ -270,29 +253,18 @@ _EVAL_DEFAULTS = dict(
 
 def cmd_eval(args) -> int:
     opts = _layer_options(args, _EVAL_DEFAULTS)
-    inputs = [Path(args.data)]
-    if opts["metric"] == "learned":
-        if not opts["model"]:
-            raise ConfigError("--model is required for --metric learned")
-        inputs.append(Path(opts["model"]))
-    cfg = ExperimentConfig("eval", opts, args.seed, inputs)
-    cfg.validate()
-    ds = read_labeled_csv(args.data)
+    if opts["metric"] == "learned" and not opts["model"]:
+        raise ConfigError("--model is required for --metric learned")
+    _check_inputs(args.data, *([opts["model"]] if opts["metric"] == "learned" else []))
     outdir = _resolve_outdir(args)
-    xtr, ytr, ttr, xte, yte, tte = _split_dataset(ds, opts["train_frac"], args.seed)
+    xtr, ytr, ttr, xte, yte, tte = _split_dataset(
+        read_labeled_csv(args.data), opts["train_frac"], args.seed)
     if len(yte) < 2:
         raise ConfigError("test split too small; lower --train-frac")
     if opts["normalize"]:
         xtr, stats = normalize_features(xtr)
         xte = stats.apply(xte)
-    if opts["metric"] == "euclidean":
-        w = euclidean_metric(xtr)
-    elif opts["metric"] == "mahalanobis":
-        w = mahalanobis_metric(xtr)
-    else:
-        w = MetricModel.load(opts["model"]).w
-        if w.dim != xtr.shape[1]:
-            raise ConfigError(f"model dim {w.dim} != data dim {xtr.shape[1]}")
+    w = make_metric_provider(opts["metric"], opts, args.seed)(xtr, ttr)
     k = int(opts["k"])
     # One ranking serves both the accuracy and the IC.
     neighbors = knn_neighbors(w, xtr, xte, k)
@@ -306,7 +278,7 @@ def cmd_eval(args) -> int:
         "knn_accuracy": acc,
         "spearman_ic": ic,
     }
-    cfg.write_snapshot(outdir)
+    _write_snapshot(outdir, "eval", args.seed, opts)
     _write_json(outdir / "metrics.json", metrics)
     print(f"metric={opts['metric']} k={k}: accuracy={acc:.4f} IC={ic:.4f}")
     print(f"artifacts in {outdir}")
@@ -323,12 +295,21 @@ _BACKTEST_DEFAULTS = dict(
 
 
 def make_metric_provider(name: str, opts: dict, seed: int):
-    """Window-level metric factory for the backtest: ``euclidean``,
-    ``mahalanobis``, or (any other name) ``rpdml``."""
+    """Metric factory of eval and of the backtest's windows: ``euclidean``,
+    ``mahalanobis``, ``learned`` (the model file ``opts["model"]``), or (any
+    other name) ``rpdml``, trained on the features it is given."""
     if name == "euclidean":
         return lambda feats, rets: euclidean_metric(feats)
     if name == "mahalanobis":
         return lambda feats, rets: mahalanobis_metric(feats)
+    if name == "learned":
+        w = MetricModel.load(opts["model"]).w
+
+        def learned(feats, rets):
+            if w.dim != feats.shape[1]:
+                raise ConfigError(f"model dim {w.dim} != data dim {feats.shape[1]}")
+            return w
+        return learned
 
     def provider(feats, rets):
         # Two groups: assets above / below the window's median return.
@@ -339,36 +320,39 @@ def make_metric_provider(name: str, opts: dict, seed: int):
 
 def cmd_backtest(args) -> int:
     opts = _layer_options(args, _BACKTEST_DEFAULTS)
-    cfg = ExperimentConfig("backtest", opts, args.seed, [Path(args.data)])
-    cfg.validate()
-    panel = read_panel_csv(args.data)
+    for key in ("k", "top_n", "mdd_window"):
+        if opts[key] < 1:
+            raise ConfigError(f"--{key.replace('_', '-')} must be at least 1, got {opts[key]}")
+    _check_inputs(args.data)
     outdir = _resolve_outdir(args)
+    panel = read_panel_csv(args.data)
     provider = make_metric_provider(opts["metric"], opts, args.seed)
     k, top_n = int(opts["k"]), int(opts["top_n"])
     # One pass fits each window's metric once; the portfolio and the IC
     # series both come from the same predictions.
     preds = list(window_predictions(panel, provider, k=k, normalize=opts["normalize"]))
-    result = backtest_from_predictions(panel, preds, top_n, mdd_window=int(opts["mdd_window"]))
+    result = backtest_from_predictions(preds, top_n, mdd_window=int(opts["mdd_window"]))
     ics = rolling_ic(preds)
     summary = ic_summary(ics)
     undefined = [label for label, ic in ics if ic is None]
     if undefined:
         print(f"IC undefined (constant predictions or returns), left out: {', '.join(undefined)}")
-    cfg.write_snapshot(outdir)
+    res = result.to_json_dict()
+    _write_snapshot(outdir, "backtest", args.seed, opts)
     result.save(outdir / "result.json")
     _write_json(outdir / "metrics.json", {
         "metric": opts["metric"],
         "k": k,
         "top_n": top_n,
-        "final_return": result.to_json_dict()["final_return"],
-        "max_drawdown": result.to_json_dict()["max_drawdown"],
+        "final_return": res["final_return"],
+        "max_drawdown": res["max_drawdown"],
         **summary,
     })
     ic = ("undefined" if summary["ic_mean"] is None
           else f"{summary['ic_mean']:.4f}±{summary['ic_std']:.4f}")
     print(
         f"backtest metric={opts['metric']}: periods={len(result.period_labels)} "
-        f"final_return={result.to_json_dict()['final_return']:.4f} IC={ic}"
+        f"final_return={res['final_return']:.4f} IC={ic}"
     )
     print(f"artifacts in {outdir}")
     return 0
@@ -384,15 +368,13 @@ _BENCH_DEFAULTS = dict(
 
 def cmd_bench_convergence(args) -> int:
     opts = _layer_options(args, _BENCH_DEFAULTS)
-    cfg = ExperimentConfig("bench-convergence", opts, None)
-    cfg.validate()
+    outdir = _resolve_outdir(args)
     T = int(opts["T"])
     lower, upper = step_sum_bounds(T)  # rejects T < 1 before anything is written
     trace = benchmarks.run_toy(T, alpha=opts["alpha"], eta0=opts["eta0"], x0=opts["x0"])
-    f_star = benchmarks.grid_search_optimum()
+    f_star = benchmarks.TOY_OPTIMUM
     rows = benchmarks.convergence_rows(trace, f_star, opts["alpha"], x0=opts["x0"])
-    outdir = _resolve_outdir(args)
-    cfg.write_snapshot(outdir)
+    _write_snapshot(outdir, "bench-convergence", None, opts)
     trace.write_jsonl(outdir / "trace.jsonl", rows=rows)
     # The envelope is for the unit schedule 1/sqrt(t+1); check the run's own steps.
     etas = trace.etas() / opts["eta0"]
@@ -411,38 +393,29 @@ def cmd_bench_convergence(args) -> int:
 
 def cmd_export_plots(args) -> int:
     run_dir = Path(args.run)
-    cfg = ExperimentConfig("export-plots", {"run": str(run_dir)}, None, [run_dir])
-    cfg.validate()
+    _check_inputs(run_dir)
     outdir = _resolve_outdir(args, run_dir / "plots")
-    wrote = []
+    # (file name, header, (x, y) rows) of every series the run's artifacts hold.
+    series = []
     trace_path = run_dir / "trace.jsonl"
     if trace_path.exists():
         rows = [json.loads(line) for line in trace_path.read_text().splitlines() if line]
-        for key in ("f", "h_violation", "dual_norm"):
-            path = outdir / f"{key}.csv"
-            with open(path, "w") as fh:
-                fh.write(f"t,{key}\n")
-                for r in rows:
-                    fh.write(f"{r['t']},{r[key]!r}\n")
-            wrote.append(path.name)
+        series += [(f"{key}.csv", f"t,{key}", [(r["t"], r[key]) for r in rows])
+                   for key in ("f", "h_violation", "dual_norm")]
     result_path = run_dir / "result.json"
     if result_path.exists():
         res = json.loads(result_path.read_text())
-        series = [
+        series += [
             ("cumulative.csv", "period,cumulative", zip(res["periods"], res["cumulative"])),
             ("rolling_mdd.csv", "period,rolling_mdd", zip(res["periods"], res["rolling_mdd"])),
             ("annual_returns.csv", "year,annual_return", sorted(res["annual_returns"].items())),
         ]
-        for name, header, rows_ in series:
-            path = outdir / name
-            with open(path, "w") as fh:
-                fh.write(header + "\n")
-                for a, b in rows_:
-                    fh.write(f"{a},{b!r}\n")
-            wrote.append(path.name)
-    if not wrote:
+    if not series:
         raise ConfigError(f"nothing to export in {run_dir} (no trace.jsonl or result.json)")
-    print(f"wrote {', '.join(wrote)} to {outdir}")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, header, pairs in series:
+        (outdir / name).write_text("".join([header + "\n"] + [f"{a},{b!r}\n" for a, b in pairs]))
+    print(f"wrote {', '.join(name for name, _, _ in series)} to {outdir}")
     return 0
 
 

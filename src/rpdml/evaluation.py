@@ -277,9 +277,9 @@ def rolling_max_drawdown(cumulative_values: Array, window: int = 4) -> Array:
     ])
 
 
-def _annual_groups(labels: Sequence[str], periods_per_year: int) -> dict[str, list[int]]:
+def _annual_groups(labels: Sequence[str]) -> dict[str, list[int]]:
     """Group period indices by the year embedded in the label, or by
-    consecutive chunks when no year is recognizable."""
+    consecutive chunks of four (quarterly) periods when no year is recognizable."""
     years = [re.search(r"\d{4}", str(lab)) for lab in labels]
     groups: dict[str, list[int]] = {}
     if all(y is not None for y in years):
@@ -287,7 +287,7 @@ def _annual_groups(labels: Sequence[str], periods_per_year: int) -> dict[str, li
             groups.setdefault(y.group(), []).append(i)
     else:
         for i in range(len(labels)):
-            groups.setdefault(f"year_{i // periods_per_year + 1}", []).append(i)
+            groups.setdefault(f"year_{i // 4 + 1}", []).append(i)
     return groups
 
 
@@ -322,11 +322,9 @@ def window_predictions(
 
 
 def backtest_from_predictions(
-    data: PanelDataset,
     predictions: Sequence[tuple[PanelPeriod, Array | None, bool]],
     top_n: int,
     mdd_window: int = 4,
-    periods_per_year: int = 4,
 ) -> PortfolioResult:
     """Form equal-weight top-N portfolios from per-period predictions.
 
@@ -338,8 +336,8 @@ def backtest_from_predictions(
         if skip or preds is None:
             skipped.append(period.label)
             continue
-        if top_n > len(period.asset_ids):
-            raise ConfigError(f"top_n={top_n} exceeds {len(period.asset_ids)} assets")
+        if not 1 <= top_n <= len(period.asset_ids):
+            raise ConfigError(f"top_n={top_n} out of range for {len(period.asset_ids)} assets")
         order = sorted(
             range(len(period.asset_ids)),
             key=lambda i: (-preds[i], period.asset_ids[i]),
@@ -352,7 +350,7 @@ def backtest_from_predictions(
     wealth = 1.0 + cumulative
     mdd = rolling_max_drawdown(wealth, mdd_window) if returns.size else np.array([])
     annual = {}
-    for year, idxs in _annual_groups(labels, periods_per_year).items():
+    for year, idxs in _annual_groups(labels).items():
         annual[year] = float(np.prod(1.0 + returns[idxs]) - 1.0)
     return PortfolioResult(
         period_labels=labels,

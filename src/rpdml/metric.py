@@ -219,6 +219,9 @@ class MetricModel:
     @classmethod
     def load(cls, path: str | Path) -> "MetricModel":
         obj = json.loads(Path(path).read_text())
+        missing = [key for key in ("dim", "w", "w0", "u", "l") if key not in obj]
+        if missing:
+            raise ConfigError(f"model file {path} lacks key(s): {', '.join(missing)}")
         n = int(obj["dim"])
 
         def matrix(key: str) -> SpdMatrix:

@@ -314,7 +314,7 @@ def test_criterion_9_backtest_arithmetic():
     ]
     panel = PanelDataset(periods)
     preds = [(p, np.array([2.0, 2.0, 1.0]), False) for p in periods[1:]]
-    result = backtest_from_predictions(panel, preds, top_n=2)
+    result = backtest_from_predictions(preds, top_n=2)
     # prediction tie between a and b resolves by asset id: select a, b
     exp0, exp1 = (0.30 - 0.10) / 2.0, (0.02 + 0.08) / 2.0
     select_ok = (abs(result.period_returns[0] - exp0) <= 1e-12
@@ -324,8 +324,8 @@ def test_criterion_9_backtest_arithmetic():
 
     oracle = [(p, p.next_returns.copy(), False) for p in periods[1:]]
     constant = [(p, np.zeros(3), False) for p in periods[1:]]
-    r_oracle = backtest_from_predictions(panel, oracle, top_n=1)
-    r_const = backtest_from_predictions(panel, constant, top_n=1)
+    r_oracle = backtest_from_predictions(oracle, top_n=1)
+    r_const = backtest_from_predictions(constant, top_n=1)
     dominance_ok = r_oracle.cumulative[-1] >= r_const.cumulative[-1]
 
     ok = acc_ok and mdd_ok and select_ok and cum_ok and dominance_ok

@@ -88,6 +88,34 @@ class TestTrainEval:
                        "--outdir", str(tmp_path / "e"), "--metric", "learned")
         assert code == 1
 
+    def test_model_of_wrong_dim_leaves_no_outdir(self, labeled_csv, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        eye = [1.0, 0.0, 0.0, 1.0]
+        model.write_text(json.dumps({"dim": 2, "w": eye, "w0": eye, "u": 1.0, "l": 2.0}))
+        outdir = tmp_path / "e"
+        assert run_cli("eval", "--seed", "7", "--data", str(labeled_csv), "--outdir", str(outdir),
+                       "--metric", "learned", "--model", str(model)) == 1
+        assert "model dim 2 != data dim 6" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_model_missing_key_is_an_input_error(self, labeled_csv, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"dim": 2}))
+        outdir = tmp_path / "e"
+        assert run_cli("eval", "--seed", "7", "--data", str(labeled_csv), "--outdir", str(outdir),
+                       "--metric", "learned", "--model", str(model)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(model) in err and "w, w0, u, l" in err
+        assert not outdir.exists()
+
+    def test_k_above_training_rows_leaves_no_outdir(self, labeled_csv, tmp_path, capsys):
+        # 80 rows at --train-frac 0.5 leave 40 training rows.
+        outdir = tmp_path / "e"
+        assert run_cli("eval", "--seed", "7", "--data", str(labeled_csv), "--outdir", str(outdir),
+                       "--metric", "euclidean", "--k", "500") == 1
+        assert "k=500 out of range for 40 training rows" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_prox_mode_flag_is_a_usage_error(self, labeled_csv, tmp_path):
         # The W step is always the proximal one; there is no mode to pick.
         run_dir = tmp_path / "run"
@@ -150,6 +178,28 @@ class TestBacktest:
         out = capsys.readouterr().out
         assert "IC undefined" in out and all(lab in out for lab in result["periods"])
         assert "IC=undefined" in out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--top-n", "-1"), ("--top-n", "0"), ("--top-n", "-20"), ("--k", "0"), ("--k", "-3"),
+        ("--mdd-window", "0"),
+    ])
+    def test_count_below_one_is_rejected_before_any_window(
+            self, panel_csv, tmp_path, capsys, monkeypatch, flag, value):
+        def no_window(*args, **kwargs):
+            raise AssertionError("a window ran")
+        monkeypatch.setattr(cli, "window_predictions", no_window)
+        outdir = tmp_path / "bt"
+        assert run_cli("backtest", "--seed", "7", "--data", str(panel_csv),
+                       "--outdir", str(outdir), flag, value) == 1
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_top_n_above_assets_leaves_no_outdir(self, panel_csv, tmp_path, capsys):
+        outdir = tmp_path / "bt"
+        assert run_cli("backtest", "--seed", "7", "--data", str(panel_csv), "--outdir",
+                       str(outdir), "--metric", "euclidean", "--k", "5", "--top-n", "21") == 1
+        assert "top_n=21 out of range for 20 assets" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_one_period_panel_is_rejected(self, tmp_path, capsys):
         # A one-period panel has no training window before its only period.

@@ -552,7 +552,7 @@ class TestMaxDrawdown:
 def run_backtest(panel, provider, k, top_n, normalize=True):
     """The pipeline of ``rpdml backtest``: window predictions, then top-N trades."""
     preds = list(window_predictions(panel, provider, k=k, normalize=normalize))
-    return backtest_from_predictions(panel, preds, top_n)
+    return backtest_from_predictions(preds, top_n)
 
 
 class TestRollingBacktest:
@@ -591,7 +591,7 @@ class TestRollingBacktest:
         ]
         panel = make_panel(periods)
         preds = [(p, p.next_returns.copy(), False) for p in panel.periods[1:]]
-        result = backtest_from_predictions(panel, preds, top_n=1)
+        result = backtest_from_predictions(preds, top_n=1)
         for i, p in enumerate(panel.periods[1:]):
             assert result.period_returns[i] == pytest.approx(np.max(p.next_returns))
 
@@ -600,9 +600,16 @@ class TestRollingBacktest:
         periods = [(f"p{i}", rng.normal(size=(5, 2)), rng.uniform(-0.1, 0.2, 5)) for i in range(3)]
         panel = make_panel(periods)
         preds = [(p, np.zeros(5), False) for p in panel.periods[1:]]
-        result = backtest_from_predictions(panel, preds, top_n=2)
+        result = backtest_from_predictions(preds, top_n=2)
         for i, p in enumerate(panel.periods[1:]):
             assert result.period_returns[i] == pytest.approx(np.mean(p.next_returns[:2]))
+
+    @pytest.mark.parametrize("top_n", [-1, 0, 3])
+    def test_top_n_outside_one_to_assets_is_rejected(self, top_n):
+        panel = self._two_period_panel()
+        preds = [(panel.periods[1], np.array([0.05, -0.02]), False)]
+        with pytest.raises(ConfigError, match=f"top_n={top_n} out of range for 2 assets"):
+            backtest_from_predictions(preds, top_n=top_n)
 
     def test_oracle_dominates_constant(self):
         rng = np.random.default_rng(7)
@@ -610,8 +617,8 @@ class TestRollingBacktest:
         panel = make_panel(periods)
         oracle = [(p, p.next_returns.copy(), False) for p in panel.periods[1:]]
         constant = [(p, np.zeros(8), False) for p in panel.periods[1:]]
-        r_oracle = backtest_from_predictions(panel, oracle, top_n=3)
-        r_const = backtest_from_predictions(panel, constant, top_n=3)
+        r_oracle = backtest_from_predictions(oracle, top_n=3)
+        r_const = backtest_from_predictions(constant, top_n=3)
         assert r_oracle.cumulative[-1] >= r_const.cumulative[-1]
 
     def test_small_window_is_skipped(self):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rpdml.errors import DimensionMismatchError, InvariantViolationError
+from rpdml.errors import ConfigError, DimensionMismatchError, InvariantViolationError
 from rpdml.manifold import (
     EPS_PD,
     SpdMatrix,
@@ -188,3 +188,10 @@ class TestSerialization:
                                     "w0": [1.0, 0.0, 0.0, 1.0], "u": 1.0, "l": 2.0}))
         with pytest.raises(DimensionMismatchError):
             MetricModel.load(path)
+
+    def test_json_missing_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"dim": 2, "w0": [1.0, 0.0, 0.0, 1.0], "u": 1.0, "l": 2.0}))
+        with pytest.raises(ConfigError) as exc:
+            MetricModel.load(path)
+        assert str(exc.value) == f"model file {path} lacks key(s): w"
