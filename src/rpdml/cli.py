@@ -35,7 +35,7 @@ from .data import (
     write_labeled_csv,
     write_panel_csv,
 )
-from .errors import ConfigError, DivergedError, NumericError, RpdmlError
+from .errors import ConfigError, DivergedError, NumericError, RpdmlError, require_keys
 from .evaluation import (
     backtest_from_predictions,
     euclidean_metric,
@@ -150,6 +150,11 @@ def _write_snapshot(outdir: Path, command: str, seed: int | None, opts: dict) ->
     (outdir / "config.txt").write_text("\n".join(lines) + "\n")
 
 
+def _check_train_frac(frac: float) -> None:
+    if not 0.0 < frac <= 1.0:
+        raise ConfigError(f"--train-frac must be in (0, 1], got {frac}")
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
@@ -213,6 +218,7 @@ def _split_dataset(ds, train_frac: float, seed: int):
 
 def cmd_train(args) -> int:
     opts = _layer_options(args, _TRAIN_DEFAULTS)
+    _check_train_frac(opts["train_frac"])
     _check_inputs(args.data)
     outdir = _resolve_outdir(args)
     ds = read_labeled_csv(args.data)
@@ -255,6 +261,7 @@ def cmd_eval(args) -> int:
     opts = _layer_options(args, _EVAL_DEFAULTS)
     if opts["metric"] == "learned" and not opts["model"]:
         raise ConfigError("--model is required for --metric learned")
+    _check_train_frac(opts["train_frac"])
     _check_inputs(args.data, *([opts["model"]] if opts["metric"] == "learned" else []))
     outdir = _resolve_outdir(args)
     xtr, ytr, ttr, xte, yte, tte = _split_dataset(
@@ -399,16 +406,20 @@ def cmd_export_plots(args) -> int:
     series = []
     trace_path = run_dir / "trace.jsonl"
     if trace_path.exists():
-        rows = [json.loads(line) for line in trace_path.read_text().splitlines() if line]
-        series += [(f"{key}.csv", f"t,{key}", [(r["t"], r[key]) for r in rows])
-                   for key in ("f", "h_violation", "dual_norm")]
+        keys = ("f", "h_violation", "dual_norm")
+        rows = [require_keys(json.loads(line), ("t",) + keys, f"{trace_path} line {i}")
+                for i, line in enumerate(trace_path.read_text().splitlines(), 1) if line]
+        series += [(f"{key}.csv", f"t,{key}", [(r[0], r[j]) for r in rows])
+                   for j, key in enumerate(keys, 1)]
     result_path = run_dir / "result.json"
     if result_path.exists():
-        res = json.loads(result_path.read_text())
+        periods, cumulative, mdd, annual = require_keys(
+            json.loads(result_path.read_text()),
+            ("periods", "cumulative", "rolling_mdd", "annual_returns"), str(result_path))
         series += [
-            ("cumulative.csv", "period,cumulative", zip(res["periods"], res["cumulative"])),
-            ("rolling_mdd.csv", "period,rolling_mdd", zip(res["periods"], res["rolling_mdd"])),
-            ("annual_returns.csv", "year,annual_return", sorted(res["annual_returns"].items())),
+            ("cumulative.csv", "period,cumulative", zip(periods, cumulative)),
+            ("rolling_mdd.csv", "period,rolling_mdd", zip(periods, mdd)),
+            ("annual_returns.csv", "year,annual_return", sorted(annual.items())),
         ]
     if not series:
         raise ConfigError(f"nothing to export in {run_dir} (no trace.jsonl or result.json)")

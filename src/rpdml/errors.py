@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the key check of the JSON readers."""
 
 
 class RpdmlError(Exception):
@@ -39,3 +39,11 @@ class DivergedError(NumericError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def require_keys(obj, keys, where: str) -> list:
+    """obj[key] for each key; a missing key is a ConfigError naming ``where``."""
+    missing = [key for key in keys if not isinstance(obj, dict) or key not in obj]
+    if missing:
+        raise ConfigError(f"{where} lacks key(s): {', '.join(missing)}")
+    return [obj[key] for key in keys]

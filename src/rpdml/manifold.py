@@ -17,7 +17,6 @@ closed-form W step of ``metric.inner_solve_w`` are all built from it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,18 +142,6 @@ def spd_logdet(w: SpdMatrix) -> float:
     return float(np.sum(np.log(np.linalg.eigvalsh(w.mat))))
 
 
-def logdet_divergence_raw(w: Array, ref_inv: Array, ref_logdet: float) -> float:
-    """d2(W, ref) of a raw matrix W, given the reference's inverse and logdet.
-
-    W need not be symmetric or SPD (so that J can be differentiated
-    numerically); a nonpositive determinant gives inf.
-    """
-    sign, logdet_w = np.linalg.slogdet(w)
-    if sign <= 0:
-        return math.inf
-    return float(np.einsum("ij,ji->", w, ref_inv)) - (logdet_w - ref_logdet) - w.shape[0]
-
-
 def logdet_divergence(w: SpdMatrix, w0: SpdMatrix) -> float:
     """LogDet divergence d2(W, W0); nonnegative, zero iff W == W0.
 
@@ -162,7 +149,8 @@ def logdet_divergence(w: SpdMatrix, w0: SpdMatrix) -> float:
     """
     if w.dim != w0.dim:
         raise DimensionMismatchError(f"dimension mismatch: {w.dim} vs {w0.dim}")
-    val = logdet_divergence_raw(w.mat, spd_inverse(w0).mat, spd_logdet(w0))
+    val = (float(np.einsum("ij,ji->", w.mat, spd_inverse(w0).mat))
+           - (spd_logdet(w) - spd_logdet(w0)) - w.dim)
     # The divergence is analytically nonnegative; round-off near W == W0 can
     # leave a tiny negative residue.
     return max(val, 0.0)

@@ -17,17 +17,20 @@ and its dual contraction <lam, dh/dW> = X.T diag(s * lam) X is one GEMM.
 Training is one run of the generic primal-dual loop (``solver.run``) on
 the primal point x = (W, xi) with objective and constraints
 
-    f(x) = d2(W, W0)/2 + c1/2 ||xi||^2,        [ h(W, xi) ; -xi ] <= 0,
+    f(x) = d2(W, W0)/2 + c1/2 ||xi||^2,        h(W, xi) <= 0,   xi >= 0,
 
-dual [lam; gamma] (lam for the distance constraints, gamma for slack
-nonnegativity) and dual regularizer alpha = c2.  The proximal primal step
-is closed form in both blocks, and the dual step is the solver's projected
-ascent:
+one dual lam for the distance constraints and dual regularizer alpha = c2.
+The proximal primal step is closed form in both blocks, and the dual step
+is the solver's projected ascent:
 
     W      <- argmin  d2(W, W0)/2 + <lam, h(W)> + d2(W, W_t)/(2 eta_t)
-    xi     <- [ (eta_t xi_t + gamma + lam * (u;l)) / (c1 + eta_t) ]_+
+    xi     <- [ (eta_t xi_t + lam * (u;l)) / (c1 + eta_t) ]_+
     lam    <- [ (1 - c2 eta_t) lam + eta_t h(W, xi) ]_+
-    gamma  <- [ (1 - c2 eta_t) gamma - eta_t xi ]_+
+
+The bound xi >= 0 needs no multiplier: one for -xi <= 0 would start at
+gamma_0 = 0 and step to [(1 - c2 eta_t) gamma_t - eta_t xi_{t+1}]_+, which
+is [-eta_t xi_{t+1}]_+ = 0 when gamma_t = 0 because the slack step projects
+xi_{t+1} >= 0.  By induction gamma stays 0; the projection keeps the bound.
 
 Dual and slack vectors are plain nonnegative ndarrays; nonnegativity is
 maintained by the updates themselves and recorded in the trace.
@@ -49,13 +52,13 @@ from .errors import (
     ConstraintBuildError,
     DimensionMismatchError,
     InnerSolveError,
+    require_keys,
 )
 from .manifold import (
     SpdMatrix,
     clip_spectrum,
     eigendecompose,
     from_spectrum,
-    logdet_divergence_raw,
     rowwise_quadratic,
     spd_inverse,
     spd_logdet,
@@ -219,9 +222,7 @@ class MetricModel:
     @classmethod
     def load(cls, path: str | Path) -> "MetricModel":
         obj = json.loads(Path(path).read_text())
-        missing = [key for key in ("dim", "w", "w0", "u", "l") if key not in obj]
-        if missing:
-            raise ConfigError(f"model file {path} lacks key(s): {', '.join(missing)}")
+        require_keys(obj, ("dim", "w", "w0", "u", "l"), f"model file {path}")
         n = int(obj["dim"])
 
         def matrix(key: str) -> SpdMatrix:
@@ -299,14 +300,8 @@ def compute_bounds(distances: Array, p_lo: float = 5.0, p_hi: float = 95.0) -> t
     return u, l
 
 
-def _constraint_values(w_mat: Array, xi: Array | float, pc: PairConstraints) -> Array:
-    """signs * (diag(X W X^T) - b) - b * xi over the stacked pair rows X."""
-    b = pc.bound_vector()
-    return pc.signs * (rowwise_quadratic(w_mat, pc.diffs) - b) - b * xi
-
-
 def eval_h(w: SpdMatrix, xi: Array, pc: PairConstraints) -> Array:
-    """Constraint vector [h_plus; h_minus] at metric w and slacks xi."""
+    """h = signs * (diag(X W X^T) - b) - b * xi over the stacked pair rows X."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (pc.n_constraints,):
         raise DimensionMismatchError(
@@ -314,7 +309,8 @@ def eval_h(w: SpdMatrix, xi: Array, pc: PairConstraints) -> Array:
         )
     if pc.dim != w.dim:
         raise DimensionMismatchError(f"pair dim {pc.dim} != metric dim {w.dim}")
-    return _constraint_values(w.mat, xi, pc)
+    b = pc.bound_vector()
+    return pc.signs * (rowwise_quadratic(w.mat, pc.diffs) - b) - b * xi
 
 
 def grad_h_contraction(lam: Array, pc: PairConstraints) -> Array:
@@ -328,47 +324,13 @@ def grad_h_contraction(lam: Array, pc: PairConstraints) -> Array:
     return sym((x * (pc.signs * lam)[:, None]).T @ x)
 
 
-def inner_objective(
-    w_mat: Array,
-    w_t: SpdMatrix,
-    lam: Array,
-    w0: SpdMatrix,
-    eta_t: float,
-    pc: PairConstraints,
-) -> float:
-    """Inner objective J(W) = d2(W, W0)/2 + <lam, h(W, 0)> + d2(W, W_t)/(2 eta_t).
-
-    Accepts a raw (possibly slightly asymmetric) matrix so that numerical
-    differentiation of J is well defined.
-    """
-    val = 0.5 * logdet_divergence_raw(w_mat, spd_inverse(w0).mat, spd_logdet(w0))
-    val += float(np.asarray(lam, dtype=float) @ _constraint_values(w_mat, 0.0, pc))
-    val += logdet_divergence_raw(w_mat, spd_inverse(w_t).mat, spd_logdet(w_t)) / (2.0 * eta_t)
-    return val
-
-
-def inner_gradient(
-    w_mat: Array,
-    w_t: SpdMatrix,
-    lam: Array,
-    w0: SpdMatrix,
-    eta_t: float,
-    pc: PairConstraints,
-) -> Array:
-    """Analytic gradient of the inner objective at W."""
-    w_inv = np.linalg.inv(w_mat)
-    grad = 0.5 * (spd_inverse(w0).mat - w_inv)
-    grad = grad + grad_h_contraction(lam, pc)
-    return grad + (spd_inverse(w_t).mat - w_inv) / (2.0 * eta_t)
-
-
 def inner_solve_w(
     w_t_inv: Array,
     lam: Array,
     w0_inv: Array,
     eta_t: float,
     pc: PairConstraints,
-) -> tuple[SpdMatrix, Array]:
+) -> tuple[SpdMatrix, Array, float]:
     """Closed-form inner solve: the exact minimizer of the W subproblem.
 
     The inner objective collapses to J(W) = tr(W M) - c logdet(W) + const,
@@ -376,8 +338,9 @@ def inner_solve_w(
     the prox anchor's ``w_t_inv``.  One ``eigendecompose`` gives
     M = V diag(vals) V^T.  For M positive definite, J has the unique minimizer
     W* = c inv(M) = V diag(s) V^T (``from_spectrum``) with s = c / vals
-    floored at EPS_PD like a retraction; W*^-1 = V diag(1/s) V^T comes back
-    beside it.  An M that is not positive definite leaves J unbounded below.
+    floored at EPS_PD like a retraction; W*^-1 = V diag(1/s) V^T and
+    log det W* = sum(log s) come back beside it.  An M that is not positive
+    definite leaves J unbounded below.
     """
     m_lin = 0.5 * w0_inv + grad_h_contraction(lam, pc) + w_t_inv / (2.0 * eta_t)
     c_log = 0.5 + 1.0 / (2.0 * eta_t)
@@ -390,13 +353,13 @@ def inner_solve_w(
         )
     s = clip_spectrum(c_log / vals)
     # Divide, not from_spectrum(vecs, 1 / s): the reciprocal moves the trace at round-off.
-    return SpdMatrix._trusted(from_spectrum(vecs, s)), sym((vecs / s) @ vecs.T)
+    return (SpdMatrix._trusted(from_spectrum(vecs, s)), sym((vecs / s) @ vecs.T),
+            float(np.sum(np.log(s))))
 
 
 def update_slack(
     xi_t: Array,
     lam: Array,
-    gamma: Array,
     eta_t: float,
     c1: float,
     pc: PairConstraints,
@@ -404,22 +367,20 @@ def update_slack(
     """Closed-form prox step for the slacks (projected to nonnegative)."""
     xi_t = np.asarray(xi_t, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    m = pc.n_constraints
-    if not (xi_t.shape == lam.shape == gamma.shape == (m,)):
+    if not (xi_t.shape == lam.shape == (pc.n_constraints,)):
         raise DimensionMismatchError("slack/dual vectors disagree with constraint count")
     if c1 + eta_t <= 0:
         raise ConfigError("c1 + eta_t must be positive")
-    return positive_part((eta_t * xi_t + gamma + lam * pc.bound_vector()) / (c1 + eta_t))
+    return positive_part((eta_t * xi_t + lam * pc.bound_vector()) / (c1 + eta_t))
 
 
 def update_lambda(lam_t: Array, h_val: Array, eta_t: float, c2: float) -> Array:
-    """Projected dual ascent for the distance constraints."""
+    """Projected dual ascent for the distance constraints; unused here, the tracer names it."""
     return dual_ascent_step(lam_t, h_val, eta_t, c2)
 
 
 def update_gamma(gamma_t: Array, xi_next: Array, eta_t: float, c2: float) -> Array:
-    """Projected dual ascent for the slack-nonnegativity constraints (h = -xi)."""
+    """Projected ascent for slack nonnegativity (h = -xi); unused here, the tracer names it."""
     return dual_ascent_step(gamma_t, -np.asarray(xi_next, dtype=float), eta_t, c2)
 
 
@@ -466,37 +427,29 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     u, l = compute_bounds(init_dists, config.percentile_lo, config.percentile_hi)
     pc = pc.with_bounds(u, l)
 
-    m = pc.n_constraints
+    m, n = pc.n_constraints, w0.dim
     w0_logdet = spd_logdet(w0)
+    # W^-1 and log det W of the latest iterate (x0 or the last solve's),
+    # carried into the objective and the next solve.
+    w_inv, w_logdet = w0_inv, w0_logdet
 
     def objective(x) -> float:
         w, xi = x
-        return (0.5 * logdet_divergence_raw(w.mat, w0_inv, w0_logdet)
-                + 0.5 * config.c1 * float(xi @ xi))
+        d2 = float(np.einsum("ij,ji->", w.mat, w0_inv)) - (w_logdet - w0_logdet) - n
+        return 0.5 * d2 + 0.5 * config.c1 * float(xi @ xi)
 
-    def constraints(x) -> Array:
-        w, xi = x
-        return np.concatenate([eval_h(w, xi, pc), -xi])
+    def inner_minimizer(x, lam: Array, eta: float):
+        nonlocal w_inv, w_logdet
+        w, w_inv, w_logdet = inner_solve_w(w_inv, lam, w0_inv, eta, pc)
+        return w, update_slack(x[1], lam, eta, config.c1, pc)
 
-    # Inverse of the current W, carried from each solve to the next.
-    w_inv = w0_inv
+    def record_extras(x, lam: Array) -> dict:
+        # The slack multiplier is identically 0 (module docstring); its keys stay.
+        return {"slack_norm": float(np.linalg.norm(x[1])), "gamma_norm": 0.0,
+                "slack_min": float(x[1].min()), "gamma_min": 0.0}
 
-    def inner_minimizer(x, dual: Array, eta: float):
-        nonlocal w_inv
-        lam, gamma = dual[:m], dual[m:]
-        w, w_inv = inner_solve_w(w_inv, lam, w0_inv, eta, pc)
-        return w, update_slack(x[1], lam, gamma, eta, config.c1, pc)
-
-    def record_extras(x, dual: Array) -> dict:
-        xi, gamma = x[1], dual[m:]
-        return {
-            "slack_norm": float(np.linalg.norm(xi)),
-            "gamma_norm": float(np.linalg.norm(gamma)),
-            "slack_min": float(xi.min()),
-            "gamma_min": float(gamma.min()),
-        }
-
-    problem = SaddleProblem(objective, constraints, 2 * m, inner_minimizer, record_extras)
+    problem = SaddleProblem(objective, lambda x: eval_h(*x, pc), m, inner_minimizer,
+                            record_extras)
     solver_config = SolverConfig(alpha=config.c2, eta0=config.eta0,
                                  max_outer_iters=config.outer_iters)
     trace = run(problem, (w0, np.zeros(m)), solver_config)

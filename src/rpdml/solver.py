@@ -145,15 +145,6 @@ class RunTrace:
     def __len__(self):
         return len(self.records)
 
-    def objectives(self) -> Array:
-        return np.array([r.objective for r in self.records])
-
-    def violations(self) -> Array:
-        return np.array([r.violation for r in self.records])
-
-    def dual_norms(self) -> Array:
-        return np.array([r.dual_norm for r in self.records])
-
     def etas(self) -> Array:
         return np.array([r.eta for r in self.records])
 

@@ -116,6 +116,20 @@ class TestTrainEval:
         assert "k=500 out of range for 40 training rows" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("frac", ["-3", "0", "1.5", "nan"])
+    def test_train_frac_outside_unit_interval_is_rejected(
+            self, labeled_csv, tmp_path, capsys, monkeypatch, command, frac):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data was read")
+        monkeypatch.setattr(cli, "read_labeled_csv", no_read)
+        outdir = tmp_path / "run"
+        extra = ["--metric", "euclidean"] if command == "eval" else []
+        assert run_cli(command, "--seed", "7", "--data", str(labeled_csv), "--outdir",
+                       str(outdir), "--train-frac", frac, *extra) == 1
+        assert f"--train-frac must be in (0, 1], got {float(frac)}" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_prox_mode_flag_is_a_usage_error(self, labeled_csv, tmp_path):
         # The W step is always the proximal one; there is no mode to pick.
         run_dir = tmp_path / "run"
@@ -259,6 +273,24 @@ class TestExportPlots:
         assert run_cli("export-plots", "--run", str(outdir)) == 0
         assert (outdir / "plots" / "cumulative.csv").exists()
         assert (outdir / "plots" / "annual_returns.csv").exists()
+
+    @pytest.mark.parametrize("name, text, where, missing", [
+        ("trace.jsonl",
+         '{"t": 0, "f": 1.0, "h_violation": 0.5, "dual_norm": 0.0}\n{"t": 1, "f": 1.0}\n',
+         "trace.jsonl line 2", "h_violation, dual_norm"),
+        ("result.json",
+         json.dumps({"periods": ["2017Q2"], "rolling_mdd": [0.0], "annual_returns": {}}),
+         "result.json", "cumulative"),
+    ], ids=["trace", "result"])
+    def test_partial_artifact_is_an_input_error(self, tmp_path, capsys, name, text, where,
+                                                missing):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / name).write_text(text)
+        assert run_cli("export-plots", "--run", str(run_dir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{run_dir}/{where} lacks key(s): {missing}" in err
+        assert not (run_dir / "plots").exists()
 
     def test_empty_run_dir_errors(self, tmp_path):
         empty = tmp_path / "empty"

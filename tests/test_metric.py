@@ -22,8 +22,6 @@ from rpdml.metric import (
     compute_bounds,
     eval_h,
     grad_h_contraction,
-    inner_gradient,
-    inner_objective,
     inner_solve_w,
     inverse_covariance_metric,
     train,
@@ -31,7 +29,9 @@ from rpdml.metric import (
     update_lambda,
     update_slack,
 )
-from rpdml.solver import dual_ascent_step
+from rpdml.solver import SaddleProblem, SolverConfig, dual_ascent_step, positive_part, run
+
+from oracles import inner_gradient, inner_objective
 
 
 def rand_spd(n, rng, lo=0.3, hi=3.0):
@@ -263,7 +263,7 @@ class TestInnerSolveW:
         w0 = rand_spd(3, rng)
         pc = PairConstraints(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), u=1.0, l=2.0)
         w0_inv = spd_inverse(w0).mat
-        out, _ = inner_solve_w(w0_inv, np.zeros(4), w0_inv, 0.5, pc)
+        out, _, _ = inner_solve_w(w0_inv, np.zeros(4), w0_inv, 0.5, pc)
         assert np.allclose(out.mat, w0.mat, atol=1e-12)
 
     def test_never_increases_objective(self):
@@ -275,7 +275,7 @@ class TestInnerSolveW:
             )
             lam = rng.uniform(0.0, 0.1, 6)
             eta = 0.2
-            out, _ = inner_solve_w(spd_inverse(w_t).mat, lam, spd_inverse(w0).mat, eta, pc)
+            out, _, _ = inner_solve_w(spd_inverse(w_t).mat, lam, spd_inverse(w0).mat, eta, pc)
             j_start = inner_objective(w_t.mat, w_t, lam, w0, eta, pc)
             j_end = inner_objective(out.mat, w_t, lam, w0, eta, pc)
             assert j_end <= j_start + 1e-12
@@ -284,8 +284,8 @@ class TestInnerSolveW:
         rng = np.random.default_rng(23)
         w0, w_t = rand_spd(3, rng), rand_spd(3, rng)
         pc = PairConstraints(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), u=1.0, l=3.0)
-        out, _ = inner_solve_w(spd_inverse(w_t).mat, rng.uniform(0, 0.05, 6),
-                               spd_inverse(w0).mat, 0.3, pc)
+        out, _, _ = inner_solve_w(spd_inverse(w_t).mat, rng.uniform(0, 0.05, 6),
+                                  spd_inverse(w0).mat, 0.3, pc)
         assert np.min(np.linalg.eigvalsh(out.mat)) >= EPS_PD - 1e-12
         SpdMatrix(out.mat)
 
@@ -309,7 +309,7 @@ class TestInnerSolveW:
                 continue
             c = 0.5 + 1.0 / (2.0 * eta)
             w_star = c * np.linalg.inv(0.5 * (m_lin + m_lin.T))
-            out, _ = inner_solve_w(spd_inverse(w_t).mat, lam, spd_inverse(w0).mat, eta, pc)
+            out, _, _ = inner_solve_w(spd_inverse(w_t).mat, lam, spd_inverse(w0).mat, eta, pc)
             assert np.linalg.norm(out.mat - w_star) <= 1e-10 * max(1.0, np.linalg.norm(w_star))
             checked += 1
         assert checked >= 3
@@ -341,9 +341,11 @@ class TestInnerSolveW:
             with pytest.raises(InnerSolveError):
                 inner_solve_w(w_t_inv, lam, w0_inv, eta, pc)
             return
-        out, out_inv = inner_solve_w(w_t_inv, lam, w0_inv, eta, pc)
-        # The returned inverse comes from the same factorization as W*.
+        out, out_inv, out_logdet = inner_solve_w(w_t_inv, lam, w0_inv, eta, pc)
+        # The returned inverse and logdet come from the same factorization as W*.
         assert np.linalg.norm(out_inv @ out.mat - np.eye(n)) <= 1e-10 * np.sqrt(n)
+        sign, logdet = np.linalg.slogdet(out.mat)
+        assert sign > 0 and abs(out_logdet - logdet) <= 1e-10 * max(1.0, abs(logdet))
         grad = inner_gradient(out.mat, w_t, lam, w0, eta, pc)
         assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(m_lin))
         j_out = inner_objective(out.mat, w_t, lam, w0, eta, pc)
@@ -356,31 +358,19 @@ class TestUpdateSlack:
         return PairConstraints([[1.0, 0.0]], [[2.0, 0.0]], u=1.0, l=3.0)
 
     def test_all_zero_fixed_point(self):
-        out = update_slack(np.zeros(2), np.zeros(2), np.zeros(2), 0.5, 1.0, self._pc())
+        out = update_slack(np.zeros(2), np.zeros(2), 0.5, 1.0, self._pc())
         assert np.array_equal(out, np.zeros(2))
 
     def test_hand_value_similar_entry(self):
-        # (eta*xi + gamma + lam*u) / (c1 + eta) = (0 + 0.1 + 0.2*1) / 1.5 = 0.2
-        out = update_slack(
-            np.array([0.0, 0.0]), np.array([0.2, 0.0]), np.array([0.1, 0.0]),
-            0.5, 1.0, self._pc(),
-        )
+        # (eta*xi + lam*u) / (c1 + eta) = (0 + 0.3*1) / 1.5 = 0.2
+        out = update_slack(np.array([0.0, 0.0]), np.array([0.3, 0.0]), 0.5, 1.0, self._pc())
         assert out[0] == pytest.approx(0.2, abs=1e-12)
-
-    def test_nondecreasing_in_gamma(self):
-        pc = self._pc()
-        lo = update_slack(np.array([0.1, 0.1]), np.zeros(2), np.array([0.0, 0.0]), 0.5, 1.0, pc)
-        hi = update_slack(np.array([0.1, 0.1]), np.zeros(2), np.array([0.3, 0.3]), 0.5, 1.0, pc)
-        assert np.all(hi >= lo)
 
     def test_nonnegative_output(self):
         rng = np.random.default_rng(30)
         pc = self._pc()
         for _ in range(50):
-            out = update_slack(
-                rng.uniform(0, 1, 2), rng.uniform(0, 1, 2), rng.uniform(0, 1, 2),
-                0.5, 1.0, pc,
-            )
+            out = update_slack(rng.uniform(0, 1, 2), rng.uniform(0, 1, 2), 0.5, 1.0, pc)
             assert np.all(out >= 0.0)
 
 
@@ -492,9 +482,9 @@ class TestTrain:
         pc = pc.without_degenerate_rows().with_bounds(model.u, model.l)
         m = pc.n_constraints
         w0_inv = spd_inverse(model.w0).mat
-        w_t, lam = model.w0, np.zeros(2 * m)
+        w_t, lam = model.w0, np.zeros(m)
         for rec in model.trace.records:
-            w, _ = inner_solve_w(spd_inverse(w_t).mat, lam[:m], w0_inv, rec.eta, pc)
+            w, _, _ = inner_solve_w(spd_inverse(w_t).mat, lam, w0_inv, rec.eta, pc)
             ref = rec.point[0].mat
             assert np.linalg.norm(w.mat - ref) <= 1e-10 * np.linalg.norm(ref)
             lam = dual_ascent_step(lam, rec.h, rec.eta, cfg.c2)
@@ -522,6 +512,60 @@ class TestTrain:
         feats, labels = blob_data(rng, n=40)
         train(feats, labels, RpdmlConfig(outer_iters=10, seed=0, w0_mode=w0_mode))
         assert len(calls) == 1
+
+
+class TestSlackMultiplierIsZero:
+    """``train`` runs one dual block lam.  The formulation with a second
+    block gamma for the constraints -xi <= 0 (2m constraints [h; -xi], dual
+    [lam; gamma], a slack step that adds gamma) keeps gamma at 0 and so
+    takes bitwise the same steps."""
+
+    @pytest.mark.parametrize("w0_mode", ["identity", "inverse_covariance"])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_train_equals_gamma_formulation(self, seed, w0_mode):
+        ds = generate_synthetic(SyntheticSpec(samples=100, dim=12, informative_dims=4,
+                                              noise_scale=3.0, seed=seed))
+        feats, _ = normalize_features(ds.features)
+        cfg = RpdmlConfig(seed=seed, w0_mode=w0_mode)
+        model = train(feats, ds.labels, cfg)
+
+        # train's set-up: the same pairs, bounds and W0^-1.
+        pc = build_pairs(feats, ds.labels, cfg.max_pairs_per_side, cfg.seed)
+        pc = pc.without_degenerate_rows().with_bounds(model.u, model.l)
+        m = pc.n_constraints
+        if w0_mode == "identity":
+            w0_inv = spd_inverse(model.w0).mat
+        else:
+            w0_inv = metric_module._ridged_covariance(feats).mat
+        w_inv = w0_inv
+
+        def inner_minimizer(x, dual, eta):
+            nonlocal w_inv
+            lam, gamma = dual[:m], dual[m:]
+            w, w_inv, _ = inner_solve_w(w_inv, lam, w0_inv, eta, pc)
+            xi = positive_part((eta * x[1] + gamma + lam * pc.bound_vector()) / (cfg.c1 + eta))
+            return w, xi
+
+        problem = SaddleProblem(
+            objective=lambda x: 0.0,
+            constraints=lambda x: np.concatenate([eval_h(x[0], x[1], pc), -x[1]]),
+            constraint_count=2 * m,
+            inner_minimizer=inner_minimizer,
+            record_extras=lambda x, dual: {"gamma": dual[m:].copy()},
+        )
+        ref = run(problem, (model.w0, np.zeros(m)),
+                  SolverConfig(alpha=cfg.c2, eta0=cfg.eta0, max_outer_iters=cfg.outer_iters))
+
+        assert len(ref) == len(model.trace) == cfg.outer_iters
+        assert model.trace.records[-1].point[1].max() > 0.0  # the slacks do move
+        gamma = np.zeros(m)
+        for r, rec in zip(ref.records, model.trace.records):
+            assert np.array_equal(r.extras["gamma"], gamma)
+            assert np.array_equal(r.point[0].mat, rec.point[0].mat)
+            assert np.array_equal(r.point[1], rec.point[1])
+            assert np.array_equal(r.h[:m], rec.h)
+            gamma = update_gamma(gamma, rec.point[1], rec.eta, cfg.c2)
+            assert not gamma.any()
 
 
 class TestModelSerialization:

@@ -117,20 +117,20 @@ class TestRun:
             inner_minimizer=problem.inner_minimizer,
         )
         trace = run(inactive, 0.5, SolverConfig(alpha=TOY_ALPHA, eta0=1.0, max_outer_iters=300))
-        assert np.all(trace.dual_norms() == 0.0)
+        assert all(r.dual_norm == 0.0 for r in trace.records)
         assert trace.best_record.objective <= 1e-3
 
     def test_trace_shape_and_dual_feasibility(self):
         trace = run_toy(80)
         assert len(trace) == 80
-        assert np.all(np.isfinite(trace.dual_norms()))
+        assert all(np.isfinite(r.dual_norm) for r in trace.records)
         assert all(r.dual_min >= 0.0 for r in trace.records)
         assert [r.t for r in trace.records] == list(range(80))
 
     def test_deterministic(self):
         t1, t2 = run_toy(120), run_toy(120)
-        assert np.array_equal(t1.objectives(), t2.objectives())
-        assert np.array_equal(t1.violations(), t2.violations())
+        assert [r.objective for r in t1.records] == [r.objective for r in t2.records]
+        assert [r.violation for r in t1.records] == [r.violation for r in t2.records]
         assert t1.best_index == t2.best_index
         assert t1.final_point == t2.final_point
 
@@ -181,7 +181,7 @@ class TestRun:
                                eta0=rng.uniform(0.5, 2.0), max_outer_iters=T)
             trace = run(problem, x0, cfg)
             assert len(trace) == T
-            assert np.all(np.isfinite(trace.dual_norms()))
+            assert all(np.isfinite(r.dual_norm) for r in trace.records)
             assert all(r.dual_min >= 0.0 for r in trace.records)
 
     def test_diverged_error_carries_partial_trace(self):
