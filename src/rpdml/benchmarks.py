@@ -55,18 +55,17 @@ def scalar_toy_problem(target: float = TOY_TARGET, bound: float = TOY_BOUND) -> 
     return SaddleProblem(
         objective=objective,
         constraints=constraints,
-        constraint_count=1,
         inner_minimizer=inner_minimizer,
     )
 
 
 def run_toy(T: int, alpha: float = TOY_ALPHA, eta0: float = TOY_ETA0, x0: float = TOY_X0) -> RunTrace:
     problem = scalar_toy_problem()
-    config = SolverConfig(alpha=alpha, eta0=eta0, max_outer_iters=T)
+    config = SolverConfig(alpha=alpha, eta0=eta0, iters=T)
     return run(problem, x0, config)
 
 
-def convergence_rows(trace: RunTrace, f_star: float, alpha: float, x0: float = TOY_X0) -> list[dict]:
+def convergence_rows(trace: RunTrace, f_star: float, alpha: float, x0: float) -> list[dict]:
     """Trace rows augmented with a cumulative bound check.
 
     For every prefix [0..t] the row carries the guaranteed gap from

@@ -16,8 +16,10 @@ directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -48,7 +50,7 @@ from .evaluation import (
     spearman_ic,
     window_predictions,
 )
-from .metric import MetricModel, RpdmlConfig, train
+from .metric import W0_MODES, MetricModel, RpdmlConfig, train
 from .solver import step_sum_bounds
 
 logger = logging.getLogger(__name__)
@@ -92,10 +94,28 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected 1/true/yes or 0/false/no, got {raw!r}")
 
 
-def _option_type(default):
-    """Type of an option, from its default: bools parse strictly, None takes a string."""
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+# argparse names the type in its message: "invalid finite float value: 'nan'".
+_finite_float.__name__ = "finite float"
+
+#: Float options whose own range check rejects nan and inf before any work,
+#: with a message that names the flag and the range.
+_RANGE_CHECKED = {"train_frac"}
+
+
+def _option_type(key: str, default):
+    """Type of an option, from its default: bools parse strictly, floats must
+    be finite, None takes a string."""
     if isinstance(default, bool):
         return _parse_bool
+    if isinstance(default, float) and key not in _RANGE_CHECKED:
+        return _finite_float
     return str if default is None else type(default)
 
 
@@ -116,7 +136,7 @@ def _layer_options(args: argparse.Namespace, defaults: dict) -> dict:
             resolved[key] = flag_val
         elif key in file_cfg:
             try:
-                value = _option_type(default)(file_cfg[key])
+                value = _option_type(key, default)(file_cfg[key])
                 if key in args.choices and value not in args.choices[key]:
                     raise ValueError(f"{value!r} is not one of {', '.join(args.choices[key])}")
             except ValueError as exc:
@@ -175,15 +195,15 @@ def cmd_gen_data(args) -> int:
         informative_dims=opts["informative_dims"], noise_scale=opts["noise_scale"],
         cluster_sep=opts["cluster_sep"], seed=args.seed,
     )
+    if opts["kind"] == "labeled":
+        dataset, write = generate_synthetic(spec), write_labeled_csv
+    else:
+        dataset = generate_synthetic_panel(
+            spec, periods=opts["periods"], assets_per_period=opts["assets"])
+        write = write_panel_csv
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if opts["kind"] == "labeled":
-        write_labeled_csv(generate_synthetic(spec), out)
-    else:
-        write_panel_csv(
-            generate_synthetic_panel(spec, periods=opts["periods"], assets_per_period=opts["assets"]),
-            out,
-        )
+    write(dataset, out)
     print(f"wrote {opts['kind']} dataset to {out}")
     return 0
 
@@ -191,20 +211,16 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-#: Metric-learning option of train and backtest -> the RpdmlConfig field it
-#: sets.  Their defaults are RpdmlConfig's own.
-_RPDML_FIELDS = dict(
-    c1="c1", c2="c2", eta0="eta0", iters="outer_iters", w0="w0_mode",
-    max_pairs="max_pairs_per_side", percentile_lo="percentile_lo",
-    percentile_hi="percentile_hi",
-)
-_RPDML_DEFAULTS = {opt: getattr(RpdmlConfig, name) for opt, name in _RPDML_FIELDS.items()}
+#: Metric-learning options of train and backtest: RpdmlConfig's init fields
+#: but the seed, with its defaults.
+_RPDML_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RpdmlConfig)
+                   if f.init and f.name != "seed"}
 
 _TRAIN_DEFAULTS = dict(_RPDML_DEFAULTS, normalize=True, train_frac=1.0)
 
 
 def _rpdml_config(opts: dict, seed: int) -> RpdmlConfig:
-    return RpdmlConfig(seed=seed, **{name: opts[opt] for opt, name in _RPDML_FIELDS.items()})
+    return RpdmlConfig(seed=seed, **{k: opts[k] for k in _RPDML_DEFAULTS})
 
 
 def _split_dataset(ds, train_frac: float, seed: int):
@@ -375,6 +391,8 @@ _BENCH_DEFAULTS = dict(
 
 def cmd_bench_convergence(args) -> int:
     opts = _layer_options(args, _BENCH_DEFAULTS)
+    if not opts["x0"] > 0:
+        raise ConfigError(f"--x0 must be positive, got {opts['x0']} (the toy lives on x > 0)")
     outdir = _resolve_outdir(args)
     T = int(opts["T"])
     lower, upper = step_sum_bounds(T)  # rejects T < 1 before anything is written
@@ -443,14 +461,14 @@ def _add_options(parser: argparse.ArgumentParser, defaults: dict, choices: dict)
         if isinstance(default, bool):
             parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
         else:
-            parser.add_argument(flag, type=_option_type(default), choices=choices.get(key))
+            parser.add_argument(flag, type=_option_type(key, default), choices=choices.get(key))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rpdml", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    rpdml_choices = {"w0": ["identity", "inverse_covariance"]}
+    rpdml_choices = {"w0": W0_MODES}
 
     def add_command(name, help, func, defaults, choices, seed_required=True):
         p = sub.add_parser(name, help=help)

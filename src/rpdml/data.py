@@ -333,6 +333,9 @@ def generate_synthetic_panel(
 
     Period labels look like quarters (``2017Q1``) so annual grouping works.
     """
+    if periods < 1 or assets_per_period < 1:
+        raise ConfigError(f"a panel needs at least one period and one asset, got "
+                          f"periods={periods}, assets_per_period={assets_per_period}")
     ss = np.random.SeedSequence(spec.seed)
     ss_coef, *period_seeds = ss.spawn(1 + periods)
     coef = np.random.default_rng(ss_coef).normal(size=spec.informative_dims)

@@ -34,7 +34,7 @@ class InnerSolveError(NumericError):
 
 
 class DivergedError(NumericError):
-    """An outer optimization run diverged; carries the partial trace."""
+    """An optimization run diverged; carries the partial trace."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)

@@ -14,8 +14,9 @@ signs s = [+1; -1] and bounds b = [u; l], fixed for the whole train:
 h = s * (diag(X W X.T) - b) - b * xi is one quadratic form over all rows,
 and its dual contraction <lam, dh/dW> = X.T diag(s * lam) X is one GEMM.
 
-Training is one run of the generic primal-dual loop (``solver.run``) on
-the primal point x = (W, xi) with objective and constraints
+Training is one run of ``iters`` iterations of the generic primal-dual
+loop (``solver.run``) on the primal point x = (W, xi) with objective and
+constraints
 
     f(x) = d2(W, W0)/2 + c1/2 ||xi||^2,        h(W, xi) <= 0,   xi >= 0,
 
@@ -77,6 +78,12 @@ logger = logging.getLogger(__name__)
 
 Array = np.ndarray
 
+#: Initial-metric modes of ``RpdmlConfig.w0`` (train's ``--w0`` choices).
+W0_MODES = ("identity", "inverse_covariance")
+DEGENERATE_ROW_TOL = 1e-12
+COVARIANCE_RIDGE = 1e-6
+
+
 @dataclass(frozen=True, eq=False)
 class PairConstraints:
     """Difference vectors of similar / dissimilar sample pairs with bounds.
@@ -129,10 +136,6 @@ class PairConstraints:
         return self.similar_diffs.shape[0]
 
     @property
-    def n_dissimilar(self) -> int:
-        return self.dissimilar_diffs.shape[0]
-
-    @property
     def n_constraints(self) -> int:
         return self.diffs.shape[0]
 
@@ -149,9 +152,9 @@ class PairConstraints:
     def with_bounds(self, u: float, l: float) -> "PairConstraints":
         return PairConstraints(self.similar_diffs, self.dissimilar_diffs, u=u, l=l)
 
-    def without_degenerate_rows(self, tol: float = 1e-12) -> "PairConstraints":
-        """Drop all-zero difference rows (duplicate points in a pair)."""
-        keep = np.linalg.norm(self.diffs, axis=1) > tol
+    def without_degenerate_rows(self) -> "PairConstraints":
+        """Drop difference rows of norm at most ``DEGENERATE_ROW_TOL`` (duplicate points)."""
+        keep = np.linalg.norm(self.diffs, axis=1) > DEGENERATE_ROW_TOL
         dropped = int((~keep).sum())
         if dropped == 0:
             return self
@@ -166,35 +169,35 @@ class PairConstraints:
 
 @dataclass(frozen=True)
 class RpdmlConfig:
-    """Hyperparameters of the metric-learning run."""
+    """Hyperparameters of the metric-learning run; each init field but ``seed``
+    is the train/backtest option of that name.  ``solver`` is the checked
+    ``SolverConfig`` (alpha = c2, eta0, iters) that the run uses."""
 
     c1: float = 2.0
     c2: float = 1.0
     eta0: float = 0.003
-    outer_iters: int = 200
+    iters: int = 200
+    w0: str = "identity"
+    max_pairs: int = 200
     percentile_lo: float = 5.0
     percentile_hi: float = 95.0
-    w0_mode: str = "identity"
-    max_pairs_per_side: int = 200
     seed: int = 0
+    solver: SolverConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ConfigError("c1 and c2 must be positive")
-        if self.eta0 <= 0:
-            raise ConfigError("eta0 must be positive")
-        if self.c2 * self.eta0 > 1.0 + 1e-15:
-            raise ConfigError(
-                f"c2 * eta0 = {self.c2 * self.eta0:.4g} exceeds 1; dual steps would overshoot"
-            )
+        if not self.c1 > 0:
+            raise ConfigError(f"c1 must be positive, got {self.c1}")
+        try:
+            solver = SolverConfig(self.c2, self.eta0, self.iters)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (alpha is c2)") from exc
+        object.__setattr__(self, "solver", solver)
         if not (0 < self.percentile_lo < self.percentile_hi < 100):
             raise ConfigError("percentiles must satisfy 0 < lo < hi < 100")
-        if self.w0_mode not in ("identity", "inverse_covariance"):
-            raise ConfigError(f"unknown w0_mode {self.w0_mode!r}")
-        if self.outer_iters < 0:
-            raise ConfigError("outer_iters must be >= 0")
-        if self.max_pairs_per_side < 1:
-            raise ConfigError("max_pairs_per_side must be >= 1")
+        if self.w0 not in W0_MODES:
+            raise ConfigError(f"unknown w0 {self.w0!r}")
+        if self.max_pairs < 1:
+            raise ConfigError("max_pairs must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +243,8 @@ class MetricModel:
 def build_pairs(
     features: Array,
     labels: Array,
-    max_pairs_per_side: int = 200,
-    seed: int = 0,
+    max_pairs: int,
+    seed: int,
 ) -> PairConstraints:
     """Enumerate same-label and different-label pair differences.
 
@@ -267,10 +270,10 @@ def build_pairs(
     ss_sim, ss_dis = np.random.SeedSequence(seed).spawn(2)
 
     def pick(idx: Array, ss) -> Array:
-        if idx.size <= max_pairs_per_side:
+        if idx.size <= max_pairs:
             return idx
         rng = np.random.default_rng(ss)
-        return np.sort(rng.choice(idx, size=max_pairs_per_side, replace=False))
+        return np.sort(rng.choice(idx, size=max_pairs, replace=False))
 
     sim_idx = pick(sim_idx, ss_sim)
     dis_idx = pick(dis_idx, ss_dis)
@@ -279,7 +282,7 @@ def build_pairs(
     return PairConstraints(sim_diffs, dis_diffs)
 
 
-def compute_bounds(distances: Array, p_lo: float = 5.0, p_hi: float = 95.0) -> tuple[float, float]:
+def compute_bounds(distances: Array, p_lo: float, p_hi: float) -> tuple[float, float]:
     """Nearest-rank percentiles of an observed distance distribution."""
     d = np.sort(np.asarray(distances, dtype=float))
     if d.size == 0:
@@ -384,19 +387,19 @@ def update_gamma(gamma_t: Array, xi_next: Array, eta_t: float, c2: float) -> Arr
     return dual_ascent_step(gamma_t, -np.asarray(xi_next, dtype=float), eta_t, c2)
 
 
-def _ridged_covariance(features: Array, ridge: float = 1e-6) -> SpdMatrix:
-    """Sample covariance plus ``ridge`` on the diagonal."""
+def _ridged_covariance(features: Array) -> SpdMatrix:
+    """Sample covariance plus ``COVARIANCE_RIDGE`` on the diagonal."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     if features.shape[0] < 2:
         raise ConfigError("need at least two samples for a covariance estimate")
     cov = np.cov(features, rowvar=False)
-    cov = np.atleast_2d(cov) + ridge * np.eye(features.shape[1])
+    cov = np.atleast_2d(cov) + COVARIANCE_RIDGE * np.eye(features.shape[1])
     return SpdMatrix(sym(cov))
 
 
-def inverse_covariance_metric(features: Array, ridge: float = 1e-6) -> SpdMatrix:
+def inverse_covariance_metric(features: Array) -> SpdMatrix:
     """Ridge-regularized inverse covariance of the samples."""
-    return spd_inverse(_ridged_covariance(features, ridge))
+    return spd_inverse(_ridged_covariance(features))
 
 
 def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
@@ -404,7 +407,7 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
 
     Builds pair constraints (seeded subsample under the cap) and sets the
     distance bounds from percentiles of the pair distances under the initial
-    metric.  Then runs ``solver.run`` for ``outer_iters`` iterations on the
+    metric.  Then runs ``solver.run`` for ``iters`` iterations on the
     saddle problem of the module docstring, starting from (W0, 0), with
     ``inner_solve_w`` and ``update_slack`` as the proximal primal step.  The
     returned model carries the final W and the full trace, whose points are
@@ -412,11 +415,11 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     carrying the partial trace.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    pc = build_pairs(features, labels, config.max_pairs_per_side, config.seed)
+    pc = build_pairs(features, labels, config.max_pairs, config.seed)
     pc = pc.without_degenerate_rows()
 
     # W0 and W0^-1 from one spd_inverse: the ridged covariance is W0^-1 itself.
-    if config.w0_mode == "identity":
+    if config.w0 == "identity":
         w0 = SpdMatrix.identity(features.shape[1])
         w0_inv = spd_inverse(w0).mat
     else:
@@ -448,9 +451,6 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
         return {"slack_norm": float(np.linalg.norm(x[1])), "gamma_norm": 0.0,
                 "slack_min": float(x[1].min()), "gamma_min": 0.0}
 
-    problem = SaddleProblem(objective, lambda x: eval_h(*x, pc), m, inner_minimizer,
-                            record_extras)
-    solver_config = SolverConfig(alpha=config.c2, eta0=config.eta0,
-                                 max_outer_iters=config.outer_iters)
-    trace = run(problem, (w0, np.zeros(m)), solver_config)
+    problem = SaddleProblem(objective, lambda x: eval_h(*x, pc), inner_minimizer, record_extras)
+    trace = run(problem, (w0, np.zeros(m)), config.solver)
     return MetricModel(w=trace.final_point[0], w0=w0, u=u, l=l, trace=trace)

@@ -5,7 +5,7 @@ ascent step on the regularized Lagrangian
 
     L(x, lam) = f(x) + <lam, h(x)> - (alpha / 2) * ||lam||^2.
 
-Each outer iteration solves
+Each of a run's ``iters`` iterations solves
 
     x_{t+1} = argmin_x { L(x, lam_t) + 1/(2 eta_t) d2(x_t, x) }
 
@@ -66,6 +66,7 @@ def aggregate_violation(h_val: Array) -> float:
 class SaddleProblem:
     """A constrained minimization problem in saddle-point form.
 
+    ``constraints(x)`` returns h(x); its length at x0 sizes the dual.
     ``inner_minimizer(x, lam, eta)`` must return the solution of the
     proximal subproblem at x with dual lam and step eta.
     ``record_extras(x, lam)``, if given, returns extra per-iteration trace
@@ -74,38 +75,31 @@ class SaddleProblem:
 
     objective: Callable[[Any], float]
     constraints: Callable[[Any], Array]
-    constraint_count: int
     inner_minimizer: Callable[[Any, Array, float], Any]
     record_extras: Callable[[Any, Array], dict] | None = None
-
-    def eval_constraints(self, x) -> Array:
-        h = np.atleast_1d(np.asarray(self.constraints(x), dtype=float))
-        if h.shape != (self.constraint_count,):
-            raise DimensionMismatchError(
-                f"constraints returned shape {h.shape}, expected ({self.constraint_count},)"
-            )
-        return h
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Dual regularizer alpha, base step eta0 and iteration count; NaN fails every check."""
+
     alpha: float
     eta0: float = 1.0
-    max_outer_iters: int = 100
+    iters: int = 100
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if self.eta0 <= 0:
+        if not self.eta0 > 0:
             raise ConfigError(f"eta0 must be positive, got {self.eta0}")
         # eta_t is decreasing, so validating at eta_0 covers the whole run.
-        if self.alpha * self.eta0 > 1.0 + 1e-15:
+        if not self.alpha * self.eta0 <= 1.0 + 1e-15:
             raise ConfigError(
                 f"alpha * eta0 = {self.alpha * self.eta0:.4g} exceeds 1; "
                 "shrink the step size or the dual regularizer"
             )
-        if self.max_outer_iters < 0:
-            raise ConfigError("max_outer_iters must be >= 0")
+        if self.iters < 0:
+            raise ConfigError(f"iters must be >= 0, got {self.iters}")
 
 
 @dataclass(frozen=True)
@@ -162,23 +156,24 @@ class RunTrace:
                 fh.write(json.dumps(row) + "\n")
 
 
-def best_iterate_key(rec: IterationRecord, i: int, feas_tol: float = FEASIBILITY_TOL) -> tuple:
+def best_iterate_key(rec: IterationRecord, i: int) -> tuple:
     """Sort key of the best-iterate rule, ending in the index i.
 
-    Feasible iterates come first, by objective; the rest by violation.  Ties
-    break toward the other quantity, then the earlier index.
+    Feasible iterates (violation at most ``FEASIBILITY_TOL``) come first, by
+    objective; the rest by violation.  Ties break toward the other quantity,
+    then the earlier index.
     """
-    if rec.violation <= feas_tol:
+    if rec.violation <= FEASIBILITY_TOL:
         return (0, rec.objective, rec.violation, i)
     return (1, rec.violation, rec.objective, i)
 
 
-def select_best_index(records: Sequence[IterationRecord], feas_tol: float = FEASIBILITY_TOL) -> int:
+def select_best_index(records: Sequence[IterationRecord]) -> int:
     """Pick the reported solution: best objective among feasible iterates,
     else the least violating one (``best_iterate_key``)."""
     if not records:
         raise ConfigError("cannot select best index from an empty trace")
-    return min(best_iterate_key(r, i, feas_tol) for i, r in enumerate(records))[-1]
+    return min(best_iterate_key(r, i) for i, r in enumerate(records))[-1]
 
 
 def dual_ascent_step(lam: Array, h_val: Array, eta: float, alpha: float) -> Array:
@@ -205,24 +200,28 @@ def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
     guarantee certifies that iterate, not the last one, and
     ``bench-convergence`` reports it.
     """
-    lam = np.zeros(problem.constraint_count)
     records: list[IterationRecord] = []
     initial_objective = float(problem.objective(x0))
-    initial_violation = aggregate_violation(problem.eval_constraints(x0))
+    h0 = np.atleast_1d(np.asarray(problem.constraints(x0), dtype=float))
+    initial_violation = aggregate_violation(h0)
+    lam = np.zeros(h0.shape)
 
     def partial_trace(final_point) -> RunTrace:
         best = select_best_index(records) if records else 0
         return RunTrace(records, final_point, best, initial_objective, initial_violation)
 
     x = x0
-    for t in range(config.max_outer_iters):
+    for t in range(config.iters):
         eta = step_size(t, config.eta0)
         try:
             x_next = problem.inner_minimizer(x, lam, eta)
         except InnerSolveError as exc:
             raise DivergedError(f"inner minimizer failed at t={t}: {exc}", partial_trace(x)) from exc
         f_val = float(problem.objective(x_next))
-        h_val = problem.eval_constraints(x_next)
+        h_val = np.atleast_1d(np.asarray(problem.constraints(x_next), dtype=float))
+        if h_val.shape != h0.shape:
+            raise DimensionMismatchError(
+                f"constraints returned shape {h_val.shape} at t={t}, {h0.shape} at x0")
         if not (np.isfinite(f_val) and np.all(np.isfinite(h_val))):
             raise DivergedError(f"non-finite objective/constraints at t={t}", partial_trace(x))
         records.append(IterationRecord(

@@ -89,7 +89,7 @@ def efficacy_artifacts():
     xte_raw, yte = ds.features[100:], ds.labels[100:]
     xtr, stats = normalize_features(xtr_raw)
     xte = stats.apply(xte_raw)
-    model = train(xtr, ytr, RpdmlConfig(outer_iters=200, seed=7))
+    model = train(xtr, ytr, RpdmlConfig(iters=200, seed=7))
     return dict(xtr=xtr, ytr=ytr, xte=xte, yte=yte, model=model,
                 elapsed=time.perf_counter() - t0)
 
@@ -104,7 +104,7 @@ def panel_ic_artifacts():
 
     def rpdml_provider(feats, rets):
         labels = (rets > np.median(rets)).astype(int)
-        model = train(feats, labels, RpdmlConfig(outer_iters=60, seed=3))
+        model = train(feats, labels, RpdmlConfig(iters=60, seed=3))
         traces.append(model.trace)
         return model.w
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 
@@ -8,6 +9,7 @@ import pytest
 from rpdml import cli
 from rpdml.cli import main, read_config_file
 from rpdml.data import read_panel_csv
+from rpdml.metric import RpdmlConfig
 
 
 def run_cli(*argv):
@@ -52,6 +54,15 @@ class TestGenData:
 
     def test_seed_is_mandatory(self, tmp_path):
         assert run_cli("gen-data", "--out", str(tmp_path / "x.csv")) == 1
+
+    @pytest.mark.parametrize("flag", ["--periods", "--assets"])
+    def test_empty_panel_is_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "sub" / "panel.csv"
+        assert run_cli("gen-data", "--seed", "1", "--kind", "panel", "--out", str(out),
+                       flag, "0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least one period and one asset" in err
+        assert not out.parent.exists()
 
 
 class TestTrainEval:
@@ -252,6 +263,16 @@ class TestBenchConvergence:
         assert run_cli("bench-convergence", "--T", "0", "--outdir", str(outdir)) == 1
         assert "T must be >= 1" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("x0", ["0", "-1"])
+    def test_x0_off_the_half_line_is_rejected(self, tmp_path, capsys, x0):
+        # The toy's points are positive reals: its LogDet distance divides by
+        # x0 and takes a log.
+        outdir = tmp_path / "bench"
+        assert run_cli("bench-convergence", f"--x0={x0}", "--outdir", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"--x0 must be positive, got {float(x0)}" in err
+        assert not outdir.exists()
 
 
 class TestExportPlots:
@@ -468,6 +489,65 @@ class TestOptionTable:
             parser.parse_args([command, *base, "--config", str(cfg)]), defaults)
         assert from_flag == from_file
         assert from_flag[key] == value
+
+
+    @pytest.mark.parametrize("defaults, overrides", [
+        (cli._TRAIN_DEFAULTS, {}),
+        (cli._BACKTEST_DEFAULTS, {"iters": 60}),
+    ], ids=["train", "backtest"])
+    def test_metric_learning_options_are_the_config_fields(self, defaults, overrides):
+        fields = {f.name: f.default for f in dataclasses.fields(RpdmlConfig)
+                  if f.init and f.name != "seed"}
+        assert sorted(fields) == ["c1", "c2", "eta0", "iters", "max_pairs", "percentile_hi",
+                                  "percentile_lo", "w0"]
+        assert {key: defaults[key] for key in fields} == dict(fields, **overrides)
+        assert cli._rpdml_config(defaults, seed=3) == RpdmlConfig(seed=3, **overrides)
+
+
+#: Every float option of every command, with the flags it needs to parse.
+_FLOAT_OPTIONS = [
+    (command, key) for command, (defaults, _) in _COMMAND_TABLES.items()
+    for key, default in defaults.items() if isinstance(default, float)
+]
+
+
+class TestNonFiniteOptions:
+    """A nan or +-inf float option exits 1, naming the flag (or the config
+    file and key), before any input is read or made and with no output."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("the command started work")
+        for name in ("read_labeled_csv", "read_panel_csv", "generate_synthetic",
+                     "generate_synthetic_panel"):
+            monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(cli.benchmarks, "run_toy", fail)
+        monkeypatch.delenv("RPDML_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, key", _FLOAT_OPTIONS)
+    def test_rejected_before_any_output(self, tmp_path, capsys, command, key, token, form):
+        _, base = _COMMAND_TABLES[command]
+        argv = [command, *base] + ([] if command == "gen-data" else ["--outdir", "out"])
+        if command == "eval":
+            argv += ["--metric", "euclidean"]  # else --model is required first
+        flag = "--" + key.replace("_", "-")
+        if form == "flag":
+            argv.append(f"{flag}={token}")
+        else:
+            (tmp_path / "exp.cfg").write_text(f"{key} = {token}\n")
+            argv += ["--config", "exp.cfg"]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if form == "flag" or key in cli._RANGE_CHECKED:
+            assert flag in err
+        else:
+            assert f"bad value for {key} in config file exp.cfg" in err and "finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["exp.cfg"] if form == "file" else [])
 
 
 class TestCsvHeaders:

@@ -50,31 +50,31 @@ def blob_data(rng, n=60, dim=6, sep=3.0):
 class TestBuildPairs:
     def test_exhaustive_enumeration(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        pc = build_pairs(feats, np.array(["a", "a", "b"]), max_pairs_per_side=100, seed=0)
-        assert pc.n_similar == 1 and pc.n_dissimilar == 2
+        pc = build_pairs(feats, np.array(["a", "a", "b"]), max_pairs=100, seed=0)
+        assert pc.n_similar == 1 and pc.dissimilar_diffs.shape[0] == 2
         assert np.array_equal(pc.similar_diffs, [[-1.0, 0.0]])  # x0 - x1
         assert np.array_equal(pc.dissimilar_diffs, [[0.0, -2.0], [1.0, -2.0]])
 
     def test_duplicate_rows_give_zero_row(self):
         feats = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 3.0]])
-        pc = build_pairs(feats, np.array([0, 0, 1]), max_pairs_per_side=10, seed=0)
+        pc = build_pairs(feats, np.array([0, 0, 1]), max_pairs=10, seed=0)
         assert np.array_equal(pc.similar_diffs, [[0.0, 0.0]])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         feats, labels = blob_data(rng, n=40)
-        a = build_pairs(feats, labels, max_pairs_per_side=50, seed=123)
-        b = build_pairs(feats, labels, max_pairs_per_side=50, seed=123)
+        a = build_pairs(feats, labels, max_pairs=50, seed=123)
+        b = build_pairs(feats, labels, max_pairs=50, seed=123)
         assert np.array_equal(a.similar_diffs, b.similar_diffs)
         assert np.array_equal(a.dissimilar_diffs, b.dissimilar_diffs)
-        c = build_pairs(feats, labels, max_pairs_per_side=50, seed=124)
+        c = build_pairs(feats, labels, max_pairs=50, seed=124)
         assert not np.array_equal(a.similar_diffs, c.similar_diffs)
 
     def test_cap_is_respected(self):
         rng = np.random.default_rng(12)
         feats, labels = blob_data(rng, n=40)
-        pc = build_pairs(feats, labels, max_pairs_per_side=25, seed=0)
-        assert pc.n_similar == 25 and pc.n_dissimilar == 25
+        pc = build_pairs(feats, labels, max_pairs=25, seed=0)
+        assert pc.n_similar == 25 and pc.dissimilar_diffs.shape[0] == 25
 
     def test_errors(self):
         with pytest.raises(ConstraintBuildError):
@@ -213,7 +213,7 @@ class TestStackedConstraintLayer:
             pc = PairConstraints(sd, dd, u=1.0, l=5.0).without_degenerate_rows()
         else:
             pc = PairConstraints(sd, dd).without_degenerate_rows().with_bounds(1.0, 5.0)
-        assert (pc.n_similar, pc.n_dissimilar, pc.n_constraints) == (2, 2, 4)
+        assert (pc.n_similar, pc.dissimilar_diffs.shape[0], pc.n_constraints) == (2, 2, 4)
         assert np.array_equal(pc.diffs, [[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [0.0, 4.0]])
         assert np.array_equal(pc.signs, [1.0, 1.0, -1.0, -1.0])
         assert np.array_equal(pc.bound_vector(), [1.0, 1.0, 5.0, 5.0])
@@ -413,14 +413,14 @@ class TestTrain:
     def test_zero_iterations_returns_reference(self):
         rng = np.random.default_rng(40)
         feats, labels = blob_data(rng)
-        model = train(feats, labels, RpdmlConfig(outer_iters=0, seed=0))
+        model = train(feats, labels, RpdmlConfig(iters=0, seed=0))
         assert np.array_equal(model.w.mat, model.w0.mat)
         assert np.array_equal(model.w0.mat, np.eye(feats.shape[1]))
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(41)
         feats, labels = blob_data(rng, n=40)
-        cfg = RpdmlConfig(outer_iters=15, seed=5)
+        cfg = RpdmlConfig(iters=15, seed=5)
         m1 = train(feats, labels, cfg)
         m2 = train(feats, labels, cfg)
         assert np.array_equal(m1.w.mat, m2.w.mat)
@@ -429,14 +429,14 @@ class TestTrain:
     def test_violation_shrinks_on_separated_blobs(self):
         rng = np.random.default_rng(42)
         feats, labels = blob_data(rng, n=60, sep=4.0)
-        model = train(feats, labels, RpdmlConfig(outer_iters=60, seed=3))
+        model = train(feats, labels, RpdmlConfig(iters=60, seed=3))
         final = model.trace.records[-1].violation
         assert final <= 0.5 * model.trace.initial_violation
 
     def test_duals_and_slacks_stay_nonnegative(self):
         rng = np.random.default_rng(43)
         feats, labels = blob_data(rng, n=30)
-        model = train(feats, labels, RpdmlConfig(outer_iters=25, seed=2))
+        model = train(feats, labels, RpdmlConfig(iters=25, seed=2))
         for rec in model.trace.records:
             assert rec.dual_min >= 0.0
             assert rec.extras["slack_min"] >= 0.0
@@ -445,7 +445,7 @@ class TestTrain:
     def test_every_iterate_is_spd(self):
         rng = np.random.default_rng(44)
         feats, labels = blob_data(rng, n=30)
-        model = train(feats, labels, RpdmlConfig(outer_iters=20, seed=2))
+        model = train(feats, labels, RpdmlConfig(iters=20, seed=2))
         for rec in model.trace.records:
             SpdMatrix(rec.point[0].mat)  # full invariant validation
 
@@ -454,7 +454,7 @@ class TestTrain:
         # normalized, with an aggressive step size.
         ds = generate_synthetic(SyntheticSpec(samples=80, dim=6, informative_dims=3, seed=7))
         feats, _ = normalize_features(ds.features)
-        cfg = RpdmlConfig(eta0=0.9, c2=1.0, outer_iters=30, seed=7)
+        cfg = RpdmlConfig(eta0=0.9, c2=1.0, iters=30, seed=7)
         with pytest.raises(DivergedError, match="at t=1") as exc_info:
             train(feats, ds.labels, cfg)
         trace = exc_info.value.trace
@@ -465,8 +465,8 @@ class TestTrain:
         rng = np.random.default_rng(45)
         feats, labels = blob_data(rng, n=50)
         pc = build_pairs(feats, labels, 200, 0)
-        assert pc.n_similar >= 20 and pc.n_dissimilar >= 20
-        model = train(feats, labels, RpdmlConfig(outer_iters=1, seed=0))
+        assert pc.n_similar >= 20 and pc.dissimilar_diffs.shape[0] >= 20
+        model = train(feats, labels, RpdmlConfig(iters=1, seed=0))
         assert model.trace.initial_violation > 0.0
 
     def test_carried_inverse_matches_fresh_inverse_replay(self):
@@ -475,10 +475,10 @@ class TestTrain:
         # from the trace must land on the same iterates.
         rng = np.random.default_rng(48)
         feats, labels = blob_data(rng, n=40)
-        cfg = RpdmlConfig(outer_iters=20, seed=4)
+        cfg = RpdmlConfig(iters=20, seed=4)
         model = train(feats, labels, cfg)
         assert len(model.trace) == 20
-        pc = build_pairs(feats, labels, cfg.max_pairs_per_side, cfg.seed)
+        pc = build_pairs(feats, labels, cfg.max_pairs, cfg.seed)
         pc = pc.without_degenerate_rows().with_bounds(model.u, model.l)
         m = pc.n_constraints
         w0_inv = spd_inverse(model.w0).mat
@@ -493,13 +493,13 @@ class TestTrain:
     def test_inverse_covariance_reference(self):
         rng = np.random.default_rng(46)
         feats, labels = blob_data(rng, n=40)
-        cfg = RpdmlConfig(outer_iters=0, seed=0, w0_mode="inverse_covariance")
+        cfg = RpdmlConfig(iters=0, seed=0, w0="inverse_covariance")
         model = train(feats, labels, cfg)
         expected = np.linalg.inv(np.cov(feats, rowvar=False) + 1e-6 * np.eye(feats.shape[1]))
         assert np.allclose(model.w0.mat, expected, atol=1e-8)
 
-    @pytest.mark.parametrize("w0_mode", ["identity", "inverse_covariance"])
-    def test_one_spd_inverse_per_train(self, w0_mode, monkeypatch):
+    @pytest.mark.parametrize("w0", ["identity", "inverse_covariance"])
+    def test_one_spd_inverse_per_train(self, w0, monkeypatch):
         # W0^-1 is carried from W0's construction and W*^-1 from each solve.
         calls = []
 
@@ -510,7 +510,7 @@ class TestTrain:
         monkeypatch.setattr(metric_module, "spd_inverse", counting)
         rng = np.random.default_rng(47)
         feats, labels = blob_data(rng, n=40)
-        train(feats, labels, RpdmlConfig(outer_iters=10, seed=0, w0_mode=w0_mode))
+        train(feats, labels, RpdmlConfig(iters=10, seed=0, w0=w0))
         assert len(calls) == 1
 
 
@@ -520,20 +520,20 @@ class TestSlackMultiplierIsZero:
     [lam; gamma], a slack step that adds gamma) keeps gamma at 0 and so
     takes bitwise the same steps."""
 
-    @pytest.mark.parametrize("w0_mode", ["identity", "inverse_covariance"])
+    @pytest.mark.parametrize("w0", ["identity", "inverse_covariance"])
     @pytest.mark.parametrize("seed", [7, 8])
-    def test_train_equals_gamma_formulation(self, seed, w0_mode):
+    def test_train_equals_gamma_formulation(self, seed, w0):
         ds = generate_synthetic(SyntheticSpec(samples=100, dim=12, informative_dims=4,
                                               noise_scale=3.0, seed=seed))
         feats, _ = normalize_features(ds.features)
-        cfg = RpdmlConfig(seed=seed, w0_mode=w0_mode)
+        cfg = RpdmlConfig(seed=seed, w0=w0)
         model = train(feats, ds.labels, cfg)
 
         # train's set-up: the same pairs, bounds and W0^-1.
-        pc = build_pairs(feats, ds.labels, cfg.max_pairs_per_side, cfg.seed)
+        pc = build_pairs(feats, ds.labels, cfg.max_pairs, cfg.seed)
         pc = pc.without_degenerate_rows().with_bounds(model.u, model.l)
         m = pc.n_constraints
-        if w0_mode == "identity":
+        if w0 == "identity":
             w0_inv = spd_inverse(model.w0).mat
         else:
             w0_inv = metric_module._ridged_covariance(feats).mat
@@ -549,14 +549,13 @@ class TestSlackMultiplierIsZero:
         problem = SaddleProblem(
             objective=lambda x: 0.0,
             constraints=lambda x: np.concatenate([eval_h(x[0], x[1], pc), -x[1]]),
-            constraint_count=2 * m,
             inner_minimizer=inner_minimizer,
             record_extras=lambda x, dual: {"gamma": dual[m:].copy()},
         )
         ref = run(problem, (model.w0, np.zeros(m)),
-                  SolverConfig(alpha=cfg.c2, eta0=cfg.eta0, max_outer_iters=cfg.outer_iters))
+                  SolverConfig(alpha=cfg.c2, eta0=cfg.eta0, iters=cfg.iters))
 
-        assert len(ref) == len(model.trace) == cfg.outer_iters
+        assert len(ref) == len(model.trace) == cfg.iters
         assert model.trace.records[-1].point[1].max() > 0.0  # the slacks do move
         gamma = np.zeros(m)
         for r, rec in zip(ref.records, model.trace.records):
@@ -572,7 +571,7 @@ class TestModelSerialization:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(50)
         feats, labels = blob_data(rng, n=30)
-        model = train(feats, labels, RpdmlConfig(outer_iters=5, seed=1))
+        model = train(feats, labels, RpdmlConfig(iters=5, seed=1))
         path = tmp_path / "model.json"
         model.save(path)
         loaded = MetricModel.load(path)
@@ -592,7 +591,22 @@ class TestConfigValidation:
 
     def test_rejects_unknown_modes(self):
         with pytest.raises(ConfigError):
-            RpdmlConfig(w0_mode="zeros")
+            RpdmlConfig(w0="zeros")
+
+
+class TestNonFiniteConfig:
+    """The checks are written so that NaN fails them; the step rule's is
+    SolverConfig's, and its message names c2 where it says alpha."""
+
+    @pytest.mark.parametrize("field, match", [("c1", "c1"), ("c2", "alpha is c2"),
+                                              ("eta0", "eta0")])
+    def test_nan_is_rejected(self, field, match):
+        with pytest.raises(ConfigError, match=match):
+            RpdmlConfig(**{field: float("nan")})
+
+    def test_solver_config_holds_c2_eta0_iters(self):
+        cfg = RpdmlConfig(c2=0.5, eta0=0.01, iters=7)
+        assert cfg.solver == SolverConfig(alpha=0.5, eta0=0.01, iters=7)
 
 
 class TestInverseCovarianceMetric:

@@ -11,7 +11,13 @@ from rpdml.benchmarks import (
     scalar_toy_problem,
 )
 from rpdml.data import SyntheticSpec, generate_synthetic, normalize_features
-from rpdml.errors import ConfigError, DivergedError, InnerSolveError, InvariantViolationError
+from rpdml.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    DivergedError,
+    InnerSolveError,
+    InvariantViolationError,
+)
 from rpdml.manifold import logdet_divergence
 from rpdml.metric import RpdmlConfig, train
 from rpdml.solver import (
@@ -99,6 +105,13 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(alpha=0.1, eta0=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(alpha=math.nan), dict(alpha=0.1, eta0=math.nan), dict(alpha=math.nan, eta0=math.nan),
+    ])
+    def test_rejects_nan(self, kwargs):
+        with pytest.raises(ConfigError):
+            SolverConfig(**kwargs)
+
 
 class TestRun:
     def test_toy_problem_reaches_oracle_optimum(self):
@@ -113,10 +126,9 @@ class TestRun:
         inactive = SaddleProblem(
             objective=problem.objective,
             constraints=lambda x: np.array([-1.0]),
-            constraint_count=1,
             inner_minimizer=problem.inner_minimizer,
         )
-        trace = run(inactive, 0.5, SolverConfig(alpha=TOY_ALPHA, eta0=1.0, max_outer_iters=300))
+        trace = run(inactive, 0.5, SolverConfig(alpha=TOY_ALPHA, eta0=1.0, iters=300))
         assert all(r.dual_norm == 0.0 for r in trace.records)
         assert trace.best_record.objective <= 1e-3
 
@@ -163,7 +175,7 @@ class TestRun:
 
     def test_zero_iterations_returns_empty_trace(self):
         trace = run(scalar_toy_problem(), 0.5,
-                    SolverConfig(alpha=0.01, eta0=1.0, max_outer_iters=0))
+                    SolverConfig(alpha=0.01, eta0=1.0, iters=0))
         assert len(trace) == 0
         assert trace.final_point == 0.5
 
@@ -178,7 +190,7 @@ class TestRun:
             x0 = rng.uniform(0.2, 3.0)
             T = int(rng.integers(20, 60))
             cfg = SolverConfig(alpha=rng.uniform(0.001, 0.05),
-                               eta0=rng.uniform(0.5, 2.0), max_outer_iters=T)
+                               eta0=rng.uniform(0.5, 2.0), iters=T)
             trace = run(problem, x0, cfg)
             assert len(trace) == T
             assert all(np.isfinite(r.dual_norm) for r in trace.records)
@@ -195,13 +207,24 @@ class TestRun:
         bad = SaddleProblem(
             objective=problem.objective,
             constraints=problem.constraints,
-            constraint_count=1,
             inner_minimizer=failing_inner,
         )
         with pytest.raises(DivergedError) as exc_info:
-            run(bad, 0.5, SolverConfig(alpha=0.01, eta0=1.0, max_outer_iters=50))
+            run(bad, 0.5, SolverConfig(alpha=0.01, eta0=1.0, iters=50))
         partial = exc_info.value.trace
         assert partial is not None and 0 < len(partial) < 50
+
+    def test_constraints_that_change_length_are_rejected(self):
+        # The dual is sized from h(x0); a later h of another length is a bug
+        # of the problem, not a point to record.
+        problem = scalar_toy_problem()
+        growing = SaddleProblem(
+            objective=problem.objective,
+            constraints=lambda x: np.full(1 if x == 0.5 else 2, x - 1.0),
+            inner_minimizer=problem.inner_minimizer,
+        )
+        with pytest.raises(DimensionMismatchError, match=r"\(2,\) at t=0, \(1,\) at x0"):
+            run(growing, 0.5, SolverConfig(alpha=0.01, eta0=1.0, iters=5))
 
 
 class TestBestIndexSelection:
@@ -312,7 +335,7 @@ class TestPrefixBounds:
     def test_matches_reference_on_desk_train(self):
         ds = generate_synthetic(SyntheticSpec(samples=80, dim=6, informative_dims=3, seed=7))
         feats, _ = normalize_features(ds.features)
-        cfg = RpdmlConfig(outer_iters=20, seed=7)
+        cfg = RpdmlConfig(iters=20, seed=7)
         model = train(feats, ds.labels, cfg)
         records = model.trace.records
         x0 = (model.w0, np.zeros(records[0].point[1].size))
