@@ -11,8 +11,10 @@ import csv
 import logging
 import math
 import operator
+import warnings
 from dataclasses import dataclass
-from itertools import chain, groupby
+from functools import partial
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -145,14 +147,29 @@ def _feature_cols(header: list[str]) -> list[int]:
     return [i for i, c in enumerate(header) if c.startswith("f_")]
 
 
+#: The ASCII information separators U+001C..U+001F: numpy's float parser
+#: strips them around a number as whitespace, Python's ``float`` rejects them.
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
+
+
+def _holds_separator(path: str | Path) -> bool:
+    with open(path, "rb") as fh:
+        return any(sep in chunk for chunk in iter(partial(fh.read, 1 << 16), b"")
+                   for sep in _SEPARATORS)
+
+
 def _raise_first_fault(path: str | Path, header: list[str], cols: list[int],
-                       key_names: tuple[str, ...] | None = None):
-    """Walk the data rows again, one at a time, and raise the first fault in
-    file order: a row whose field count differs from the header's, a ``cols``
-    cell that is not a finite number (nan, inf or unparseable), or, given
-    ``key_names``, a row whose fields in those columns an earlier row had."""
-    key = operator.itemgetter(*map(header.index, key_names)) if key_names else None
-    first_line = {}
+                       key_names: tuple[str, ...], unique_keys: bool) -> tuple[list, Array]:
+    """The exact reader that ``_read_rows`` falls back to: walk the data rows
+    one at a time, as ``csv`` and Python's ``float`` read them, and raise the
+    first fault in file order: a row whose field count differs from the
+    header's, a ``cols`` cell that is not a finite number (nan, inf or
+    unparseable), or, when ``unique_keys``, a row whose ``key_names`` fields
+    an earlier row had.  A file without a fault (one whose cells use a
+    spelling only ``float`` reads, such as ``1_0`` or ``١٢``) gives
+    ``(keys, values)`` as ``_read_rows`` returns them."""
+    key = operator.itemgetter(*map(header.index, key_names))
+    first_line, keys, values = {}, [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -171,10 +188,12 @@ def _raise_first_fault(path: str | Path, header: list[str], cols: list[int],
                     raise ConfigError(
                         f"{path}: line {line}, column {header[i]}: {row[i]!r} is not a finite number"
                     )
-            if key and first_line.setdefault(key(row), line) != line:
+                values.append(value)
+            keys.append(key(row))
+            if unique_keys and first_line.setdefault(key(row), line) != line:
                 held = ", ".join(f"{n} {v!r}" for n, v in zip(key_names, key(row)))
                 raise ConfigError(f"{path}: lines {first_line[key(row)]} and {line} both hold {held}")
-    raise ConfigError(f"{path}: changed while it was read")
+    return keys, np.array(values, dtype=float).reshape(-1, len(cols))
 
 
 def _read_rows(path: str | Path, required: tuple[str, ...], key_names: tuple[str, ...],
@@ -184,39 +203,37 @@ def _read_rows(path: str | Path, required: tuple[str, ...], key_names: tuple[str
     tuple for more), ``values`` the (n_rows, n_cols) floats of the columns
     ``value_cols(header)``.  Blank lines are skipped.
 
-    One streamed pass: each row's cells are picked by an ``itemgetter`` and
-    chained into one ``map(float, ...)`` that ``np.fromiter`` collects, then
-    one ``np.isfinite`` checks them all.  Only the keys are kept, not the
-    rows.  On any fault, or a repeated key when ``unique_keys``, the file is
-    walked again (``_raise_first_fault``) to name the first fault in file
-    order; a file without data rows is rejected.
+    One C-level parse: ``np.loadtxt`` reads the rows after the header into a
+    structured array, a float field for each value column and an object
+    field (the cell's text) for every other column.  Its doubles are bitwise
+    those of Python's ``float``, but it rejects some spellings ``float``
+    reads.  So on any failure (it raises, a value is not finite, a key
+    repeats when ``unique_keys``, or the file holds one of ``_SEPARATORS``)
+    the exact walk ``_raise_first_fault`` reads the file again: it raises the
+    first fault in file order, or returns the rows.  A file without data rows
+    is rejected.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path, required)
+        header = _read_header(csv.reader(fh), path, required)
         cols = value_cols(header)
-        width = len(header)
-        key = operator.itemgetter(*map(header.index, key_names))
-        pick = operator.itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
-        keys = []
-
-        def picked():
-            for row in filter(None, reader):
-                if len(row) != width:
-                    raise ValueError("ragged row")
-                keys.append(key(row))
-                yield pick(row)
-
+        names = [str(header.index(n)) for n in key_names]
+        fields = np.dtype([(str(i), float if i in cols else object) for i in range(len(header))])
         try:
-            values = np.fromiter(map(float, chain.from_iterable(picked())), dtype=float)
-        except ValueError:  # a ragged row or a cell float() cannot read
-            values = None
-    repeated = unique_keys and len(set(keys)) < len(keys)
-    if values is None or repeated or not np.isfinite(values).all():
-        _raise_first_fault(path, header, cols, key_names if unique_keys else None)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+                table = np.loadtxt(fh, dtype=fields, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1)
+        except ValueError:  # a ragged row or a cell the C parser cannot read
+            table = None
+    if table is not None:
+        keys = table[names].tolist() if len(names) > 1 else table[names[0]].tolist()
+        values = np.column_stack([table[str(i)] for i in cols])
+    if (table is None or (unique_keys and len(set(keys)) < len(keys))
+            or not np.isfinite(values).all() or _holds_separator(path)):
+        keys, values = _raise_first_fault(path, header, cols, key_names, unique_keys)
     if not keys:
         raise ConfigError(f"{path}: no data rows")
-    return keys, values.reshape(-1, len(cols))
+    return keys, values
 
 
 def read_labeled_csv(path: str | Path) -> LabeledDataset:
@@ -288,8 +305,11 @@ class SyntheticSpec:
             raise ConfigError("informative_dims must not exceed dim")
         if self.classes < 1 or self.samples < 1 or self.dim < 1 or self.informative_dims < 1:
             raise ConfigError("counts must be positive")
-        if self.noise_scale < 0:
-            raise ConfigError("noise_scale must be nonnegative")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ConfigError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
+        if not (math.isfinite(self.cluster_sep) and math.isfinite(self.target_noise)):
+            raise ConfigError(f"cluster_sep and target_noise must be finite, got "
+                              f"{self.cluster_sep} and {self.target_noise}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:

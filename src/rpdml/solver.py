@@ -47,7 +47,7 @@ def step_size(t: int, eta0: float) -> float:
     """Decreasing schedule eta0 / sqrt(t + 1)."""
     if t < 0:
         raise ConfigError(f"iteration index must be >= 0, got {t}")
-    if eta0 <= 0:
+    if not eta0 > 0:
         raise ConfigError(f"base step size must be positive, got {eta0}")
     return eta0 / math.sqrt(t + 1.0)
 
@@ -182,9 +182,9 @@ def dual_ascent_step(lam: Array, h_val: Array, eta: float, alpha: float) -> Arra
     h_val = np.asarray(h_val, dtype=float)
     if lam.shape != h_val.shape:
         raise DimensionMismatchError(f"dual shape {lam.shape} != constraint shape {h_val.shape}")
-    if eta <= 0:
+    if not eta > 0:
         raise ConfigError(f"step size must be positive, got {eta}")
-    if alpha * eta > 1.0 + 1e-15:
+    if not alpha * eta <= 1.0 + 1e-15:
         raise ConfigError(f"alpha * eta = {alpha * eta:.4g} exceeds 1")
     if np.any(lam < 0):
         raise InvariantViolationError("dual vector has negative entries")

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             SyntheticSpec(dim=3, informative_dims=5)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(noise_scale=math.nan), dict(noise_scale=math.inf), dict(noise_scale=-1.0),
+        dict(cluster_sep=math.nan), dict(cluster_sep=-math.inf), dict(target_noise=math.nan),
+        dict(target_noise=math.inf),
+    ])
+    def test_rejects_non_finite_scales(self, kwargs):
+        with pytest.raises(ConfigError):
+            SyntheticSpec(**kwargs)
+
 
 class TestGenerateSyntheticPanel:
     def test_deterministic_and_labeled_by_quarter(self):
@@ -152,8 +162,9 @@ class TestLabeledCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_peak_memory_holds_no_rows(self, tmp_path):
-        # The rows are parsed as they stream by: a 4000 x (2 + 20) file
-        # peaks at ~1.4 MB, where holding every parsed row would take ~7 MB.
+        # The rows are parsed straight into one array: a 4000 x (2 + 20)
+        # file peaks at ~1.5 MB, where holding every parsed row would take
+        # ~7 MB.
         path = tmp_path / "large.csv"
         write_labeled_csv(generate_synthetic(SyntheticSpec(samples=4000, seed=14)), path)
         tracemalloc.start()
@@ -248,10 +259,12 @@ def oracle_read_panel(path):
 
 GOOD_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from([" 1.5", "1_0", "-0.0", "0", "+2e-3 ", "1e-320", '"7"']),
+    st.sampled_from([" 1.5", "1_0", "-0.0", "0", "+2e-3 ", "1e-320", '"7"',
+                     "١٢", "１.５", "1_000.5"]),
 )
-POISON_CELLS = st.sampled_from(["nan", "-Infinity", "inf", "1e999", "abc", ""])
-KEY_CELLS = st.sampled_from(["A", "B", "2017Q1", "2017Q2", "a,b", 'say "hi"', "x\ny", ""])
+POISON_CELLS = st.sampled_from(["nan", "-Infinity", "inf", "1e999", "abc", "", "\x1c1", "2\x1f"])
+KEY_CELLS = st.sampled_from(["A", "B", "2017Q1", "2017Q2", "a,b", 'say "hi"', "x\ny", "",
+                             " A", "x\x1fy"])
 
 
 @st.composite
@@ -368,3 +381,26 @@ class TestPanelCsvFaults:
                           "2017Q1,A002,1") == "lines 2 and 3 both hold period '2017Q1', asset_id 'A001'"
         assert self._read(tmp_path, "2017Q2,A001,1,0.1", "2017Q1,A002,1",
                           "2017Q1,A001,nan,0.1") == "line 3 has 3 fields, header has 4"
+
+
+class TestBulkParseFallback:
+    """The C-level parse hands every file it cannot read exactly to the row walk."""
+
+    def test_information_separator_is_not_whitespace(self, tmp_path):
+        # numpy's parser strips U+001C..U+001F around a number; float does not.
+        path = tmp_path / "labeled.csv"
+        path.write_text("label,target\nA,1\nB,\x1c2\n")
+        with pytest.raises(ConfigError, match=r"line 3, column target: '\\x1c2' is not a finite"):
+            read_labeled_csv(path)
+
+    def test_blank_lines_raise_no_warning(self, tmp_path):
+        labeled, panel, empty = (tmp_path / n for n in ("labeled.csv", "panel.csv", "empty.csv"))
+        labeled.write_text("label,target,f_0\n\nA,1,2\n\nB,3,4\n\n")
+        panel.write_text("period,asset_id,f_0,next_return\n\n2017Q1,A,1,0.1\n\n")
+        empty.write_text("period,asset_id,f_0,next_return\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_labeled_csv(labeled).targets.tolist() == [1.0, 3.0]
+            assert read_panel_csv(panel).periods[0].asset_ids == ["A"]
+            with pytest.raises(ConfigError, match="no data rows"):
+                read_panel_csv(empty)

@@ -55,6 +55,8 @@ class TestStepSize:
             step_size(-1, 1.0)
         with pytest.raises(ConfigError):
             step_size(0, 0.0)
+        with pytest.raises(ConfigError):
+            step_size(0, math.nan)
 
 
 class TestPositivePart:
@@ -87,6 +89,11 @@ class TestDualAscentStep:
     def test_rejects_alpha_eta_above_one(self):
         with pytest.raises(ConfigError):
             dual_ascent_step(np.array([1.0]), np.array([0.0]), 2.0, 0.6)
+
+    @pytest.mark.parametrize("eta, alpha", [(math.nan, 0.1), (0.5, math.nan), (math.nan, math.nan)])
+    def test_rejects_nan(self, eta, alpha):
+        with pytest.raises(ConfigError):
+            dual_ascent_step(np.zeros(1), np.ones(1), eta, alpha)
 
     def test_rejects_negative_dual(self):
         with pytest.raises(InvariantViolationError):
