@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -464,7 +465,15 @@ def _add_options(parser: argparse.ArgumentParser, defaults: dict, choices: dict)
             parser.add_argument(flag, type=_option_type(key, default), choices=choices.get(key))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by later ones.
+
+    It holds no per-call state: ``parse_args`` makes a fresh namespace, every
+    option defaults to None, and the ``func`` and ``choices`` it sets on each
+    namespace are only read, so repeated ``main`` calls in one process cannot
+    see each other.  Callers must not change it.
+    """
     parser = _Parser(prog="rpdml", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -132,9 +132,18 @@ def write_labeled_csv(data: LabeledDataset, path: str | Path) -> None:
             writer.writerow([lab, repr(float(tgt))] + [repr(float(x)) for x in row])
 
 
+def _csv_rows(reader, path: str | Path):
+    """The rows of a ``csv.reader``; a fault ``csv`` raises on, such as a field
+    over its size limit, is an input error naming the file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def _read_header(reader, path: str | Path, required: tuple[str, ...]) -> list[str]:
     """The CSV header row, checked to hold the required columns."""
-    header = next(reader, None)
+    header = next(_csv_rows(reader, path), None)
     if header is None:
         raise ConfigError(f"{path}: empty file, expected columns {', '.join(required)}")
     missing = [c for c in required if c not in header]
@@ -173,7 +182,7 @@ def _raise_first_fault(path: str | Path, header: list[str], cols: list[int],
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in filter(None, reader):
+        for row in filter(None, _csv_rows(reader, path)):
             line = reader.line_num
             if len(row) != len(header):
                 raise ConfigError(

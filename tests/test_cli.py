@@ -2,13 +2,19 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rpdml
 from rpdml import cli
 from rpdml.cli import main, read_config_file
 from rpdml.data import read_panel_csv
+from rpdml.errors import ConfigError
 from rpdml.metric import RpdmlConfig
 
 
@@ -349,6 +355,76 @@ class TestExitCodes:
         assert run_cli("--help") == 0
 
 
+def _tree(root: Path) -> dict:
+    """Every file under ``root``: relative path -> bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+class TestRepeatedMain:
+    """``main`` may run many times in one process: the parser is built once
+    and shared, and no call sees another's state."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_sequence_matches_separate_processes(
+            self, labeled_csv, panel_csv, tmp_path, capsys, monkeypatch):
+        # Relative output paths make stdout and stderr comparable too.
+        train = ["train", "--seed", "7", "--data", str(labeled_csv), "--iters", "12"]
+        steps = [
+            train + ["--outdir", "train"],
+            ["eval", "--seed", "7", "--data", str(labeled_csv), "--outdir", "eval",
+             "--metric", "learned", "--model", "train/model.json"],
+            train + ["--outdir", "bad", "--w0", "bogus"],
+            ["train", "--help"],
+            ["backtest", "--seed", "7", "--data", str(panel_csv), "--outdir", "backtest",
+             "--metric", "rpdml", "--k", "5", "--top-n", "3", "--iters", "10"],
+            train + ["--outdir", "train-again"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        monkeypatch.delenv("RPDML_OUTPUT_DIR", raising=False)
+        src = str(Path(rpdml.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        separate, in_process = tmp_path / "separate", tmp_path / "in-process"
+        separate.mkdir()
+        in_process.mkdir()
+        expected = []
+        for argv in steps:
+            done = subprocess.run([sys.executable, "-m", "rpdml.cli", *argv], cwd=separate,
+                                  env=env, capture_output=True, text=True)
+            expected.append((done.returncode, done.stdout, done.stderr))
+        monkeypatch.chdir(in_process)
+        got = []
+        for argv in steps:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            got.append((code, out, err))
+        assert [code for code, _, _ in got] == [0, 0, 1, 0, 0, 0]
+        assert got == expected
+        assert "usage: rpdml train" in got[3][1]
+        assert "invalid choice: 'bogus'" in got[2][2]
+        assert _tree(in_process) == _tree(separate)
+        assert _tree(in_process / "train-again") == _tree(in_process / "train")
+        assert sorted(p.name for p in in_process.iterdir()) == [
+            "backtest", "eval", "train", "train-again"]
+
+    def test_patched_reader_is_used_after_the_parser_is_built(self, tmp_path, monkeypatch):
+        cli.build_parser()
+        seen = []
+
+        def fake_read(path):
+            seen.append(path)
+            raise ConfigError("patched reader")
+        monkeypatch.setattr(cli, "read_labeled_csv", fake_read)
+        data = tmp_path / "d.csv"
+        data.write_text("label,target,f_0\n")
+        assert run_cli("train", "--seed", "1", "--data", str(data),
+                       "--outdir", str(tmp_path / "o")) == 1
+        assert seen == [str(data)]
+
+
 class TestConfigFile:
     def test_flags_override_config(self, labeled_csv, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -597,6 +673,26 @@ class TestCsvHeaders:
                        "--outdir", str(tmp_path / "o"), "--metric", "euclidean") == 1
         self._assert_clean_error(capsys, str(repeated), f"lines 5 and {len(lines) + 1} both hold "
                                  f"period {period!r}, asset_id {asset!r}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where, line", [("header", 1), ("row", 3)])
+    def test_cell_over_the_csv_field_limit(self, where, line, labeled_csv, tmp_path, capsys):
+        # A row cell only reaches csv's 131072-character limit on the exact
+        # row walk, which a later fault (here a nan target) sends the file to.
+        lines = labeled_csv.read_text().splitlines()
+        long = "x" * 200_000
+        if where == "header":
+            lines[0] += ",extra_" + long
+            lines[1:] = [row + ",0" for row in lines[1:]]
+        else:
+            lines[2] = long + lines[2][lines[2].index(","):]
+            cells = lines[-1].split(",")
+            lines[-1] = ",".join([cells[0], "nan"] + cells[2:])
+        bad = tmp_path / "long.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli("eval", "--seed", "1", "--data", str(bad), "--outdir", str(tmp_path / "o"),
+                       "--metric", "euclidean") == 1
+        self._assert_clean_error(capsys, f"{bad}: line {line}: field larger than field limit")
         assert not (tmp_path / "o").exists()
 
 
