@@ -16,6 +16,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import json
@@ -105,17 +106,13 @@ def _finite_float(raw: str) -> float:
 # argparse names the type in its message: "invalid finite float value: 'nan'".
 _finite_float.__name__ = "finite float"
 
-#: Float options whose own range check rejects nan and inf before any work,
-#: with a message that names the flag and the range.
-_RANGE_CHECKED = {"train_frac"}
 
-
-def _option_type(key: str, default):
+def _option_type(default):
     """Type of an option, from its default: bools parse strictly, floats must
     be finite, None takes a string."""
     if isinstance(default, bool):
         return _parse_bool
-    if isinstance(default, float) and key not in _RANGE_CHECKED:
+    if isinstance(default, float):
         return _finite_float
     return str if default is None else type(default)
 
@@ -137,7 +134,7 @@ def _layer_options(args: argparse.Namespace, defaults: dict) -> dict:
             resolved[key] = flag_val
         elif key in file_cfg:
             try:
-                value = _option_type(key, default)(file_cfg[key])
+                value = _option_type(default)(file_cfg[key])
                 if key in args.choices and value not in args.choices[key]:
                     raise ValueError(f"{value!r} is not one of {', '.join(args.choices[key])}")
             except ValueError as exc:
@@ -183,19 +180,17 @@ def _write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # gen-data
 
-_GEN_DEFAULTS = dict(
-    kind="labeled", classes=2, samples=200, dim=20, informative_dims=4,
-    noise_scale=3.0, cluster_sep=2.0, periods=12, assets=40,
-)
+#: Dataset-shape options of gen-data: SyntheticSpec's fields but the seed and
+#: the target noise, with its defaults.
+_SPEC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SyntheticSpec)
+                  if f.name not in ("seed", "target_noise")}
+
+_GEN_DEFAULTS = dict(kind="labeled", **_SPEC_DEFAULTS, periods=12, assets=40)
 
 
 def cmd_gen_data(args) -> int:
     opts = _layer_options(args, _GEN_DEFAULTS)
-    spec = SyntheticSpec(
-        classes=opts["classes"], samples=opts["samples"], dim=opts["dim"],
-        informative_dims=opts["informative_dims"], noise_scale=opts["noise_scale"],
-        cluster_sep=opts["cluster_sep"], seed=args.seed,
-    )
+    spec = SyntheticSpec(seed=args.seed, **{k: opts[k] for k in _SPEC_DEFAULTS})
     if opts["kind"] == "labeled":
         dataset, write = generate_synthetic(spec), write_labeled_csv
     else:
@@ -236,6 +231,7 @@ def _split_dataset(ds, train_frac: float, seed: int):
 def cmd_train(args) -> int:
     opts = _layer_options(args, _TRAIN_DEFAULTS)
     _check_train_frac(opts["train_frac"])
+    config = _rpdml_config(opts, args.seed)
     _check_inputs(args.data)
     outdir = _resolve_outdir(args)
     ds = read_labeled_csv(args.data)
@@ -247,7 +243,7 @@ def cmd_train(args) -> int:
     if opts["normalize"]:
         feats, _ = normalize_features(feats)
     try:
-        model = train(feats, labels, _rpdml_config(opts, args.seed))
+        model = train(feats, labels, config)
     except DivergedError as exc:
         # A failed run still records what ran and how far it got.
         _write_snapshot(outdir, "train", args.seed, opts)
@@ -321,7 +317,8 @@ _BACKTEST_DEFAULTS = dict(
 def make_metric_provider(name: str, opts: dict, seed: int):
     """Metric factory of eval and of the backtest's windows: ``euclidean``,
     ``mahalanobis``, ``learned`` (the model file ``opts["model"]``), or (any
-    other name) ``rpdml``, trained on the features it is given."""
+    other name) ``rpdml``, trained on the features it is given with one
+    ``RpdmlConfig``, built and checked here, before any window runs."""
     if name == "euclidean":
         return lambda feats, rets: euclidean_metric(feats)
     if name == "mahalanobis":
@@ -335,10 +332,12 @@ def make_metric_provider(name: str, opts: dict, seed: int):
             return w
         return learned
 
+    config = _rpdml_config(opts, seed)
+
     def provider(feats, rets):
         # Two groups: assets above / below the window's median return.
         labels = (rets > np.median(rets)).astype(int)
-        return train(feats, labels, _rpdml_config(opts, seed)).w
+        return train(feats, labels, config).w
     return provider
 
 
@@ -347,10 +346,10 @@ def cmd_backtest(args) -> int:
     for key in ("k", "top_n", "mdd_window"):
         if opts[key] < 1:
             raise ConfigError(f"--{key.replace('_', '-')} must be at least 1, got {opts[key]}")
+    provider = make_metric_provider(opts["metric"], opts, args.seed)
     _check_inputs(args.data)
     outdir = _resolve_outdir(args)
     panel = read_panel_csv(args.data)
-    provider = make_metric_provider(opts["metric"], opts, args.seed)
     k, top_n = int(opts["k"]), int(opts["top_n"])
     # One pass fits each window's metric once; the portfolio and the IC
     # series both come from the same predictions.
@@ -363,7 +362,7 @@ def cmd_backtest(args) -> int:
         print(f"IC undefined (constant predictions or returns), left out: {', '.join(undefined)}")
     res = result.to_json_dict()
     _write_snapshot(outdir, "backtest", args.seed, opts)
-    result.save(outdir / "result.json")
+    (outdir / "result.json").write_text(json.dumps(res) + "\n")
     _write_json(outdir / "metrics.json", {
         "metric": opts["metric"],
         "k": k,
@@ -444,7 +443,10 @@ def cmd_export_plots(args) -> int:
         raise ConfigError(f"nothing to export in {run_dir} (no trace.jsonl or result.json)")
     outdir.mkdir(parents=True, exist_ok=True)
     for name, header, pairs in series:
-        (outdir / name).write_text("".join([header + "\n"] + [f"{a},{b!r}\n" for a, b in pairs]))
+        # Quoted as CSV needs: a period label may hold a comma or a quote.
+        with open(outdir / name, "w", newline="") as fh:
+            fh.write(header + "\n")
+            csv.writer(fh, lineterminator="\n").writerows((a, repr(b)) for a, b in pairs)
     print(f"wrote {', '.join(name for name, _, _ in series)} to {outdir}")
     return 0
 
@@ -462,7 +464,7 @@ def _add_options(parser: argparse.ArgumentParser, defaults: dict, choices: dict)
         if isinstance(default, bool):
             parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
         else:
-            parser.add_argument(flag, type=_option_type(key, default), choices=choices.get(key))
+            parser.add_argument(flag, type=_option_type(default), choices=choices.get(key))
 
 
 @functools.cache

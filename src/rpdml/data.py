@@ -351,16 +351,12 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     return LabeledDataset(features, labels, targets)
 
 
-def generate_synthetic_panel(
-    spec: SyntheticSpec,
-    periods: int = 12,
-    assets_per_period: int = 30,
-    start_year: int = 2017,
-) -> PanelDataset:
+def generate_synthetic_panel(spec: SyntheticSpec, periods: int,
+                             assets_per_period: int) -> PanelDataset:
     """Panel whose next-period returns are a linear function of the
     informative dims plus noise, with fresh assets every period.
 
-    Period labels look like quarters (``2017Q1``) so annual grouping works.
+    Period labels are quarters from ``2017Q1`` on, so annual grouping works.
     """
     if periods < 1 or assets_per_period < 1:
         raise ConfigError(f"a panel needs at least one period and one asset, got "
@@ -378,9 +374,8 @@ def generate_synthetic_panel(
         noise = rng.normal(scale=max(spec.noise_scale, 1e-12), size=(assets_per_period, n_noise))
         features = np.hstack([info, noise]) if n_noise else info
         returns = info @ coef + spec.target_noise * 0.05 * rng.normal(size=assets_per_period)
-        label = f"{start_year + p // 4}Q{p % 4 + 1}"
         out.append(PanelPeriod(
-            label=label,
+            label=f"{2017 + p // 4}Q{p % 4 + 1}",
             asset_ids=[f"A{i:03d}" for i in range(assets_per_period)],
             features=features,
             next_returns=returns,

@@ -9,10 +9,8 @@ form an equal-weight portfolio whose realized return is compounded.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -50,9 +48,6 @@ class PortfolioResult:
             "final_return": float(self.cumulative[-1]) if self.cumulative.size else 0.0,
             "max_drawdown": float(np.max(self.rolling_mdd)) if self.rolling_mdd.size else 0.0,
         }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
 
 
 def euclidean_metric(features: Array) -> SpdMatrix:

@@ -6,13 +6,16 @@ used throughout the package is the LogDet divergence
 
     d2(W, W0) = tr(W @ inv(W0)) - logdet(W @ inv(W0)) - n,
 
-which is scale invariant and vanishes exactly at W == W0.  Every spectral
-operation goes through one pair: :func:`eigendecompose` (``eigh`` of the
-symmetric part, eigenvalues ascending) and :func:`from_spectrum`, which
-rebuilds V diag(f(vals)) V^T.  The rebuild does not depend on the signs of
-the eigenvector columns, so no sign convention is imposed.  The inverse, the
-retraction ("eigendecompose, clip the spectrum, reconstruct") and the
-closed-form W step of ``metric.inner_solve_w`` are all built from it.
+which is scale invariant and vanishes exactly at W == W0.  Every operation
+that needs eigenvectors goes through one pair: :func:`eigendecompose`
+(``eigh`` of the symmetric part, eigenvalues ascending) and
+:func:`from_spectrum`, which rebuilds V diag(f(vals)) V^T.  The rebuild does
+not depend on the signs of the eigenvector columns, so no sign convention is
+imposed.  The inverse, the retraction ("eigendecompose, clip the spectrum,
+reconstruct") and the closed-form W step of ``metric.inner_solve_w`` are all
+built from it.  Two checks need eigenvalues only and call ``eigvalsh``
+directly: the eigenvalue floor of ``SpdMatrix`` validation and
+:func:`spd_logdet`.
 """
 
 from __future__ import annotations

@@ -202,13 +202,14 @@ class RpdmlConfig:
 
 @dataclass(frozen=True, eq=False)
 class MetricModel:
-    """A learned metric with its reference point, bounds, and run history."""
+    """A learned metric with its reference point and bounds; ``trace``, the run
+    history, is set by ``train`` and is None on a model read by ``load``."""
 
     w: SpdMatrix
     w0: SpdMatrix
     u: float
     l: float
-    trace: RunTrace
+    trace: RunTrace | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -235,9 +236,7 @@ class MetricModel:
                 raise DimensionMismatchError(f"{key}: expected {n * n} entries, got {data.size}")
             return SpdMatrix(data.reshape(n, n))
 
-        w, w0 = matrix("w"), matrix("w0")
-        empty = RunTrace([], w, 0, 0.0, 0.0)
-        return cls(w=w, w0=w0, u=float(obj["u"]), l=float(obj["l"]), trace=empty)
+        return cls(w=matrix("w"), w0=matrix("w0"), u=float(obj["u"]), l=float(obj["l"]))
 
 
 def build_pairs(
@@ -418,20 +417,21 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     pc = build_pairs(features, labels, config.max_pairs, config.seed)
     pc = pc.without_degenerate_rows()
 
-    # W0 and W0^-1 from one spd_inverse: the ridged covariance is W0^-1 itself.
+    # W0, W0^-1 and log det W0: I, I and 0 in closed form, or one spd_inverse
+    # of the ridged covariance, which is W0^-1 itself.
     if config.w0 == "identity":
         w0 = SpdMatrix.identity(features.shape[1])
-        w0_inv = spd_inverse(w0).mat
+        w0_inv, w0_logdet = w0.mat, 0.0
     else:
         cov = _ridged_covariance(features)
         w0, w0_inv = spd_inverse(cov), cov.mat
+        w0_logdet = spd_logdet(w0)
 
     init_dists = rowwise_quadratic(w0.mat, pc.diffs)
     u, l = compute_bounds(init_dists, config.percentile_lo, config.percentile_hi)
     pc = pc.with_bounds(u, l)
 
     m, n = pc.n_constraints, w0.dim
-    w0_logdet = spd_logdet(w0)
     # W^-1 and log det W of the latest iterate (x0 or the last solve's),
     # carried into the objective and the next solve.
     w_inv, w_logdet = w0_inv, w0_logdet

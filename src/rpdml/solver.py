@@ -146,11 +146,8 @@ class RunTrace:
     def best_record(self) -> IterationRecord:
         return self.records[self.best_index]
 
-    def to_dicts(self) -> list[dict]:
-        return [r.to_dict() for r in self.records]
-
     def write_jsonl(self, path: str | Path, rows: list[dict] | None = None) -> None:
-        rows = self.to_dicts() if rows is None else rows
+        rows = [r.to_dict() for r in self.records] if rows is None else rows
         with open(path, "w") as fh:
             for row in rows:
                 fh.write(json.dumps(row) + "\n")

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -13,7 +14,7 @@ import pytest
 import rpdml
 from rpdml import cli
 from rpdml.cli import main, read_config_file
-from rpdml.data import read_panel_csv
+from rpdml.data import PanelDataset, SyntheticSpec, read_panel_csv, write_panel_csv
 from rpdml.errors import ConfigError
 from rpdml.metric import RpdmlConfig
 
@@ -144,7 +145,32 @@ class TestTrainEval:
         extra = ["--metric", "euclidean"] if command == "eval" else []
         assert run_cli(command, "--seed", "7", "--data", str(labeled_csv), "--outdir",
                        str(outdir), "--train-frac", frac, *extra) == 1
-        assert f"--train-frac must be in (0, 1], got {float(frac)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if frac == "nan":
+            assert "argument --train-frac: invalid finite float value: 'nan'" in err
+        else:
+            assert f"--train-frac must be in (0, 1], got {float(frac)}" in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train", "--c1", "0", "c1 must be positive, got 0.0"),
+        ("train", "--iters", "-1", "iters must be >= 0, got -1"),
+        ("train", "--max-pairs", "0", "max_pairs must be >= 1"),
+        ("backtest", "--c1", "0", "c1 must be positive, got 0.0"),
+    ])
+    def test_bad_training_option_is_rejected_before_reading(
+            self, request, tmp_path, capsys, monkeypatch, command, flag, value, message):
+        data = request.getfixturevalue("panel_csv" if command == "backtest" else "labeled_csv")
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data was read")
+        monkeypatch.setattr(cli, "read_labeled_csv", no_read)
+        monkeypatch.setattr(cli, "read_panel_csv", no_read)
+        outdir = tmp_path / "run"
+        assert run_cli(command, "--seed", "7", "--data", str(data), "--outdir", str(outdir),
+                       flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
         assert not outdir.exists()
 
     def test_prox_mode_flag_is_a_usage_error(self, labeled_csv, tmp_path):
@@ -185,6 +211,24 @@ class TestBacktest:
         assert code == 0
         metrics = json.loads((outdir / "metrics.json").read_text())
         assert "ic_mean" in metrics and "final_return" in metrics
+
+    def test_rpdml_backtest_builds_one_config(self, tmp_path, monkeypatch):
+        # Every window trains with the same RpdmlConfig, built once per run.
+        path = tmp_path / "panel12.csv"
+        assert run_cli("gen-data", "--seed", "3", "--kind", "panel", "--out", str(path),
+                       "--dim", "6", "--informative-dims", "3", "--periods", "12",
+                       "--assets", "20") == 0
+        built = []
+
+        def counting(**kwargs):
+            built.append(kwargs)
+            return RpdmlConfig(**kwargs)
+        monkeypatch.setattr(cli, "RpdmlConfig", counting)
+        outdir = tmp_path / "bt"
+        assert run_cli("backtest", "--seed", "3", "--data", str(path), "--outdir", str(outdir),
+                       "--metric", "rpdml", "--k", "5", "--top-n", "3", "--iters", "5") == 0
+        assert len(json.loads((outdir / "result.json").read_text())["periods"]) == 11
+        assert len(built) == 1
 
     def test_k_equal_to_window_gives_undefined_ic(self, tmp_path, capsys):
         # With k = assets per period every prediction is the mean of the same
@@ -300,6 +344,26 @@ class TestExportPlots:
         assert run_cli("export-plots", "--run", str(outdir)) == 0
         assert (outdir / "plots" / "cumulative.csv").exists()
         assert (outdir / "plots" / "annual_returns.csv").exists()
+
+    def test_labels_with_comma_and_quote_are_quoted(self, panel_csv, tmp_path):
+        panel = read_panel_csv(panel_csv)
+        labels = ['2017,Q1', '2017,Q2', '2017"Q3', '2017 "Q4"', '2018,Q1']
+        renamed = PanelDataset([dataclasses.replace(p, label=lab)
+                                for p, lab in zip(panel.periods, sorted(labels))])
+        path = tmp_path / "quoted.csv"
+        write_panel_csv(renamed, path)
+        outdir = tmp_path / "bt"
+        assert run_cli("backtest", "--seed", "7", "--data", str(path), "--outdir", str(outdir),
+                       "--metric", "euclidean", "--k", "5", "--top-n", "3") == 0
+        assert run_cli("export-plots", "--run", str(outdir)) == 0
+        result = json.loads((outdir / "result.json").read_text())
+        for name, key in (("cumulative.csv", "cumulative"), ("rolling_mdd.csv", "rolling_mdd")):
+            with open(outdir / "plots" / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["period", key]
+            assert all(len(row) == 2 for row in rows)
+            assert [row[0] for row in rows[1:]] == result["periods"] == sorted(labels)[1:]
+            assert [float(row[1]) for row in rows[1:]] == result[key]
 
     @pytest.mark.parametrize("name, text, where, missing", [
         ("trace.jsonl",
@@ -579,6 +643,14 @@ class TestOptionTable:
         assert {key: defaults[key] for key in fields} == dict(fields, **overrides)
         assert cli._rpdml_config(defaults, seed=3) == RpdmlConfig(seed=3, **overrides)
 
+    def test_dataset_options_are_the_spec_fields(self):
+        fields = {f.name: f.default for f in dataclasses.fields(SyntheticSpec)
+                  if f.name not in ("seed", "target_noise")}
+        assert list(fields) == ["classes", "samples", "dim", "informative_dims",
+                                "noise_scale", "cluster_sep"]
+        assert {key: cli._GEN_DEFAULTS[key] for key in fields} == fields
+        assert list(cli._GEN_DEFAULTS) == ["kind", *fields, "periods", "assets"]
+
 
 #: Every float option of every command, with the flags it needs to parse.
 _FLOAT_OPTIONS = [
@@ -619,7 +691,7 @@ class TestNonFiniteOptions:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if form == "flag" or key in cli._RANGE_CHECKED:
+        if form == "flag":
             assert flag in err
         else:
             assert f"bad value for {key} in config file exp.cfg" in err and "finite" in err
