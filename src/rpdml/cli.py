@@ -168,9 +168,13 @@ def _write_snapshot(outdir: Path, command: str, seed: int | None, opts: dict) ->
     (outdir / "config.txt").write_text("\n".join(lines) + "\n")
 
 
-def _check_train_frac(frac: float) -> None:
-    if not 0.0 < frac <= 1.0:
-        raise ConfigError(f"--train-frac must be in (0, 1], got {frac}")
+def _check_ranges(opts: dict, counts=()) -> None:
+    """--train-frac in (0, 1] if the command has it; each of ``counts`` at least 1."""
+    if not 0.0 < opts.get("train_frac", 1.0) <= 1.0:
+        raise ConfigError(f"--train-frac must be in (0, 1], got {opts['train_frac']}")
+    for key in counts:
+        if opts[key] < 1:
+            raise ConfigError(f"--{key.replace('_', '-')} must be at least 1, got {opts[key]}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -230,7 +234,7 @@ def _split_dataset(ds, train_frac: float, seed: int):
 
 def cmd_train(args) -> int:
     opts = _layer_options(args, _TRAIN_DEFAULTS)
-    _check_train_frac(opts["train_frac"])
+    _check_ranges(opts)
     config = _rpdml_config(opts, args.seed)
     _check_inputs(args.data)
     outdir = _resolve_outdir(args)
@@ -274,8 +278,9 @@ def cmd_eval(args) -> int:
     opts = _layer_options(args, _EVAL_DEFAULTS)
     if opts["metric"] == "learned" and not opts["model"]:
         raise ConfigError("--model is required for --metric learned")
-    _check_train_frac(opts["train_frac"])
+    _check_ranges(opts, ("k",))
     _check_inputs(args.data, *([opts["model"]] if opts["metric"] == "learned" else []))
+    provider = make_metric_provider(opts["metric"], opts, args.seed)
     outdir = _resolve_outdir(args)
     xtr, ytr, ttr, xte, yte, tte = _split_dataset(
         read_labeled_csv(args.data), opts["train_frac"], args.seed)
@@ -284,7 +289,7 @@ def cmd_eval(args) -> int:
     if opts["normalize"]:
         xtr, stats = normalize_features(xtr)
         xte = stats.apply(xte)
-    w = make_metric_provider(opts["metric"], opts, args.seed)(xtr, ttr)
+    w = provider(xtr, ttr)
     k = int(opts["k"])
     # One ranking serves both the accuracy and the IC.
     neighbors = knn_neighbors(w, xtr, xte, k)
@@ -343,9 +348,7 @@ def make_metric_provider(name: str, opts: dict, seed: int):
 
 def cmd_backtest(args) -> int:
     opts = _layer_options(args, _BACKTEST_DEFAULTS)
-    for key in ("k", "top_n", "mdd_window"):
-        if opts[key] < 1:
-            raise ConfigError(f"--{key.replace('_', '-')} must be at least 1, got {opts[key]}")
+    _check_ranges(opts, ("k", "top_n", "mdd_window"))
     provider = make_metric_provider(opts["metric"], opts, args.seed)
     _check_inputs(args.data)
     outdir = _resolve_outdir(args)

@@ -6,16 +6,15 @@ used throughout the package is the LogDet divergence
 
     d2(W, W0) = tr(W @ inv(W0)) - logdet(W @ inv(W0)) - n,
 
-which is scale invariant and vanishes exactly at W == W0.  Every operation
-that needs eigenvectors goes through one pair: :func:`eigendecompose`
-(``eigh`` of the symmetric part, eigenvalues ascending) and
-:func:`from_spectrum`, which rebuilds V diag(f(vals)) V^T.  The rebuild does
-not depend on the signs of the eigenvector columns, so no sign convention is
-imposed.  The inverse, the retraction ("eigendecompose, clip the spectrum,
-reconstruct") and the closed-form W step of ``metric.inner_solve_w`` are all
-built from it.  Two checks need eigenvalues only and call ``eigvalsh``
-directly: the eigenvalue floor of ``SpdMatrix`` validation and
-:func:`spd_logdet`.
+which is scale invariant and vanishes exactly at W == W0.  The inverse and
+the retraction ("eigendecompose, clip the spectrum, reconstruct") go through
+one eigen pair: :func:`eigendecompose` (``eigh`` of the symmetric part,
+eigenvalues ascending) and :func:`from_spectrum`, which rebuilds
+V diag(f(vals)) V^T.  The rebuild does not depend on the signs of the
+eigenvector columns, so no sign convention is imposed.  Two checks need
+eigenvalues only and call ``eigvalsh`` directly: the eigenvalue floor of
+``SpdMatrix`` validation and :func:`spd_logdet`.  The closed-form W step of
+``metric.inner_solve_w`` needs no spectrum: it takes one Cholesky factor.
 """
 
 from __future__ import annotations
@@ -29,12 +28,9 @@ from .errors import DimensionMismatchError, InvariantViolationError, NumericErro
 Array = np.ndarray
 
 #: Eigenvalue floor: retractions clip the spectrum here instead of at zero so
-#: that every point stays invertible.
+#: that every point stays invertible; the W step of ``metric.inner_solve_w``
+#: refuses a step whose W could fall below it.
 EPS_PD = 1e-8
-
-#: Relative safety bump applied when clipping, so that reconstruction
-#: round-off cannot push an eigenvalue back below EPS_PD.
-_CLIP_MARGIN = 1e-4
 
 #: Relative symmetry tolerance for accepting nearly-symmetric input.
 _SYM_TOL = 1e-10
@@ -65,10 +61,12 @@ class SpdMatrix:
 
     def __post_init__(self):
         a = _check_square(self.mat, "SpdMatrix entries")
+        if a.size == 0:
+            raise InvariantViolationError("SpdMatrix must be at least 1 x 1, got 0 x 0")
         if not np.all(np.isfinite(a)):
             raise InvariantViolationError("SpdMatrix entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-        asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+        scale = max(1.0, float(np.max(np.abs(a))))
+        asym = float(np.max(np.abs(a - a.T)))
         if asym > _SYM_TOL * scale:
             raise InvariantViolationError(
                 f"matrix is not symmetric: residual {asym:.3e} exceeds {_SYM_TOL * scale:.3e}"
@@ -159,18 +157,14 @@ def logdet_divergence(w: SpdMatrix, w0: SpdMatrix) -> float:
     return max(val, 0.0)
 
 
-def clip_spectrum(vals: Array) -> Array:
-    """Raise eigenvalues below the EPS_PD floor to just above it."""
-    return np.where(vals < EPS_PD, EPS_PD * (1.0 + _CLIP_MARGIN), vals)
-
-
 def retract_array(a: Array) -> Array:
-    """Eigenvalue-clipped projection of a symmetric matrix into the SPD cone.
-
-    ``perfbench/tracing.py`` traces it by name.
+    """Eigenvalue-clipped projection of a symmetric matrix into the SPD cone:
+    eigenvalues below EPS_PD are raised to EPS_PD (1 + 1e-4), a margin that
+    reconstruction round-off cannot undo.  ``perfbench/tracing.py`` traces it
+    by name.
     """
     vals, vecs = eigendecompose(a)
-    return from_spectrum(vecs, clip_spectrum(vals))
+    return from_spectrum(vecs, np.where(vals < EPS_PD, EPS_PD * (1.0 + 1e-4), vals))
 
 
 def retract(w: SpdMatrix, step: Array) -> SpdMatrix:

@@ -56,10 +56,8 @@ from .errors import (
     require_keys,
 )
 from .manifold import (
+    EPS_PD,
     SpdMatrix,
-    clip_spectrum,
-    eigendecompose,
-    from_spectrum,
     rowwise_quadratic,
     spd_inverse,
     spd_logdet,
@@ -227,7 +225,9 @@ class MetricModel:
     def load(cls, path: str | Path) -> "MetricModel":
         obj = json.loads(Path(path).read_text())
         require_keys(obj, ("dim", "w", "w0", "u", "l"), f"model file {path}")
-        n = int(obj["dim"])
+        n = obj["dim"]
+        if type(n) is not int or n < 1:  # excludes a JSON true, whose type is bool
+            raise ConfigError(f"model file {path}: dim must be an integer >= 1, got {n!r}")
 
         def matrix(key: str) -> SpdMatrix:
             # Row-major entries of an n x n matrix, validated as SPD.
@@ -337,26 +337,28 @@ def inner_solve_w(
 
     The inner objective collapses to J(W) = tr(W M) - c logdet(W) + const,
     where M folds the reference inverse ``w0_inv``, the dual contraction and
-    the prox anchor's ``w_t_inv``.  One ``eigendecompose`` gives
-    M = V diag(vals) V^T.  For M positive definite, J has the unique minimizer
-    W* = c inv(M) = V diag(s) V^T (``from_spectrum``) with s = c / vals
-    floored at EPS_PD like a retraction; W*^-1 = V diag(1/s) V^T and
-    log det W* = sum(log s) come back beside it.  An M that is not positive
-    definite leaves J unbounded below.
+    the prox anchor's ``w_t_inv``.  J has the unique minimizer W* = c inv(M)
+    if M is positive definite and is unbounded below otherwise.  One Cholesky
+    W*^-1 = M / c = L L^T is that test and gives W* = L^-T L^-1 and
+    log det W* = -2 sum(log diag L); W*^-1 comes back beside them.  Since
+    lambda_min(W*) >= 1 / tr(W*^-1) >= EPS_PD while the trace is at most
+    1 / EPS_PD, a step with a larger trace is refused, never clipped.
     """
     m_lin = 0.5 * w0_inv + grad_h_contraction(lam, pc) + w_t_inv / (2.0 * eta_t)
-    c_log = 0.5 + 1.0 / (2.0 * eta_t)
-    vals, vecs = eigendecompose(m_lin)
-    # A nonpositive direction of M is a descent ray: no minimizer exists.
-    if float(vals[0]) <= 0.0:
-        raise InnerSolveError(
-            "inner objective is unbounded below (dual pull exceeds the log barrier); "
-            "use a smaller step size"
-        )
-    s = clip_spectrum(c_log / vals)
-    # Divide, not from_spectrum(vecs, 1 / s): the reciprocal moves the trace at round-off.
-    return (SpdMatrix._trusted(from_spectrum(vecs, s)), sym((vecs / s) @ vecs.T),
-            float(np.sum(np.log(s))))
+    w_inv = m_lin / (0.5 + 1.0 / (2.0 * eta_t))
+    try:
+        chol = np.linalg.cholesky(w_inv)
+    except np.linalg.LinAlgError:
+        # A nonpositive direction of M is a descent ray: no minimizer exists.
+        raise InnerSolveError("inner objective is unbounded below (dual pull exceeds the "
+                              "log barrier); use a smaller step size") from None
+    if np.trace(w_inv) > 1.0 / EPS_PD:
+        raise InnerSolveError(f"W step refused: tr(W*^-1) = {np.trace(w_inv):.3e} > 1/EPS_PD, "
+                              f"so W* could cross the eigenvalue floor {EPS_PD:.1e}; "
+                              "use a smaller step size")
+    chol_inv = np.linalg.inv(chol)
+    return (SpdMatrix._trusted(sym(chol_inv.T @ chol_inv)), w_inv,
+            -2.0 * float(np.sum(np.log(np.diag(chol)))))
 
 
 def update_slack(
@@ -410,8 +412,8 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     saddle problem of the module docstring, starting from (W0, 0), with
     ``inner_solve_w`` and ``update_slack`` as the proximal primal step.  The
     returned model carries the final W and the full trace, whose points are
-    (W, xi) pairs.  An unbounded W subproblem raises ``DivergedError``
-    carrying the partial trace.
+    (W, xi) pairs.  An unbounded W subproblem, or a W step refused at the
+    eigenvalue floor, raises ``DivergedError`` carrying the partial trace.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     pc = build_pairs(features, labels, config.max_pairs, config.seed)

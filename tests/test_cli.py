@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -126,6 +127,24 @@ class TestTrainEval:
         assert err.startswith("error:") and str(model) in err and "w, w0, u, l" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("model_obj, flags, message", [
+        ({"dim": 2}, [], "lacks key(s): w, w0, u, l"),
+        ({"dim": 0, "w": [], "w0": [], "u": 1.0, "l": 2.0}, [], "dim must be an integer >= 1"),
+        ({"dim": 1, "w": [1.0], "w0": [1.0], "u": 1.0, "l": 2.0}, ["--k", "0"],
+         "--k must be at least 1, got 0"),
+    ])
+    def test_model_and_k_are_checked_before_reading(
+            self, labeled_csv, tmp_path, capsys, monkeypatch, model_obj, flags, message):
+        reads = []
+        monkeypatch.setattr(cli, "read_labeled_csv", lambda *a, **kw: reads.append(a))
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(model_obj))
+        outdir = tmp_path / "e"
+        assert run_cli("eval", "--seed", "7", "--data", str(labeled_csv), "--outdir", str(outdir),
+                       "--metric", "learned", "--model", str(model), *flags) == 1
+        assert message in capsys.readouterr().err
+        assert reads == [] and not outdir.exists()
+
     def test_k_above_training_rows_leaves_no_outdir(self, labeled_csv, tmp_path, capsys):
         # 80 rows at --train-frac 0.5 leave 40 training rows.
         outdir = tmp_path / "e"
@@ -189,6 +208,32 @@ class TestTrainEval:
         assert len(rows) == 10
         for key in ("t", "eta", "f", "h_violation", "dual_norm"):
             assert all(key in r for r in rows)
+
+
+class TestReadmeTrainPin:
+    """Values of the README desk ``train`` (seed 7, ``--train-frac 0.5``), as
+    the eigendecomposition W step computed them; any numerical change to the
+    training path that moves them by more than 1e-9 relative shows here."""
+
+    PINNED = {0: (0.0, 7534.819019467227),
+              19: (68.92781286753652, 1.3970057648895642),
+              199: (42.61327874638621, 3.6785382628055627)}
+    W_FROBENIUS = 5.764699405203624
+
+    def test_trace_and_model_match_pinned_values(self, tmp_path):
+        data, outdir = tmp_path / "labeled.csv", tmp_path / "train1"
+        assert run_cli("gen-data", "--seed", "7", "--out", str(data), "--samples", "200",
+                       "--dim", "20", "--informative-dims", "4", "--noise-scale", "3") == 0
+        assert run_cli("train", "--seed", "7", "--data", str(data), "--outdir", str(outdir),
+                       "--train-frac", "0.5") == 0
+        records = [json.loads(line) for line in (outdir / "trace.jsonl").read_text().splitlines()]
+        assert len(records) == 200
+        for t, (f, h_violation) in self.PINNED.items():
+            assert records[t]["t"] == t
+            assert math.isclose(records[t]["f"], f, rel_tol=1e-9), t
+            assert math.isclose(records[t]["h_violation"], h_violation, rel_tol=1e-9), t
+        w = np.array(json.loads((outdir / "model.json").read_text())["w"])
+        assert math.isclose(float(np.linalg.norm(w)), self.W_FROBENIUS, rel_tol=1e-9)
 
 
 class TestBacktest:

@@ -46,6 +46,10 @@ class TestSpdMatrix:
         with pytest.raises(DimensionMismatchError):
             SpdMatrix(np.ones((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(InvariantViolationError, match="at least 1 x 1"):
+            SpdMatrix(np.zeros((0, 0)))
+
     def test_entries_read_only(self):
         w = SpdMatrix.identity(2)
         with pytest.raises(ValueError):
@@ -195,3 +199,12 @@ class TestSerialization:
         with pytest.raises(ConfigError) as exc:
             MetricModel.load(path)
         assert str(exc.value) == f"model file {path} lacks key(s): w"
+
+    @pytest.mark.parametrize("dim", [0, -1, 1.5, True, "1", None])
+    def test_json_rejects_dim_that_is_not_a_positive_integer(self, tmp_path, dim):
+        # Each used to fail late (an IndexError at 0, numpy's reshape message
+        # at -1) or to load as a 1 x 1 model (1.5, true).
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"dim": dim, "w": [1.0], "w0": [1.0], "u": 1.0, "l": 2.0}))
+        with pytest.raises(ConfigError, match=r"dim must be an integer >= 1"):
+            MetricModel.load(path)

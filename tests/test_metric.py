@@ -322,6 +322,34 @@ class TestInnerSolveW:
         with pytest.raises(InnerSolveError, match="unbounded below"):
             inner_solve_w(eye, np.array([0.0, 10.0]), eye, 0.5, pc)
 
+    def test_step_that_could_cross_the_floor_is_refused(self):
+        # W*^-1 = M / c = diag(1e10 + 0.5, 1.5) / 1.5: its trace exceeds
+        # 1 / EPS_PD, so lambda_min(W*) >= 1 / tr(W*^-1) no longer keeps W*
+        # on the floor.  The step is refused, not clipped.
+        pc = PairConstraints([[1.0, 0.0]], [[0.0, 1.0]], u=1.0, l=2.0)
+        with pytest.raises(InnerSolveError, match="floor"):
+            inner_solve_w(np.diag([1e10, 1.0]), np.zeros(2), np.eye(2), 0.5, pc)
+
+    def test_floor_refusal_ends_the_run_with_its_partial_trace(self):
+        # W0^-1 = diag(1.5e8, 1) pulls each W*^-1 = M / c toward it: its trace
+        # is 7.5e7 + 1 at t=0 and passes 1 / EPS_PD at t=1.  The rows keep
+        # W[1, 1] = 1 feasible (h = [-1, -1]), so the dual stays 0.
+        pc = PairConstraints([[0.0, 1.0]], [[0.0, 2.0]], u=2.0, l=3.0)
+        w0_inv, w_inv = np.diag([1.5e8, 1.0]), np.eye(2)
+
+        def inner(w, lam, eta):
+            nonlocal w_inv
+            w_next, w_inv, _ = inner_solve_w(w_inv, lam, w0_inv, eta, pc)
+            return w_next
+
+        problem = SaddleProblem(lambda w: 0.0, lambda w: eval_h(w, np.zeros(2), pc), inner)
+        with pytest.raises(DivergedError, match="at t=1: .*floor") as exc_info:
+            run(problem, SpdMatrix.identity(2), SolverConfig(alpha=1.0, eta0=1.0, iters=5))
+        trace = exc_info.value.trace
+        assert len(trace) == 1 and trace.final_point is trace.records[0].point
+        assert trace.records[0].dual_norm == 0.0
+        SpdMatrix(trace.final_point.mat)  # full invariant validation
+
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(2, 6),
