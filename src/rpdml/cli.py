@@ -52,7 +52,7 @@ from .evaluation import (
     spearman_ic,
     window_predictions,
 )
-from .metric import W0_MODES, MetricModel, RpdmlConfig, train
+from .metric import W0_MODES, MetricModel, RpdmlConfig, train, train_many
 from .solver import step_sum_bounds
 
 logger = logging.getLogger(__name__)
@@ -289,7 +289,7 @@ def cmd_eval(args) -> int:
     if opts["normalize"]:
         xtr, stats = normalize_features(xtr)
         xte = stats.apply(xte)
-    w = provider(xtr, ttr)
+    w, = provider([(xtr, ttr)])
     k = int(opts["k"])
     # One ranking serves both the accuracy and the IC.
     neighbors = knn_neighbors(w, xtr, xte, k)
@@ -323,26 +323,28 @@ def make_metric_provider(name: str, opts: dict, seed: int):
     """Metric factory of eval and of the backtest's windows: ``euclidean``,
     ``mahalanobis``, ``learned`` (the model file ``opts["model"]``), or (any
     other name) ``rpdml``, trained on the features it is given with one
-    ``RpdmlConfig``, built and checked here, before any window runs."""
+    ``RpdmlConfig``, built and checked here, before any window runs.  The
+    provider maps a list of (features, targets) windows to their metrics."""
     if name == "euclidean":
-        return lambda feats, rets: euclidean_metric(feats)
+        return lambda windows: [euclidean_metric(feats) for feats, _ in windows]
     if name == "mahalanobis":
-        return lambda feats, rets: mahalanobis_metric(feats)
+        return lambda windows: [mahalanobis_metric(feats) for feats, _ in windows]
     if name == "learned":
         w = MetricModel.load(opts["model"]).w
 
-        def learned(feats, rets):
-            if w.dim != feats.shape[1]:
-                raise ConfigError(f"model dim {w.dim} != data dim {feats.shape[1]}")
-            return w
+        def learned(windows):
+            for feats, _ in windows:
+                if w.dim != feats.shape[1]:
+                    raise ConfigError(f"model dim {w.dim} != data dim {feats.shape[1]}")
+            return [w] * len(windows)
         return learned
 
     config = _rpdml_config(opts, seed)
 
-    def provider(feats, rets):
-        # Two groups: assets above / below the window's median return.
-        labels = (rets > np.median(rets)).astype(int)
-        return train(feats, labels, config).w
+    def provider(windows):
+        # Two groups per window: assets above / below the window's median return.
+        return train_many([(feats, (rets > np.median(rets)).astype(int))
+                           for feats, rets in windows], config)
     return provider
 
 

@@ -142,13 +142,16 @@ def _csv_rows(reader, path: str | Path):
 
 
 def _read_header(reader, path: str | Path, required: tuple[str, ...]) -> list[str]:
-    """The CSV header row, checked to hold the required columns."""
+    """The CSV header row, checked to hold the required columns and at least
+    one feature column ``f_*``."""
     header = next(_csv_rows(reader, path), None)
     if header is None:
         raise ConfigError(f"{path}: empty file, expected columns {', '.join(required)}")
     missing = [c for c in required if c not in header]
     if missing:
         raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
+    if not _feature_cols(header):
+        raise ConfigError(f"{path}: no feature column (f_0, f_1, ...)")
     return header
 
 

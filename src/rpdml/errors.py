@@ -34,11 +34,14 @@ class InnerSolveError(NumericError):
 
 
 class DivergedError(NumericError):
-    """An optimization run diverged; carries the partial trace."""
+    """An optimization run diverged; carries the partial trace.  A stacked fit
+    of several windows also names the failing ones: ``windows`` maps each
+    one's index to its own failure message."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace=None, windows=None):
         super().__init__(message)
         self.trace = trace
+        self.windows = windows or {}
 
 
 def require_keys(obj, keys, where: str) -> list:

@@ -4,7 +4,10 @@ The panel protocol: at each trading period q (q >= 1), a metric is fit on
 period q-1's features with that period's realized next-period returns as
 targets, every asset's next return is predicted as the mean target of its k
 nearest training assets under the metric, and the top-N predicted assets
-form an equal-weight portfolio whose realized return is compounded.
+form an equal-weight portfolio whose realized return is compounded.  The
+metrics of all windows come from one call of the metric provider, so a
+learned metric can fit them together (``metric.train_many``); a window is
+named by the period it trades.
 """
 
 from __future__ import annotations
@@ -16,14 +19,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .data import PanelDataset, PanelPeriod, normalize_features
-from .errors import ConfigError, DimensionMismatchError, NumericError
+from .errors import ConfigError, DimensionMismatchError, DivergedError, NumericError
 from .manifold import SpdMatrix
 from .metric import inverse_covariance_metric as mahalanobis_metric
 
 Array = np.ndarray
 
-#: Builds a metric from one training window: (features, targets) -> SpdMatrix.
-MetricProvider = Callable[[Array, Array], SpdMatrix]
+#: Builds the metrics of all training windows in one call: a list of
+#: (features, targets) windows -> one SpdMatrix per window, in order.
+MetricProvider = Callable[[list[tuple[Array, Array]]], list[SpdMatrix]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,25 +299,43 @@ def window_predictions(
     """Yield (period, predictions, skipped) for every tradable period.
 
     Training features are normalized with statistics fit on the training
-    window only; the same statistics transform the prediction window.  A
-    panel with fewer than two periods has no window and is rejected.
+    window only; the same statistics transform the prediction window.  The
+    metrics of every window with at least k training rows come from one
+    ``metric_source`` call; the others are skipped.  A ``DivergedError``
+    that names failing windows is raised again naming their periods.  A panel
+    with fewer than two periods has no window and is rejected.
     """
     if len(data.periods) < 2:
         raise ConfigError("need at least two periods")
-    for q in range(1, len(data.periods)):
-        train_p = data.periods[q - 1]
-        cur_p = data.periods[q]
+    # (traded period, training period, features, query features); a skipped
+    # window has no training period.
+    windows = []
+    for train_p, cur_p in zip(data.periods, data.periods[1:]):
         if train_p.features.shape[0] < k:
-            yield cur_p, None, True
+            windows.append((cur_p, None, None, None))
             continue
-        feats = train_p.features
-        query_feats = cur_p.features
+        feats, query_feats = train_p.features, cur_p.features
         if normalize:
             feats, stats_ = normalize_features(feats)
             query_feats = stats_.apply(query_feats)
-        w = metric_source(feats, train_p.next_returns)
-        preds = knn_predict(train_p.next_returns, knn_neighbors(w, feats, query_feats, k))
-        yield cur_p, preds, False
+        windows.append((cur_p, train_p, feats, query_feats))
+    tradable = [win for win in windows if win[1] is not None]
+    try:
+        metrics = metric_source([(feats, train_p.next_returns)
+                                 for _, train_p, feats, _ in tradable])
+    except DivergedError as exc:
+        if not exc.windows:
+            raise
+        raise DivergedError("; ".join(f"window {tradable[i][0].label}: {msg}"
+                                      for i, msg in exc.windows.items()),
+                            exc.trace, exc.windows) from exc
+    metrics = iter(metrics)
+    for cur_p, train_p, feats, query_feats in windows:
+        if train_p is None:
+            yield cur_p, None, True
+            continue
+        neighbors = knn_neighbors(next(metrics), feats, query_feats, k)
+        yield cur_p, knn_predict(train_p.next_returns, neighbors), False
 
 
 def backtest_from_predictions(

@@ -37,8 +37,8 @@ _SYM_TOL = 1e-10
 
 
 def sym(a: Array) -> Array:
-    """Symmetric part (a + a.T) / 2."""
-    return 0.5 * (a + a.T)
+    """Symmetric part (a + a^T) / 2 of a matrix, or of each matrix of a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def _check_square(a: Array, name: str = "matrix") -> Array:
@@ -85,7 +85,9 @@ class SpdMatrix:
 
     @classmethod
     def _trusted(cls, a: Array) -> "SpdMatrix":
-        """Wrap a matrix known-by-construction to satisfy the invariants."""
+        """Wrap a matrix known-by-construction to satisfy the invariants, or a
+        (B, n, n) stack of them: a point of the product manifold, as the W step
+        of ``metric.train_many`` makes."""
         obj = object.__new__(cls)
         a = np.asarray(a, dtype=float).copy()
         a.flags.writeable = False
@@ -98,7 +100,7 @@ class SpdMatrix:
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     def scaled(self, c: float) -> "SpdMatrix":
         """c W for c > 0; acceptance criterion 2 checks scale invariance with it."""

@@ -35,15 +35,23 @@ xi_{t+1} >= 0.  By induction gamma stays 0; the projection keeps the bound.
 
 Dual and slack vectors are plain nonnegative ndarrays; nonnegativity is
 maintained by the updates themselves and recorded in the trace.
+
+``train_many`` fits many windows' problems as one: their product, B SPD
+matrices with the windows' constraints side by side, is again this saddle
+problem, and its steps separate by window.  The constraint kernels take a
+``PairStack`` in place of one ``PairConstraints`` and then work on every
+array with a leading window axis.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +60,7 @@ from .errors import (
     ConfigError,
     ConstraintBuildError,
     DimensionMismatchError,
+    DivergedError,
     InnerSolveError,
     require_keys,
 )
@@ -82,6 +91,20 @@ DEGENERATE_ROW_TOL = 1e-12
 COVARIANCE_RIDGE = 1e-6
 
 
+def _bound_vector(signs: Array, u: float | None, l: float | None) -> Array | None:
+    """The read-only bound vector, u on similar rows and l on dissimilar ones,
+    of bounds 0 < u < l; None when both are unset."""
+    if u is None and l is None:
+        return None
+    if u is None or l is None:
+        raise ConfigError("set both bounds or neither")
+    if not (u > 0 and l > 0 and u < l):
+        raise ConfigError(f"bounds must satisfy 0 < u < l, got u={u}, l={l}")
+    bounds = np.where(signs > 0, u, l)
+    bounds.flags.writeable = False
+    return bounds
+
+
 @dataclass(frozen=True, eq=False)
 class PairConstraints:
     """Difference vectors of similar / dissimilar sample pairs with bounds.
@@ -108,24 +131,15 @@ class PairConstraints:
             raise DimensionMismatchError(
                 f"feature dims differ: {sd.shape[1]} vs {dd.shape[1]}"
             )
-        if self.u is not None or self.l is not None:
-            if self.u is None or self.l is None:
-                raise ConfigError("set both bounds or neither")
-            if not (self.u > 0 and self.l > 0 and self.u < self.l):
-                raise ConfigError(f"bounds must satisfy 0 < u < l, got u={self.u}, l={self.l}")
         n_s = sd.shape[0]
         diffs = np.vstack([sd, dd])
         signs = np.ones(diffs.shape[0])
         signs[n_s:] = -1.0
-        bounds = None
-        if self.u is not None:
-            bounds = np.where(signs > 0, self.u, self.l)
-            bounds.flags.writeable = False
         diffs.flags.writeable = False
         signs.flags.writeable = False
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_bounds", _bound_vector(signs, self.u, self.l))
         object.__setattr__(self, "similar_diffs", diffs[:n_s])
         object.__setattr__(self, "dissimilar_diffs", diffs[n_s:])
 
@@ -148,7 +162,11 @@ class PairConstraints:
         return self._bounds
 
     def with_bounds(self, u: float, l: float) -> "PairConstraints":
-        return PairConstraints(self.similar_diffs, self.dissimilar_diffs, u=u, l=l)
+        """These pairs with bounds u and l, sharing the stacked read-only rows."""
+        pc = copy.copy(self)
+        for name, value in (("u", u), ("l", l), ("_bounds", _bound_vector(self.signs, u, l))):
+            object.__setattr__(pc, name, value)
+        return pc
 
     def without_degenerate_rows(self) -> "PairConstraints":
         """Drop difference rows of norm at most ``DEGENERATE_ROW_TOL`` (duplicate points)."""
@@ -163,6 +181,36 @@ class PairConstraints:
         return PairConstraints(
             self.similar_diffs[keep_s], self.dissimilar_diffs[keep_d], u=self.u, l=self.l
         )
+
+
+@dataclass(frozen=True, eq=False)
+class PairStack:
+    """The bounded pair constraints of B windows with one pair count m, side
+    by side: read-only (B, m, d) rows and (B, m) signs and bounds.  The
+    constraint kernels read it as they read one ``PairConstraints``; indexing
+    by a slice selects windows."""
+
+    diffs: Array
+    signs: Array
+    bounds: Array
+
+    @classmethod
+    def of(cls, pcs: Sequence[PairConstraints]) -> "PairStack":
+        arrays = [np.stack([p.diffs for p in pcs]), np.stack([p.signs for p in pcs]),
+                  np.stack([p.bound_vector() for p in pcs])]
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays)
+
+    def __getitem__(self, windows: slice) -> "PairStack":
+        return PairStack(self.diffs[windows], self.signs[windows], self.bounds[windows])
+
+    @property
+    def dim(self) -> int:
+        return self.diffs.shape[-1]
+
+    def bound_vector(self) -> Array:
+        return self.bounds
 
 
 @dataclass(frozen=True)
@@ -259,10 +307,10 @@ def build_pairs(
     if np.unique(labels).size < 2:
         raise ConstraintBuildError("need at least two distinct labels")
 
-    same = labels[:, None] == labels[None, :]
     iu, ju = np.triu_indices(labels.size, k=1)
-    sim_idx = np.flatnonzero(same[iu, ju])
-    dis_idx = np.flatnonzero(~same[iu, ju])
+    same = labels[iu] == labels[ju]
+    sim_idx = np.flatnonzero(same)
+    dis_idx = np.flatnonzero(~same)
     if sim_idx.size == 0:
         raise ConstraintBuildError("no same-label pair exists (all classes are singletons)")
 
@@ -302,28 +350,29 @@ def compute_bounds(distances: Array, p_lo: float, p_hi: float) -> tuple[float, f
     return u, l
 
 
-def eval_h(w: SpdMatrix, xi: Array, pc: PairConstraints) -> Array:
-    """h = signs * (diag(X W X^T) - b) - b * xi over the stacked pair rows X."""
+def eval_h(w: SpdMatrix, xi: Array, pc: PairConstraints | PairStack) -> Array:
+    """h = signs * (diag(X W X^T) - b) - b * xi over the stacked pair rows X,
+    of one window or of each window of a stack (one ``rowwise_quadratic`` each)."""
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (pc.n_constraints,):
-        raise DimensionMismatchError(
-            f"slack shape {xi.shape}, expected ({pc.n_constraints},)"
-        )
+    if xi.shape != pc.signs.shape:
+        raise DimensionMismatchError(f"slack shape {xi.shape}, expected {pc.signs.shape}")
     if pc.dim != w.dim:
         raise DimensionMismatchError(f"pair dim {pc.dim} != metric dim {w.dim}")
     b = pc.bound_vector()
-    return pc.signs * (rowwise_quadratic(w.mat, pc.diffs) - b) - b * xi
-
-
-def grad_h_contraction(lam: Array, pc: PairConstraints) -> Array:
-    """<lam, dh/dW> = X^T diag(signs * lam) X over the stacked pair rows X."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (pc.n_constraints,):
-        raise DimensionMismatchError(
-            f"dual shape {lam.shape}, expected ({pc.n_constraints},)"
-        )
     x = pc.diffs
-    return sym((x * (pc.signs * lam)[:, None]).T @ x)
+    q = (rowwise_quadratic(w.mat, x) if x.ndim == 2
+         else np.stack([rowwise_quadratic(w_mat, rows) for w_mat, rows in zip(w.mat, x)]))
+    return pc.signs * (q - b) - b * xi
+
+
+def grad_h_contraction(lam: Array, pc: PairConstraints | PairStack) -> Array:
+    """<lam, dh/dW> = X^T diag(signs * lam) X over the stacked pair rows X
+    (one GEMM per window)."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != pc.signs.shape:
+        raise DimensionMismatchError(f"dual shape {lam.shape}, expected {pc.signs.shape}")
+    x = pc.diffs
+    return sym((x * (pc.signs * lam)[..., None]).swapaxes(-1, -2) @ x)
 
 
 def inner_solve_w(
@@ -331,8 +380,8 @@ def inner_solve_w(
     lam: Array,
     w0_inv: Array,
     eta_t: float,
-    pc: PairConstraints,
-) -> tuple[SpdMatrix, Array, float]:
+    pc: PairConstraints | PairStack,
+) -> tuple[SpdMatrix, Array, float | Array]:
     """Closed-form inner solve: the exact minimizer of the W subproblem.
 
     The inner objective collapses to J(W) = tr(W M) - c logdet(W) + const,
@@ -343,6 +392,11 @@ def inner_solve_w(
     log det W* = -2 sum(log diag L); W*^-1 comes back beside them.  Since
     lambda_min(W*) >= 1 / tr(W*^-1) >= EPS_PD while the trace is at most
     1 / EPS_PD, a step with a larger trace is refused, never clipped.
+
+    With a ``PairStack`` every array has a leading window axis and each
+    window's step is its own: the stacked kernels run the same LAPACK/BLAS
+    call on every slice, so its bits equal the one-window step's.  A step is
+    refused when any window's is.
     """
     m_lin = 0.5 * w0_inv + grad_h_contraction(lam, pc) + w_t_inv / (2.0 * eta_t)
     w_inv = m_lin / (0.5 + 1.0 / (2.0 * eta_t))
@@ -352,13 +406,14 @@ def inner_solve_w(
         # A nonpositive direction of M is a descent ray: no minimizer exists.
         raise InnerSolveError("inner objective is unbounded below (dual pull exceeds the "
                               "log barrier); use a smaller step size") from None
-    if np.trace(w_inv) > 1.0 / EPS_PD:
-        raise InnerSolveError(f"W step refused: tr(W*^-1) = {np.trace(w_inv):.3e} > 1/EPS_PD, "
+    trace = np.trace(w_inv, axis1=-2, axis2=-1)
+    if (trace > 1.0 / EPS_PD).any():
+        raise InnerSolveError(f"W step refused: tr(W*^-1) = {trace.max():.3e} > 1/EPS_PD, "
                               f"so W* could cross the eigenvalue floor {EPS_PD:.1e}; "
                               "use a smaller step size")
     chol_inv = np.linalg.inv(chol)
-    return (SpdMatrix._trusted(sym(chol_inv.T @ chol_inv)), w_inv,
-            -2.0 * float(np.sum(np.log(np.diag(chol)))))
+    logdet = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return SpdMatrix._trusted(sym(chol_inv.swapaxes(-1, -2) @ chol_inv)), w_inv, logdet
 
 
 def update_slack(
@@ -366,12 +421,12 @@ def update_slack(
     lam: Array,
     eta_t: float,
     c1: float,
-    pc: PairConstraints,
+    pc: PairConstraints | PairStack,
 ) -> Array:
     """Closed-form prox step for the slacks (projected to nonnegative)."""
     xi_t = np.asarray(xi_t, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if not (xi_t.shape == lam.shape == (pc.n_constraints,)):
+    if not (xi_t.shape == lam.shape == pc.signs.shape):
         raise DimensionMismatchError("slack/dual vectors disagree with constraint count")
     if c1 + eta_t <= 0:
         raise ConfigError("c1 + eta_t must be positive")
@@ -403,24 +458,17 @@ def inverse_covariance_metric(features: Array) -> SpdMatrix:
     return spd_inverse(_ridged_covariance(features))
 
 
-def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
-    """Learn a metric from labeled samples.
+def _prepare(features: Array, labels: Array, config: RpdmlConfig):
+    """A window's bounded pairs and W0, W0^-1 and log det W0.
 
-    Builds pair constraints (seeded subsample under the cap) and sets the
-    distance bounds from percentiles of the pair distances under the initial
-    metric.  Then runs ``solver.run`` for ``iters`` iterations on the
-    saddle problem of the module docstring, starting from (W0, 0), with
-    ``inner_solve_w`` and ``update_slack`` as the proximal primal step.  The
-    returned model carries the final W and the full trace, whose points are
-    (W, xi) pairs.  An unbounded W subproblem, or a W step refused at the
-    eigenvalue floor, raises ``DivergedError`` carrying the partial trace.
+    Builds the pair constraints (seeded subsample under the cap), drops the
+    degenerate rows and sets the distance bounds from percentiles of the pair
+    distances under W0.  W0 is I (inverse I, log det 0) in closed form, or one
+    ``spd_inverse`` of the ridged covariance, which is W0^-1 itself.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     pc = build_pairs(features, labels, config.max_pairs, config.seed)
     pc = pc.without_degenerate_rows()
-
-    # W0, W0^-1 and log det W0: I, I and 0 in closed form, or one spd_inverse
-    # of the ridged covariance, which is W0^-1 itself.
     if config.w0 == "identity":
         w0 = SpdMatrix.identity(features.shape[1])
         w0_inv, w0_logdet = w0.mat, 0.0
@@ -428,20 +476,28 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
         cov = _ridged_covariance(features)
         w0, w0_inv = spd_inverse(cov), cov.mat
         w0_logdet = spd_logdet(w0)
-
     init_dists = rowwise_quadratic(w0.mat, pc.diffs)
     u, l = compute_bounds(init_dists, config.percentile_lo, config.percentile_hi)
-    pc = pc.with_bounds(u, l)
+    return pc.with_bounds(u, l), w0, w0_inv, w0_logdet
 
-    m, n = pc.n_constraints, w0.dim
+
+def _run(pc: PairConstraints | PairStack, w0: SpdMatrix, w0_inv: Array,
+         w0_logdet: float | Array, config: RpdmlConfig) -> RunTrace:
+    """``solver.run`` on the saddle problem of the module docstring from
+    (W0, 0), with ``inner_solve_w`` and ``update_slack`` as the proximal
+    primal step; for one window, or for a stack of windows (each array with
+    a leading window axis), whose objective is the sum of theirs."""
+    n = w0.dim
     # W^-1 and log det W of the latest iterate (x0 or the last solve's),
     # carried into the objective and the next solve.
     w_inv, w_logdet = w0_inv, w0_logdet
 
     def objective(x) -> float:
         w, xi = x
-        d2 = float(np.einsum("ij,ji->", w.mat, w0_inv)) - (w_logdet - w0_logdet) - n
-        return 0.5 * d2 + 0.5 * config.c1 * float(xi @ xi)
+        d2 = np.einsum("...ij,...ji->...", w.mat, w0_inv) - (w_logdet - w0_logdet) - n
+        # xi @ xi of each window, by the BLAS dot that one window's xi @ xi makes.
+        slack_sq = (xi[..., None, :] @ xi[..., None])[..., 0, 0]
+        return float((0.5 * d2 + 0.5 * config.c1 * slack_sq).sum())
 
     def inner_minimizer(x, lam: Array, eta: float):
         nonlocal w_inv, w_logdet
@@ -454,5 +510,65 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
                 "slack_min": float(x[1].min()), "gamma_min": 0.0}
 
     problem = SaddleProblem(objective, lambda x: eval_h(*x, pc), inner_minimizer, record_extras)
-    trace = run(problem, (w0, np.zeros(m)), config.solver)
-    return MetricModel(w=trace.final_point[0], w0=w0, u=u, l=l, trace=trace)
+    return run(problem, (w0, np.zeros(pc.signs.shape)), config.solver)
+
+
+def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
+    """Learn a metric from labeled samples.
+
+    Prepares the window (``_prepare``: pairs, bounds and W0), then runs
+    ``solver.run`` for ``iters`` iterations on the saddle problem of the
+    module docstring, starting from (W0, 0).  The returned model carries the
+    final W and the full trace, whose points are (W, xi) pairs.  An unbounded
+    W subproblem, or a W step refused at the eigenvalue floor, raises
+    ``DivergedError`` carrying the partial trace.
+    """
+    pc, w0, w0_inv, w0_logdet = _prepare(features, labels, config)
+    trace = _run(pc, w0, w0_inv, w0_logdet, config)
+    return MetricModel(w=trace.final_point[0], w0=w0, u=pc.u, l=pc.l, trace=trace)
+
+
+def train_many(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> list[SpdMatrix]:
+    """The metric ``train`` learns on each (features, labels) window, bitwise.
+
+    Each window is prepared as ``train`` prepares it.  Windows of one pair
+    count m are fit by one ``solver.run`` on their product problem: a
+    (B, d, d) W stack with (B, m) slacks and duals, on which the W/slack
+    step and the dual step separate by window.  Only the stacked pairs are
+    kept once a group is stacked.
+
+    A run stops at the first iteration at which any of its windows fails.
+    Only then is each of its windows run alone to find the failing ones; the
+    ``DivergedError`` raised names each by its index in ``windows`` and
+    carries, in ``windows``, index -> that window's own failure message.
+    """
+    prepared = [_prepare(features, labels, config) for features, labels in windows]
+    groups: dict[int, list[int]] = {}
+    for i, (pc, *_) in enumerate(prepared):
+        groups.setdefault(pc.n_constraints, []).append(i)
+    out: list[SpdMatrix | None] = [None] * len(prepared)
+    for idx in groups.values():
+        stack = PairStack.of([prepared[i][0] for i in idx])
+        w0 = SpdMatrix._trusted(np.stack([prepared[i][1].mat for i in idx]))
+        w0_inv = np.stack([prepared[i][2] for i in idx])
+        w0_logdet = np.array([prepared[i][3] for i in idx])
+        for i in idx:
+            prepared[i] = None
+        try:
+            final = _run(stack, w0, w0_inv, w0_logdet, config).final_point[0]
+        except DivergedError as exc:
+            failures = {}
+            for j, i in enumerate(idx):
+                one = slice(j, j + 1)
+                try:
+                    _run(stack[one], SpdMatrix._trusted(w0.mat[one]), w0_inv[one],
+                         w0_logdet[one], config)
+                except DivergedError as alone:
+                    failures[i] = str(alone)
+            if not failures:
+                raise
+            raise DivergedError("; ".join(f"window {i}: {msg}" for i, msg in failures.items()),
+                                exc.trace, windows=failures) from exc
+        for j, i in enumerate(idx):
+            out[i] = SpdMatrix._trusted(final.mat[j])
+    return out

@@ -102,14 +102,17 @@ def panel_ic_artifacts():
     panel = generate_synthetic_panel(spec, periods=12, assets_per_period=40)
     traces = []
 
-    def rpdml_provider(feats, rets):
-        labels = (rets > np.median(rets)).astype(int)
-        model = train(feats, labels, RpdmlConfig(iters=60, seed=3))
-        traces.append(model.trace)
-        return model.w
+    def rpdml_provider(windows):
+        metrics = []
+        for feats, rets in windows:
+            labels = (rets > np.median(rets)).astype(int)
+            model = train(feats, labels, RpdmlConfig(iters=60, seed=3))
+            traces.append(model.trace)
+            metrics.append(model.w)
+        return metrics
 
     ic_rpdml = rolling_ic(window_predictions(panel, rpdml_provider, k=10))
-    ic_eucl = rolling_ic(window_predictions(panel, lambda f, r: euclidean_metric(f), k=10))
+    ic_eucl = rolling_ic(window_predictions(panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=10))
     return dict(ic_rpdml=ic_rpdml, ic_eucl=ic_eucl, traces=traces,
                 elapsed=time.perf_counter() - t0)
 

@@ -275,6 +275,45 @@ class TestBacktest:
         assert len(json.loads((outdir / "result.json").read_text())["periods"]) == 11
         assert len(built) == 1
 
+    @pytest.fixture
+    def readme_panel(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        assert run_cli("gen-data", "--seed", "3", "--kind", "panel", "--out", str(path),
+                       "--dim", "12", "--informative-dims", "3", "--periods", "12",
+                       "--assets", "40") == 0
+        return path
+
+    def test_readme_backtest_is_byte_identical_to_pinned_hashes(self, readme_panel, tmp_path):
+        # Digests of the README backtest as the window-by-window fit wrote it;
+        # the stacked fit must not move a bit of it.
+        outdir = tmp_path / "bt1"
+        assert run_cli("backtest", "--seed", "3", "--data", str(readme_panel), "--outdir",
+                       str(outdir), "--metric", "rpdml", "--k", "10", "--top-n", "10") == 0
+        digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                   for name in ("result.json", "metrics.json")}
+        assert digests == {
+            "result.json": "11ce2298cbea13520ec97189698aaa2f0490e8ee4f5b802736b120dec33c2a26",
+            "metrics.json": "55177f525698dd63d0ba7a298a01b7573edf2a506f1045811ea8c424e5ba2aa7",
+        }
+
+    @pytest.mark.parametrize("eta0, failing", [
+        ("0.0078", ["2019Q2"]),
+        ("0.008", ["2017Q3", "2019Q2"]),
+    ])
+    def test_diverged_window_names_its_period(self, readme_panel, tmp_path, capsys, eta0,
+                                              failing):
+        # At these steps the named windows' W subproblems lose their minimizer
+        # at t=1 when each is trained alone, and the other windows converge.
+        outdir = tmp_path / "bt"
+        assert run_cli("backtest", "--seed", "3", "--data", str(readme_panel), "--outdir",
+                       str(outdir), "--metric", "rpdml", "--eta0", eta0) == 2
+        err = capsys.readouterr().err
+        assert err == "error: " + "; ".join(
+            f"window {label}: inner minimizer failed at t=1: inner objective is unbounded "
+            "below (dual pull exceeds the log barrier); use a smaller step size"
+            for label in failing) + "\n"
+        assert not outdir.exists()
+
     def test_k_equal_to_window_gives_undefined_ic(self, tmp_path, capsys):
         # With k = assets per period every prediction is the mean of the same
         # set, so every prediction is equal: top-N falls to the smallest asset
@@ -770,6 +809,21 @@ class TestCsvHeaders:
                            "--outdir", str(tmp_path / "o")) == 1
             self._assert_clean_error(capsys, str(empty), fragment)
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "backtest"])
+    def test_no_feature_column(self, command, tmp_path, capsys):
+        # Without this check train, eval and backtest failed later with "need
+        # at least two samples to normalize".
+        text = {"train": "label,target\na,0.1\nb,0.2\na,0.3\nb,0.4\n",
+                "backtest": "period,asset_id,next_return\np0,A,0.1\np0,B,0.2\n"
+                            "p1,A,0.3\np1,B,0.4\n"}
+        path = tmp_path / "nofeat.csv"
+        path.write_text(text["backtest" if command == "backtest" else "train"])
+        extra = ["--metric", "euclidean"] if command == "eval" else []
+        assert run_cli(command, "--seed", "1", "--data", str(path),
+                       "--outdir", str(tmp_path / "o"), *extra) == 1
+        self._assert_clean_error(capsys, f"{path}: no feature column")
+        assert not (tmp_path / "o").exists()
 
     def test_ragged_row(self, labeled_csv, tmp_path, capsys):
         ragged = tmp_path / "ragged.csv"

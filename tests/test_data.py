@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -215,6 +216,8 @@ def _oracle_header(reader, path, required):
     missing = [c for c in required if c not in header]
     if missing:
         raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
+    if not any(c.startswith("f_") for c in header):
+        raise ConfigError(f"{path}: no feature column (f_0, f_1, ...)")
     return header
 
 
@@ -356,6 +359,18 @@ class TestReadersMatchRowByRowOracle:
                 assert g.next_returns.tobytes() == w.next_returns.tobytes()
 
 
+class TestNoFeatureColumn:
+    @pytest.mark.parametrize("read, header, row", [
+        (read_labeled_csv, "label,target", "a,0.5"),
+        (read_panel_csv, "period,asset_id,next_return", "2017Q1,A,0.5"),
+    ])
+    def test_rejected_naming_the_file(self, read, header, row, tmp_path):
+        path = tmp_path / "nofeat.csv"
+        path.write_text(f"{header}\n{row}\n{row.replace('a,', 'b,').replace(',A,', ',B,')}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: no feature column")):
+            read(path)
+
+
 class TestPanelCsvFaults:
     HEADER = "period,asset_id,f_0,next_return"
 
@@ -389,7 +404,7 @@ class TestBulkParseFallback:
     def test_information_separator_is_not_whitespace(self, tmp_path):
         # numpy's parser strips U+001C..U+001F around a number; float does not.
         path = tmp_path / "labeled.csv"
-        path.write_text("label,target\nA,1\nB,\x1c2\n")
+        path.write_text("label,target,f_0\nA,1,0\nB,\x1c2,0\n")
         with pytest.raises(ConfigError, match=r"line 3, column target: '\\x1c2' is not a finite"):
             read_labeled_csv(path)
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rpdml.data import PanelDataset, PanelPeriod, read_panel_csv, write_panel_csv
-from rpdml.errors import ConfigError, DimensionMismatchError, NumericError
+from rpdml.errors import ConfigError, DimensionMismatchError, DivergedError, NumericError
 from rpdml.evaluation import (
     accumulated_return,
     backtest_from_predictions,
@@ -570,7 +570,7 @@ class TestRollingBacktest:
     def test_hand_walkthrough(self):
         panel = self._two_period_panel()
         result = run_backtest(
-            panel, lambda f, r: euclidean_metric(f), k=1, top_n=1, normalize=False
+            panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=1, top_n=1, normalize=False
         )
         # top-1 by prediction picks asset 0; realized return 0.20
         assert result.period_labels == ["p1"]
@@ -580,7 +580,7 @@ class TestRollingBacktest:
     def test_equal_weight_mean(self):
         panel = self._two_period_panel()
         result = run_backtest(
-            panel, lambda f, r: euclidean_metric(f), k=1, top_n=2, normalize=False
+            panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=1, top_n=2, normalize=False
         )
         assert result.period_returns[0] == pytest.approx(0.05, abs=1e-15)  # mean(0.2, -0.1)
 
@@ -628,7 +628,7 @@ class TestRollingBacktest:
             ("p2", [[0.0], [1.0], [2.0]], [0.0, 0.1, 0.2]),
         ])
         result = run_backtest(
-            panel, lambda f, r: euclidean_metric(f), k=3, top_n=1, normalize=False
+            panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=3, top_n=1, normalize=False
         )
         assert result.skipped_periods == ["p1"]  # p0 has only 2 < k assets
         assert result.period_labels == ["p2"]
@@ -637,7 +637,7 @@ class TestRollingBacktest:
         rng = np.random.default_rng(8)
         periods = [(f"p{i}", rng.normal(size=(6, 2)), rng.uniform(-0.1, 0.2, 6)) for i in range(7)]
         panel = make_panel(periods)
-        result = run_backtest(panel, lambda f, r: euclidean_metric(f), k=2, top_n=2)
+        result = run_backtest(panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=2, top_n=2)
         expected = np.cumprod(1.0 + result.period_returns) - 1.0
         assert np.max(np.abs(result.cumulative - expected)) <= 1e-12
 
@@ -648,7 +648,7 @@ class TestRollingBacktest:
             for i in range(8)
         ]
         panel = make_panel(periods)
-        result = run_backtest(panel, lambda f, r: euclidean_metric(f), k=2, top_n=1)
+        result = run_backtest(panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=2, top_n=1)
         assert set(result.annual_returns) == {"2017", "2018"}
         grouped = {}
         for lab, r in zip(result.period_labels, result.period_returns):
@@ -656,10 +656,41 @@ class TestRollingBacktest:
         for year, rs in grouped.items():
             assert result.annual_returns[year] == pytest.approx(np.prod(1.0 + np.asarray(rs)) - 1.0)
 
+    def test_provider_is_called_once_with_every_tradable_window(self):
+        panel = make_panel([
+            ("p0", [[0.0], [1.0], [3.0]], [0.1, 0.2, 0.3]),
+            ("p1", [[0.0], [1.0]], [0.1, 0.2]),
+            ("p2", [[0.0], [2.0], [5.0]], [0.0, 0.1, 0.2]),
+            ("p3", [[1.0], [2.0], [4.0]], [0.3, 0.1, 0.2]),
+        ])
+        calls = []
+
+        def provider(windows):
+            calls.append(windows)
+            return [euclidean_metric(f) for f, _ in windows]
+        preds = list(window_predictions(panel, provider, k=3, normalize=False))
+        assert [(p.label, skip) for p, _, skip in preds] == [
+            ("p1", False), ("p2", True), ("p3", False)]
+        assert len(calls) == 1
+        train_periods = (panel.periods[0], panel.periods[2])  # p1 has 2 < k rows
+        assert len(calls[0]) == len(train_periods)
+        for (feats, targets), period in zip(calls[0], train_periods):
+            assert np.array_equal(feats, period.features)
+            assert np.array_equal(targets, period.next_returns)
+
+    def test_diverged_windows_are_named_by_the_period_they_trade(self):
+        panel = make_panel([(f"p{i}", [[0.0], [1.0]], [0.1, 0.2]) for i in range(4)])
+
+        def provider(windows):
+            raise DivergedError("window 0: a; window 2: b", windows={0: "a", 2: "b"})
+        with pytest.raises(DivergedError, match="^window p1: a; window p3: b$") as info:
+            list(window_predictions(panel, provider, k=1))
+        assert info.value.windows == {0: "a", 2: "b"}
+
     def test_requires_two_periods(self):
         panel = make_panel([("p0", [[0.0], [1.0]], [0.1, 0.2])])
         with pytest.raises(ConfigError, match="need at least two periods"):
-            run_backtest(panel, lambda f, r: euclidean_metric(f), k=1, top_n=1)
+            run_backtest(panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=1, top_n=1)
 
 
 class TestRollingIC:
@@ -668,7 +699,7 @@ class TestRollingIC:
         periods = [(f"p{i}", [[float(j)] for j in range(5)], [0.01 * j for j in range(5)])
                    for i in range(3)]
         panel = make_panel(periods)
-        preds = window_predictions(panel, lambda f, r: euclidean_metric(f), k=1, normalize=False)
+        preds = window_predictions(panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=1, normalize=False)
         ics = rolling_ic(preds)
         assert len(ics) == 2
         for _, ic in ics:

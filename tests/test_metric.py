@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpdml import metric as metric_module
-from rpdml.data import SyntheticSpec, generate_synthetic, normalize_features
+from rpdml.data import (
+    SyntheticSpec,
+    generate_synthetic,
+    generate_synthetic_panel,
+    normalize_features,
+)
 from rpdml.errors import (
     BoundsError,
     ConfigError,
@@ -15,6 +20,7 @@ from rpdml.errors import (
 )
 from rpdml.manifold import EPS_PD, SpdMatrix, spd_inverse
 from rpdml.metric import (
+    W0_MODES,
     MetricModel,
     PairConstraints,
     RpdmlConfig,
@@ -25,6 +31,7 @@ from rpdml.metric import (
     inner_solve_w,
     inverse_covariance_metric,
     train,
+    train_many,
     update_gamma,
     update_lambda,
     update_slack,
@@ -121,6 +128,19 @@ class TestPairConstraints:
     def test_bound_vector_layout(self):
         pc = PairConstraints(np.ones((2, 3)), np.ones((3, 3)), u=1.0, l=4.0)
         assert np.array_equal(pc.bound_vector(), [1.0, 1.0, 4.0, 4.0, 4.0])
+
+    def test_with_bounds_shares_the_stacked_rows(self):
+        pc = PairConstraints(np.ones((2, 3)), 2 * np.ones((3, 3)))
+        bounded = pc.with_bounds(1.0, 4.0)
+        assert bounded.diffs is pc.diffs and bounded.signs is pc.signs
+        assert (bounded.u, bounded.l, pc.u, pc.l) == (1.0, 4.0, None, None)
+        assert np.array_equal(bounded.bound_vector(), [1.0, 1.0, 4.0, 4.0, 4.0])
+        assert not bounded.bound_vector().flags.writeable
+        with pytest.raises(ConfigError, match="bounds are unset"):
+            pc.bound_vector()
+        for u, l in ((2.0, 1.0), (-1.0, 1.0), (1.0, None)):
+            with pytest.raises(ConfigError):
+                pc.with_bounds(u, l)
 
 
 class TestEvalH:
@@ -541,6 +561,67 @@ class TestTrain:
         feats, labels = blob_data(rng, n=40)
         train(feats, labels, RpdmlConfig(iters=10, seed=0, w0=w0))
         assert len(calls) == (0 if w0 == "identity" else 1)
+
+
+def median_split_windows(features_list, rng):
+    """(features, labels) windows labeled as the backtest labels them: above or
+    below the median of random targets."""
+    windows = []
+    for features in features_list:
+        targets = rng.normal(size=features.shape[0])
+        windows.append((features, (targets > np.median(targets)).astype(int)))
+    return windows
+
+
+class TestTrainMany:
+    SIZES = (16, 20, 16, 24, 20)
+
+    def _windows(self, dim):
+        rng = np.random.default_rng(dim)
+        features = [rng.normal(size=(n, dim)) for n in self.SIZES]
+        features[1][1] = features[1][0]  # one zero-difference pair, dropped
+        return median_split_windows(features, rng)
+
+    @pytest.mark.parametrize("max_pairs, groups", [(5, 1), (1000, 4)])
+    @pytest.mark.parametrize("w0", W0_MODES)
+    @pytest.mark.parametrize("dim", [2, 12])
+    def test_bitwise_equal_to_train_per_window(self, dim, w0, max_pairs, groups):
+        windows = self._windows(dim)
+        config = RpdmlConfig(iters=15, w0=w0, max_pairs=max_pairs, seed=4)
+        pair_counts = {build_pairs(f, y, max_pairs, 4).without_degenerate_rows().n_constraints
+                       for f, y in windows}
+        assert len(pair_counts) == groups
+        got = train_many(windows, config)
+        assert len(got) == len(windows)
+        for (features, labels), w in zip(windows, got):
+            assert w.mat.shape == (dim, dim)
+            assert w.mat.tobytes() == train(features, labels, config).w.mat.tobytes()
+
+    def test_no_window(self):
+        assert train_many([], RpdmlConfig()) == []
+
+    def test_failing_windows_are_named_with_their_own_messages(self):
+        # At eta0 = 0.0078 window 8 of the README panel diverges at t=1 when
+        # trained alone, and at 0.008 window 1 does too; the others converge.
+        panel = generate_synthetic_panel(
+            SyntheticSpec(seed=3, dim=12, informative_dims=3, noise_scale=3.0),
+            periods=12, assets_per_period=40)
+        windows = [(normalize_features(p.features)[0],
+                    (p.next_returns > np.median(p.next_returns)).astype(int))
+                   for p in panel.periods[:-1]]
+        for eta0, failing in ((0.0078, [8]), (0.008, [1, 8])):
+            config = RpdmlConfig(iters=60, seed=3, eta0=eta0)
+            alone = {}
+            for i, (features, labels) in enumerate(windows):
+                try:
+                    train(features, labels, config)
+                except DivergedError as exc:
+                    alone[i] = str(exc)
+            assert list(alone) == failing
+            with pytest.raises(DivergedError) as info:
+                train_many(windows, config)
+            assert info.value.windows == alone
+            assert str(info.value) == "; ".join(f"window {i}: {msg}" for i, msg in alone.items())
 
 
 class TestSlackMultiplierIsZero:
