@@ -34,14 +34,11 @@ class InnerSolveError(NumericError):
 
 
 class DivergedError(NumericError):
-    """An optimization run diverged; carries the partial trace.  A stacked fit
-    of several windows also names the failing ones: ``windows`` maps each
-    one's index to its own failure message."""
+    """An optimization run diverged; carries the partial trace."""
 
-    def __init__(self, message, trace=None, windows=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-        self.windows = windows or {}
 
 
 def require_keys(obj, keys, where: str) -> list:

@@ -6,8 +6,9 @@ targets, every asset's next return is predicted as the mean target of its k
 nearest training assets under the metric, and the top-N predicted assets
 form an equal-weight portfolio whose realized return is compounded.  The
 metrics of all windows come from one call of the metric provider, so a
-learned metric can fit them together (``metric.train_many``); a window is
-named by the period it trades.
+learned metric can fit them together (``metric.train_many``).  When that
+call fails, each window is fit alone, and the error names each failing
+window by the period it trades.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .data import PanelDataset, PanelPeriod, normalize_features
-from .errors import ConfigError, DimensionMismatchError, DivergedError, NumericError
+from .errors import ConfigError, DimensionMismatchError, NumericError, RpdmlError
 from .manifold import SpdMatrix
 from .metric import inverse_covariance_metric as mahalanobis_metric
 
@@ -301,9 +302,11 @@ def window_predictions(
     Training features are normalized with statistics fit on the training
     window only; the same statistics transform the prediction window.  The
     metrics of every window with at least k training rows come from one
-    ``metric_source`` call; the others are skipped.  A ``DivergedError``
-    that names failing windows is raised again naming their periods.  A panel
-    with fewer than two periods has no window and is rejected.
+    ``metric_source`` call; the others are skipped.  If that call raises an
+    ``RpdmlError``, each window is fit alone, and an error of the same class
+    names every window that fails, in period order, by the period it trades,
+    with its own message.  A panel with fewer than two periods has no window
+    and is rejected.
     """
     if len(data.periods) < 2:
         raise ConfigError("need at least two periods")
@@ -323,12 +326,16 @@ def window_predictions(
     try:
         metrics = metric_source([(feats, train_p.next_returns)
                                  for _, train_p, feats, _ in tradable])
-    except DivergedError as exc:
-        if not exc.windows:
+    except RpdmlError as exc:
+        failures = []
+        for cur_p, train_p, feats, _ in tradable:
+            try:
+                metric_source([(feats, train_p.next_returns)])
+            except RpdmlError as alone:
+                failures.append(f"window {cur_p.label}: {alone}")
+        if not failures:
             raise
-        raise DivergedError("; ".join(f"window {tradable[i][0].label}: {msg}"
-                                      for i, msg in exc.windows.items()),
-                            exc.trace, exc.windows) from exc
+        raise type(exc)("; ".join(failures)) from exc
     metrics = iter(metrics)
     for cur_p, train_p, feats, query_feats in windows:
         if train_p is None:

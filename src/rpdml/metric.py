@@ -36,16 +36,17 @@ xi_{t+1} >= 0.  By induction gamma stays 0; the projection keeps the bound.
 Dual and slack vectors are plain nonnegative ndarrays; nonnegativity is
 maintained by the updates themselves and recorded in the trace.
 
+``PairConstraints`` builds a window's pairs; ``bounded(u, l)`` gives the
+``BoundedPairs`` (rows, signs and bounds) that the constraint kernels take.
 ``train_many`` fits many windows' problems as one: their product, B SPD
 matrices with the windows' constraints side by side, is again this saddle
-problem, and its steps separate by window.  The constraint kernels take a
-``PairStack`` in place of one ``PairConstraints`` and then work on every
-array with a leading window axis.
+problem, and its steps separate by window.  ``BoundedPairs.stack`` holds
+their pairs with a leading window axis, and the kernels then work on every
+array with that axis.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
@@ -60,7 +61,6 @@ from .errors import (
     ConfigError,
     ConstraintBuildError,
     DimensionMismatchError,
-    DivergedError,
     InnerSolveError,
     require_keys,
 )
@@ -91,36 +91,44 @@ DEGENERATE_ROW_TOL = 1e-12
 COVARIANCE_RIDGE = 1e-6
 
 
-def _bound_vector(signs: Array, u: float | None, l: float | None) -> Array | None:
-    """The read-only bound vector, u on similar rows and l on dissimilar ones,
-    of bounds 0 < u < l; None when both are unset."""
-    if u is None and l is None:
-        return None
-    if u is None or l is None:
-        raise ConfigError("set both bounds or neither")
-    if not (u > 0 and l > 0 and u < l):
-        raise ConfigError(f"bounds must satisfy 0 < u < l, got u={u}, l={l}")
-    bounds = np.where(signs > 0, u, l)
-    bounds.flags.writeable = False
-    return bounds
+@dataclass(frozen=True, eq=False)
+class BoundedPairs:
+    """Pair constraints with their bounds: read-only difference rows
+    ``diffs`` (similar rows first), ``signs`` (+1 similar, -1 dissimilar) and
+    ``bounds`` (u on similar rows, l on dissimilar ones).  With a leading
+    window axis, (B, m, d) rows and (B, m) signs and bounds, they hold B
+    windows of one pair count m side by side."""
+
+    diffs: Array
+    signs: Array
+    bounds: Array
+
+    @classmethod
+    def stack(cls, windows: Sequence["BoundedPairs"]) -> "BoundedPairs":
+        arrays = [np.stack([getattr(p, name) for p in windows])
+                  for name in ("diffs", "signs", "bounds")]
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays)
+
+    @property
+    def dim(self) -> int:
+        return self.diffs.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class PairConstraints:
-    """Difference vectors of similar / dissimilar sample pairs with bounds.
+    """Difference vectors of similar / dissimilar sample pairs.
 
     One read-only stacked matrix ``diffs`` (similar rows first) with its
-    ``signs`` (+1 similar, -1 dissimilar) and, once u and l are set, its
-    bound vector; ``similar_diffs`` and ``dissimilar_diffs`` are views.
+    ``signs`` (+1 similar, -1 dissimilar); ``similar_diffs`` and
+    ``dissimilar_diffs`` are views.
     """
 
     similar_diffs: Array
     dissimilar_diffs: Array
-    u: float | None = None
-    l: float | None = None
     diffs: Array = field(init=False, repr=False)
     signs: Array = field(init=False, repr=False)
-    _bounds: Array | None = field(init=False, repr=False)
 
     def __post_init__(self):
         sd = np.atleast_2d(np.asarray(self.similar_diffs, dtype=float))
@@ -139,7 +147,6 @@ class PairConstraints:
         signs.flags.writeable = False
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "_bounds", _bound_vector(signs, self.u, self.l))
         object.__setattr__(self, "similar_diffs", diffs[:n_s])
         object.__setattr__(self, "dissimilar_diffs", diffs[n_s:])
 
@@ -151,22 +158,13 @@ class PairConstraints:
     def n_constraints(self) -> int:
         return self.diffs.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.diffs.shape[1]
-
-    def bound_vector(self) -> Array:
-        """Per-constraint bound (u for similar rows, l for dissimilar rows), read-only."""
-        if self._bounds is None:
-            raise ConfigError("bounds are unset")
-        return self._bounds
-
-    def with_bounds(self, u: float, l: float) -> "PairConstraints":
-        """These pairs with bounds u and l, sharing the stacked read-only rows."""
-        pc = copy.copy(self)
-        for name, value in (("u", u), ("l", l), ("_bounds", _bound_vector(self.signs, u, l))):
-            object.__setattr__(pc, name, value)
-        return pc
+    def bounded(self, u: float, l: float) -> BoundedPairs:
+        """These pairs with bounds 0 < u < l, sharing the read-only rows."""
+        if not (u > 0 and l > 0 and u < l):
+            raise ConfigError(f"bounds must satisfy 0 < u < l, got u={u}, l={l}")
+        bounds = np.where(self.signs > 0, u, l)
+        bounds.flags.writeable = False
+        return BoundedPairs(self.diffs, self.signs, bounds)
 
     def without_degenerate_rows(self) -> "PairConstraints":
         """Drop difference rows of norm at most ``DEGENERATE_ROW_TOL`` (duplicate points)."""
@@ -178,39 +176,7 @@ class PairConstraints:
         if not keep_s.any() or not keep_d.any():
             raise ConstraintBuildError("all pairs on one side are degenerate (zero difference)")
         logger.warning("dropping %d degenerate zero-difference pair rows", dropped)
-        return PairConstraints(
-            self.similar_diffs[keep_s], self.dissimilar_diffs[keep_d], u=self.u, l=self.l
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class PairStack:
-    """The bounded pair constraints of B windows with one pair count m, side
-    by side: read-only (B, m, d) rows and (B, m) signs and bounds.  The
-    constraint kernels read it as they read one ``PairConstraints``; indexing
-    by a slice selects windows."""
-
-    diffs: Array
-    signs: Array
-    bounds: Array
-
-    @classmethod
-    def of(cls, pcs: Sequence[PairConstraints]) -> "PairStack":
-        arrays = [np.stack([p.diffs for p in pcs]), np.stack([p.signs for p in pcs]),
-                  np.stack([p.bound_vector() for p in pcs])]
-        for a in arrays:
-            a.flags.writeable = False
-        return cls(*arrays)
-
-    def __getitem__(self, windows: slice) -> "PairStack":
-        return PairStack(self.diffs[windows], self.signs[windows], self.bounds[windows])
-
-    @property
-    def dim(self) -> int:
-        return self.diffs.shape[-1]
-
-    def bound_vector(self) -> Array:
-        return self.bounds
+        return PairConstraints(self.similar_diffs[keep_s], self.dissimilar_diffs[keep_d])
 
 
 @dataclass(frozen=True)
@@ -296,7 +262,7 @@ def build_pairs(
     """Enumerate same-label and different-label pair differences.
 
     All pairs (i < j) are used when their count fits under the cap;
-    otherwise a seeded subsample is drawn.  Bounds are left unset.
+    otherwise a seeded subsample is drawn.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     labels = np.asarray(labels)
@@ -350,29 +316,29 @@ def compute_bounds(distances: Array, p_lo: float, p_hi: float) -> tuple[float, f
     return u, l
 
 
-def eval_h(w: SpdMatrix, xi: Array, pc: PairConstraints | PairStack) -> Array:
+def eval_h(w: SpdMatrix, xi: Array, pairs: BoundedPairs) -> Array:
     """h = signs * (diag(X W X^T) - b) - b * xi over the stacked pair rows X,
     of one window or of each window of a stack (one ``rowwise_quadratic`` each)."""
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != pc.signs.shape:
-        raise DimensionMismatchError(f"slack shape {xi.shape}, expected {pc.signs.shape}")
-    if pc.dim != w.dim:
-        raise DimensionMismatchError(f"pair dim {pc.dim} != metric dim {w.dim}")
-    b = pc.bound_vector()
-    x = pc.diffs
+    if xi.shape != pairs.signs.shape:
+        raise DimensionMismatchError(f"slack shape {xi.shape}, expected {pairs.signs.shape}")
+    if pairs.dim != w.dim:
+        raise DimensionMismatchError(f"pair dim {pairs.dim} != metric dim {w.dim}")
+    b = pairs.bounds
+    x = pairs.diffs
     q = (rowwise_quadratic(w.mat, x) if x.ndim == 2
          else np.stack([rowwise_quadratic(w_mat, rows) for w_mat, rows in zip(w.mat, x)]))
-    return pc.signs * (q - b) - b * xi
+    return pairs.signs * (q - b) - b * xi
 
 
-def grad_h_contraction(lam: Array, pc: PairConstraints | PairStack) -> Array:
+def grad_h_contraction(lam: Array, pairs: BoundedPairs) -> Array:
     """<lam, dh/dW> = X^T diag(signs * lam) X over the stacked pair rows X
     (one GEMM per window)."""
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != pc.signs.shape:
-        raise DimensionMismatchError(f"dual shape {lam.shape}, expected {pc.signs.shape}")
-    x = pc.diffs
-    return sym((x * (pc.signs * lam)[..., None]).swapaxes(-1, -2) @ x)
+    if lam.shape != pairs.signs.shape:
+        raise DimensionMismatchError(f"dual shape {lam.shape}, expected {pairs.signs.shape}")
+    x = pairs.diffs
+    return sym((x * (pairs.signs * lam)[..., None]).swapaxes(-1, -2) @ x)
 
 
 def inner_solve_w(
@@ -380,7 +346,7 @@ def inner_solve_w(
     lam: Array,
     w0_inv: Array,
     eta_t: float,
-    pc: PairConstraints | PairStack,
+    pairs: BoundedPairs,
 ) -> tuple[SpdMatrix, Array, float | Array]:
     """Closed-form inner solve: the exact minimizer of the W subproblem.
 
@@ -393,12 +359,12 @@ def inner_solve_w(
     lambda_min(W*) >= 1 / tr(W*^-1) >= EPS_PD while the trace is at most
     1 / EPS_PD, a step with a larger trace is refused, never clipped.
 
-    With a ``PairStack`` every array has a leading window axis and each
+    With stacked pairs every array has a leading window axis and each
     window's step is its own: the stacked kernels run the same LAPACK/BLAS
     call on every slice, so its bits equal the one-window step's.  A step is
     refused when any window's is.
     """
-    m_lin = 0.5 * w0_inv + grad_h_contraction(lam, pc) + w_t_inv / (2.0 * eta_t)
+    m_lin = 0.5 * w0_inv + grad_h_contraction(lam, pairs) + w_t_inv / (2.0 * eta_t)
     w_inv = m_lin / (0.5 + 1.0 / (2.0 * eta_t))
     try:
         chol = np.linalg.cholesky(w_inv)
@@ -421,16 +387,16 @@ def update_slack(
     lam: Array,
     eta_t: float,
     c1: float,
-    pc: PairConstraints | PairStack,
+    pairs: BoundedPairs,
 ) -> Array:
     """Closed-form prox step for the slacks (projected to nonnegative)."""
     xi_t = np.asarray(xi_t, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if not (xi_t.shape == lam.shape == pc.signs.shape):
+    if not (xi_t.shape == lam.shape == pairs.signs.shape):
         raise DimensionMismatchError("slack/dual vectors disagree with constraint count")
     if c1 + eta_t <= 0:
         raise ConfigError("c1 + eta_t must be positive")
-    return positive_part((eta_t * xi_t + lam * pc.bound_vector()) / (c1 + eta_t))
+    return positive_part((eta_t * xi_t + lam * pairs.bounds) / (c1 + eta_t))
 
 
 def update_lambda(lam_t: Array, h_val: Array, eta_t: float, c2: float) -> Array:
@@ -459,7 +425,7 @@ def inverse_covariance_metric(features: Array) -> SpdMatrix:
 
 
 def _prepare(features: Array, labels: Array, config: RpdmlConfig):
-    """A window's bounded pairs and W0, W0^-1 and log det W0.
+    """A window's bounded pairs, W0, W0^-1, log det W0 and bounds u, l.
 
     Builds the pair constraints (seeded subsample under the cap), drops the
     degenerate rows and sets the distance bounds from percentiles of the pair
@@ -478,10 +444,10 @@ def _prepare(features: Array, labels: Array, config: RpdmlConfig):
         w0_logdet = spd_logdet(w0)
     init_dists = rowwise_quadratic(w0.mat, pc.diffs)
     u, l = compute_bounds(init_dists, config.percentile_lo, config.percentile_hi)
-    return pc.with_bounds(u, l), w0, w0_inv, w0_logdet
+    return pc.bounded(u, l), w0, w0_inv, w0_logdet, u, l
 
 
-def _run(pc: PairConstraints | PairStack, w0: SpdMatrix, w0_inv: Array,
+def _run(pairs: BoundedPairs, w0: SpdMatrix, w0_inv: Array,
          w0_logdet: float | Array, config: RpdmlConfig) -> RunTrace:
     """``solver.run`` on the saddle problem of the module docstring from
     (W0, 0), with ``inner_solve_w`` and ``update_slack`` as the proximal
@@ -501,16 +467,16 @@ def _run(pc: PairConstraints | PairStack, w0: SpdMatrix, w0_inv: Array,
 
     def inner_minimizer(x, lam: Array, eta: float):
         nonlocal w_inv, w_logdet
-        w, w_inv, w_logdet = inner_solve_w(w_inv, lam, w0_inv, eta, pc)
-        return w, update_slack(x[1], lam, eta, config.c1, pc)
+        w, w_inv, w_logdet = inner_solve_w(w_inv, lam, w0_inv, eta, pairs)
+        return w, update_slack(x[1], lam, eta, config.c1, pairs)
 
     def record_extras(x, lam: Array) -> dict:
         # The slack multiplier is identically 0 (module docstring); its keys stay.
         return {"slack_norm": float(np.linalg.norm(x[1])), "gamma_norm": 0.0,
                 "slack_min": float(x[1].min()), "gamma_min": 0.0}
 
-    problem = SaddleProblem(objective, lambda x: eval_h(*x, pc), inner_minimizer, record_extras)
-    return run(problem, (w0, np.zeros(pc.signs.shape)), config.solver)
+    problem = SaddleProblem(objective, lambda x: eval_h(*x, pairs), inner_minimizer, record_extras)
+    return run(problem, (w0, np.zeros(pairs.signs.shape)), config.solver)
 
 
 def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
@@ -523,9 +489,9 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     W subproblem, or a W step refused at the eigenvalue floor, raises
     ``DivergedError`` carrying the partial trace.
     """
-    pc, w0, w0_inv, w0_logdet = _prepare(features, labels, config)
-    trace = _run(pc, w0, w0_inv, w0_logdet, config)
-    return MetricModel(w=trace.final_point[0], w0=w0, u=pc.u, l=pc.l, trace=trace)
+    pairs, w0, w0_inv, w0_logdet, u, l = _prepare(features, labels, config)
+    trace = _run(pairs, w0, w0_inv, w0_logdet, config)
+    return MetricModel(w=trace.final_point[0], w0=w0, u=u, l=l, trace=trace)
 
 
 def train_many(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> list[SpdMatrix]:
@@ -535,40 +501,23 @@ def train_many(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> l
     count m are fit by one ``solver.run`` on their product problem: a
     (B, d, d) W stack with (B, m) slacks and duals, on which the W/slack
     step and the dual step separate by window.  Only the stacked pairs are
-    kept once a group is stacked.
-
-    A run stops at the first iteration at which any of its windows fails.
-    Only then is each of its windows run alone to find the failing ones; the
-    ``DivergedError`` raised names each by its index in ``windows`` and
-    carries, in ``windows``, index -> that window's own failure message.
+    kept once a group is stacked.  A run stops, raising ``DivergedError``,
+    at the first iteration at which any of its windows fails; the error does
+    not say which (``evaluation.window_predictions`` finds them).
     """
     prepared = [_prepare(features, labels, config) for features, labels in windows]
     groups: dict[int, list[int]] = {}
-    for i, (pc, *_) in enumerate(prepared):
-        groups.setdefault(pc.n_constraints, []).append(i)
+    for i, (pairs, *_) in enumerate(prepared):
+        groups.setdefault(pairs.signs.shape[0], []).append(i)
     out: list[SpdMatrix | None] = [None] * len(prepared)
     for idx in groups.values():
-        stack = PairStack.of([prepared[i][0] for i in idx])
+        pairs = BoundedPairs.stack([prepared[i][0] for i in idx])
         w0 = SpdMatrix._trusted(np.stack([prepared[i][1].mat for i in idx]))
         w0_inv = np.stack([prepared[i][2] for i in idx])
         w0_logdet = np.array([prepared[i][3] for i in idx])
         for i in idx:
             prepared[i] = None
-        try:
-            final = _run(stack, w0, w0_inv, w0_logdet, config).final_point[0]
-        except DivergedError as exc:
-            failures = {}
-            for j, i in enumerate(idx):
-                one = slice(j, j + 1)
-                try:
-                    _run(stack[one], SpdMatrix._trusted(w0.mat[one]), w0_inv[one],
-                         w0_logdet[one], config)
-                except DivergedError as alone:
-                    failures[i] = str(alone)
-            if not failures:
-                raise
-            raise DivergedError("; ".join(f"window {i}: {msg}" for i, msg in failures.items()),
-                                exc.trace, windows=failures) from exc
+        final = _run(pairs, w0, w0_inv, w0_logdet, config).final_point[0]
         for j, i in enumerate(idx):
             out[i] = SpdMatrix._trusted(final.mat[j])
     return out

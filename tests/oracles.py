@@ -30,7 +30,7 @@ def logdet_divergence_raw(w, ref_inv, ref_logdet):
 
 def inner_objective(w_mat, w_t, lam, w0, eta_t, pc):
     """J(W) for a raw matrix W."""
-    b = pc.bound_vector()
+    b = pc.bounds
     h0 = pc.signs * (rowwise_quadratic(w_mat, pc.diffs) - b)
     val = 0.5 * logdet_divergence_raw(w_mat, spd_inverse(w0).mat, spd_logdet(w0))
     val += float(np.asarray(lam, dtype=float) @ h0)

@@ -125,7 +125,7 @@ def test_criterion_1_gradient_oracle():
     for idx in range(20):
         n = 3 if idx < 10 else 5
         w, w0, w_t = rand_spd(n, rng), rand_spd(n, rng), rand_spd(n, rng)
-        pc = PairConstraints(rng.normal(size=(4, n)), rng.normal(size=(5, n)), u=1.0, l=3.0)
+        pc = PairConstraints(rng.normal(size=(4, n)), rng.normal(size=(5, n))).bounded(1.0, 3.0)
         lam = rng.uniform(0.0, 2.0, 9)
         grad = inner_gradient(w.mat, w_t, lam, w0, 0.3, pc)
         fd = np.zeros((n, n))

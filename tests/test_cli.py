@@ -15,9 +15,16 @@ import pytest
 import rpdml
 from rpdml import cli
 from rpdml.cli import main, read_config_file
-from rpdml.data import PanelDataset, SyntheticSpec, read_panel_csv, write_panel_csv
-from rpdml.errors import ConfigError
-from rpdml.metric import RpdmlConfig
+from rpdml.data import (
+    PanelDataset,
+    PanelPeriod,
+    SyntheticSpec,
+    normalize_features,
+    read_panel_csv,
+    write_panel_csv,
+)
+from rpdml.errors import ConfigError, DivergedError
+from rpdml.metric import RpdmlConfig, train
 
 
 def run_cli(*argv):
@@ -313,6 +320,51 @@ class TestBacktest:
             "below (dual pull exceeds the log barrier); use a smaller step size"
             for label in failing) + "\n"
         assert not outdir.exists()
+
+    def test_failing_windows_of_both_pair_counts_are_named(self, readme_panel, tmp_path,
+                                                            capsys):
+        # Cut to 20 assets, the 2018 periods train windows of another pair
+        # count, fit in a second stacked run.  The error names every window
+        # that fails when trained alone, of either run, in period order.
+        panel = read_panel_csv(readme_panel)
+        cut = PanelDataset([
+            PanelPeriod(p.label, p.asset_ids[:20], p.features[:20], p.next_returns[:20])
+            if p.label.startswith("2018") else p for p in panel.periods])
+        path = tmp_path / "cut.csv"
+        write_panel_csv(cut, path)
+        config = RpdmlConfig(iters=60, seed=3, eta0=0.012)
+        failing = {}
+        for train_p, cur_p in zip(cut.periods, cut.periods[1:]):
+            labels = (train_p.next_returns > np.median(train_p.next_returns)).astype(int)
+            try:
+                train(normalize_features(train_p.features)[0], labels, config)
+            except DivergedError as exc:
+                failing[cur_p.label] = (len(train_p.asset_ids), str(exc))
+        assert {n for n, _ in failing.values()} == {20, 40}
+        outdir = tmp_path / "bt"
+        assert run_cli("backtest", "--seed", "3", "--data", str(path), "--outdir", str(outdir),
+                       "--metric", "rpdml", "--eta0", "0.012") == 2
+        assert capsys.readouterr().err == "error: " + "; ".join(
+            f"window {label}: {msg}" for label, (_, msg) in failing.items()) + "\n"
+        assert not outdir.exists()
+
+    def test_input_error_of_one_window_names_its_period(self, readme_panel, tmp_path, capsys):
+        # Every 2018Q2 asset has the same next return, so the window trained
+        # on 2018Q2 (trading 2018Q3) has one median-split label.
+        panel = read_panel_csv(readme_panel)
+        flat = PanelDataset([
+            PanelPeriod(p.label, p.asset_ids, p.features, np.full(len(p.asset_ids), 0.01))
+            if p.label == "2018Q2" else p for p in panel.periods])
+        path = tmp_path / "flat.csv"
+        write_panel_csv(flat, path)
+        outdir = tmp_path / "bt"
+        assert run_cli("backtest", "--seed", "3", "--data", str(path), "--outdir", str(outdir),
+                       "--metric", "rpdml") == 1
+        assert capsys.readouterr().err == (
+            "error: window 2018Q3: need at least two distinct labels\n")
+        assert not outdir.exists()
+        assert run_cli("backtest", "--seed", "3", "--data", str(path), "--outdir", str(outdir),
+                       "--metric", "euclidean") == 0
 
     def test_k_equal_to_window_gives_undefined_ic(self, tmp_path, capsys):
         # With k = assets per period every prediction is the mean of the same

@@ -5,8 +5,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rpdml.data import PanelDataset, PanelPeriod, read_panel_csv, write_panel_csv
-from rpdml.errors import ConfigError, DimensionMismatchError, DivergedError, NumericError
+from rpdml.data import (
+    PanelDataset,
+    PanelPeriod,
+    SyntheticSpec,
+    generate_synthetic_panel,
+    normalize_features,
+    read_panel_csv,
+    write_panel_csv,
+)
+from rpdml.errors import (
+    ConfigError,
+    ConstraintBuildError,
+    DimensionMismatchError,
+    DivergedError,
+    NumericError,
+)
 from rpdml.evaluation import (
     accumulated_return,
     backtest_from_predictions,
@@ -24,6 +38,7 @@ from rpdml.evaluation import (
     window_predictions,
 )
 from rpdml.manifold import SpdMatrix, rowwise_quadratic
+from rpdml.metric import RpdmlConfig, train, train_many
 
 
 def make_panel(periods):
@@ -549,6 +564,11 @@ class TestMaxDrawdown:
             max_drawdown(np.array([1.0, -1.0]))
 
 
+def median_labels(returns):
+    """The backtest's two groups: assets above / below the median return."""
+    return (returns > np.median(returns)).astype(int)
+
+
 def run_backtest(panel, provider, k, top_n, normalize=True):
     """The pipeline of ``rpdml backtest``: window predictions, then top-N trades."""
     preds = list(window_predictions(panel, provider, k=k, normalize=normalize))
@@ -678,14 +698,70 @@ class TestRollingBacktest:
             assert np.array_equal(feats, period.features)
             assert np.array_equal(targets, period.next_returns)
 
-    def test_diverged_windows_are_named_by_the_period_they_trade(self):
-        panel = make_panel([(f"p{i}", [[0.0], [1.0]], [0.1, 0.2]) for i in range(4)])
+    @staticmethod
+    def _marked_provider(error):
+        """A provider that raises ``error`` naming the first target above 1 of
+        the windows it is given, and gives Euclidean metrics otherwise."""
+        calls = []
 
         def provider(windows):
-            raise DivergedError("window 0: a; window 2: b", windows={0: "a", 2: "b"})
-        with pytest.raises(DivergedError, match="^window p1: a; window p3: b$") as info:
+            calls.append(len(windows))
+            marked = [targets[0] for _, targets in windows if targets[0] > 1]
+            if marked:
+                raise error(f"failed on {marked[0]:g}")
+            return [euclidean_metric(f) for f, _ in windows]
+        return provider, calls
+
+    def test_diverged_windows_are_named_by_the_period_they_trade(self):
+        # The windows trained on p0 and p2 (trading p1 and p3) are marked.
+        marked = {0: [9.0, 0.0], 2: [7.0, 0.0]}
+        panel = make_panel([(f"p{i}", [[0.0], [1.0]], marked.get(i, [0.0, 1.0])) for i in range(4)])
+        provider, calls = self._marked_provider(DivergedError)
+        with pytest.raises(DivergedError, match="^window p1: failed on 9; window p3: failed on 7$"):
             list(window_predictions(panel, provider, k=1))
-        assert info.value.windows == {0: "a", 2: "b"}
+        assert calls == [3, 1, 1, 1]  # the batch, then each window alone
+
+    def test_an_input_error_names_its_window_and_keeps_its_class(self):
+        panel = make_panel([(f"p{i}", [[0.0], [1.0]], [2.0 if i == 1 else 0.0, 0.0])
+                            for i in range(3)])
+        provider, _ = self._marked_provider(ConstraintBuildError)
+        with pytest.raises(ConstraintBuildError, match="^window p2: failed on 2$"):
+            list(window_predictions(panel, provider, k=1))
+
+    def test_batch_error_that_no_window_repeats_is_raised_unchanged(self):
+        panel = make_panel([(f"p{i}", [[0.0], [1.0]], [0.1, 0.2]) for i in range(3)])
+
+        def provider(windows):
+            if len(windows) > 1:
+                raise DivergedError("batch only")
+            return [euclidean_metric(f) for f, _ in windows]
+        with pytest.raises(DivergedError, match="^batch only$"):
+            list(window_predictions(panel, provider, k=1))
+
+    def test_failing_windows_are_named_with_their_own_messages(self):
+        # At eta0 = 0.0078 the README panel's window trading 2019Q2 diverges
+        # at t=1 when trained alone, and at 0.008 the one trading 2017Q3 does
+        # too; the others converge.  The stacked fit names each by its own
+        # message.
+        panel = generate_synthetic_panel(
+            SyntheticSpec(seed=3, dim=12, informative_dims=3, noise_scale=3.0),
+            periods=12, assets_per_period=40)
+        for eta0, failing in ((0.0078, ["2019Q2"]), (0.008, ["2017Q3", "2019Q2"])):
+            config = RpdmlConfig(iters=60, seed=3, eta0=eta0)
+            alone = {}
+            for train_p, cur_p in zip(panel.periods, panel.periods[1:]):
+                try:
+                    train(normalize_features(train_p.features)[0],
+                          median_labels(train_p.next_returns), config)
+                except DivergedError as exc:
+                    alone[cur_p.label] = str(exc)
+            assert list(alone) == failing
+
+            def provider(windows):
+                return train_many([(f, median_labels(r)) for f, r in windows], config)
+            with pytest.raises(DivergedError) as info:
+                list(window_predictions(panel, provider, k=10))
+            assert str(info.value) == "; ".join(f"window {p}: {msg}" for p, msg in alone.items())
 
     def test_requires_two_periods(self):
         panel = make_panel([("p0", [[0.0], [1.0]], [0.1, 0.2])])
