@@ -11,6 +11,7 @@ exactly reproducible.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -59,27 +60,30 @@ def scalar_toy_problem(target: float = TOY_TARGET, bound: float = TOY_BOUND) -> 
     )
 
 
-def run_toy(T: int, alpha: float = TOY_ALPHA, eta0: float = TOY_ETA0, x0: float = TOY_X0) -> RunTrace:
-    problem = scalar_toy_problem()
+def run_toy(T: int, alpha: float = TOY_ALPHA, eta0: float = TOY_ETA0,
+            x0: float = TOY_X0) -> tuple[RunTrace, list[float]]:
+    """The toy run and each iterate's ``scalar_distance_sq`` from x0, in order."""
+    problem, d0_sq = scalar_toy_problem(), []
+
+    def inner_minimizer(x_t: float, lam: np.ndarray, eta: float) -> float:
+        x = problem.inner_minimizer(x_t, lam, eta)
+        d0_sq.append(scalar_distance_sq(x, x0))
+        return x
+
     config = SolverConfig(alpha=alpha, eta0=eta0, iters=T)
-    return run(problem, x0, config)
+    return run(replace(problem, inner_minimizer=inner_minimizer), x0, config), d0_sq
 
 
-def convergence_rows(trace: RunTrace, f_star: float, alpha: float, x0: float) -> list[dict]:
+def convergence_rows(trace: RunTrace, d0_sq: list[float], f_star: float, alpha: float) -> list[dict]:
     """Trace rows augmented with a cumulative bound check.
 
     For every prefix [0..t] the row carries the guaranteed gap from
-    ``prefix_bounds`` (with the LogDet distance of the half-line), the gap
-    of the prefix's best iterate (``min_gap``; the iterate the bound
+    ``prefix_bounds`` (with ``run_toy``'s LogDet distances ``d0_sq``), the
+    gap of the prefix's best iterate (``min_gap``; the iterate the bound
     certifies) and whether that gap respects the bound.
     """
-    bounds = prefix_bounds(trace.records, x0, scalar_distance_sq, alpha)
     rows = []
-    for rec, (best, bound) in zip(trace.records, bounds):
+    for rec, (best, bound) in zip(trace.records, prefix_bounds(trace.records, d0_sq, 1, alpha)):
         gap = trace.records[best].objective - f_star
-        row = rec.to_dict()
-        row["min_gap"] = gap
-        row["bound"] = bound
-        row["bound_ok"] = bool(gap <= bound)
-        rows.append(row)
+        rows.append({**rec.to_dict(), "min_gap": gap, "bound": bound, "bound_ok": bool(gap <= bound)})
     return rows

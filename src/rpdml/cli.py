@@ -401,15 +401,15 @@ def cmd_bench_convergence(args) -> int:
     outdir = _resolve_outdir(args)
     T = int(opts["T"])
     lower, upper = step_sum_bounds(T)  # rejects T < 1 before anything is written
-    trace = benchmarks.run_toy(T, alpha=opts["alpha"], eta0=opts["eta0"], x0=opts["x0"])
+    trace, d0_sq = benchmarks.run_toy(T, alpha=opts["alpha"], eta0=opts["eta0"], x0=opts["x0"])
     f_star = benchmarks.TOY_OPTIMUM
-    rows = benchmarks.convergence_rows(trace, f_star, opts["alpha"], x0=opts["x0"])
+    rows = benchmarks.convergence_rows(trace, d0_sq, f_star, opts["alpha"])
     _write_snapshot(outdir, "bench-convergence", None, opts)
     trace.write_jsonl(outdir / "trace.jsonl", rows=rows)
     # The envelope is for the unit schedule 1/sqrt(t+1); check the run's own steps.
-    etas = trace.etas() / opts["eta0"]
+    etas = np.array([r.eta for r in trace.records]) / opts["eta0"]
     sums_ok = bool(etas.sum() >= lower and (etas ** 2).sum() <= upper)
-    best = trace.best_record
+    best = trace.records[trace.best_index]
     all_ok = all(r["bound_ok"] for r in rows)
     print(f"benchmark T={T}: oracle f*={f_star:.6f} best f={best.objective:.6f} "
           f"(gap {best.objective - f_star:+.2e})")

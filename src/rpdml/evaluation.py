@@ -297,16 +297,16 @@ def window_predictions(
     k: int,
     normalize: bool = True,
 ):
-    """Yield (period, predictions, skipped) for every tradable period.
+    """Yield (period, predictions) for every tradable period.
 
     Training features are normalized with statistics fit on the training
     window only; the same statistics transform the prediction window.  The
     metrics of every window with at least k training rows come from one
-    ``metric_source`` call; the others are skipped.  If that call raises an
-    ``RpdmlError``, each window is fit alone, and an error of the same class
-    names every window that fails, in period order, by the period it trades,
-    with its own message.  A panel with fewer than two periods has no window
-    and is rejected.
+    ``metric_source`` call; the others are skipped, with predictions None.
+    If that call raises an ``RpdmlError``, each window is fit alone, and an
+    error of the same class names every window that fails, in period order,
+    by the period it trades, with its own message.  A panel with fewer than
+    two periods has no window and is rejected.
     """
     if len(data.periods) < 2:
         raise ConfigError("need at least two periods")
@@ -339,14 +339,14 @@ def window_predictions(
     metrics = iter(metrics)
     for cur_p, train_p, feats, query_feats in windows:
         if train_p is None:
-            yield cur_p, None, True
+            yield cur_p, None
             continue
         neighbors = knn_neighbors(next(metrics), feats, query_feats, k)
-        yield cur_p, knn_predict(train_p.next_returns, neighbors), False
+        yield cur_p, knn_predict(train_p.next_returns, neighbors)
 
 
 def backtest_from_predictions(
-    predictions: Sequence[tuple[PanelPeriod, Array | None, bool]],
+    predictions: Sequence[tuple[PanelPeriod, Array | None]],
     top_n: int,
     mdd_window: int = 4,
 ) -> PortfolioResult:
@@ -356,8 +356,8 @@ def backtest_from_predictions(
     predictions are missing are recorded as skipped.
     """
     labels, returns, skipped = [], [], []
-    for period, preds, skip in predictions:
-        if skip or preds is None:
+    for period, preds in predictions:
+        if preds is None:
             skipped.append(period.label)
             continue
         if not 1 <= top_n <= len(period.asset_ids):
@@ -387,7 +387,7 @@ def backtest_from_predictions(
 
 
 def rolling_ic(
-    predictions: Iterable[tuple[PanelPeriod, Array | None, bool]],
+    predictions: Iterable[tuple[PanelPeriod, Array | None]],
 ) -> list[tuple[str, float | None]]:
     """Per-period rank correlation between predictions and realizations.
 
@@ -396,8 +396,8 @@ def rolling_ic(
     (constant predictions or realizations) is kept with the value None.
     """
     out = []
-    for period, preds, skip in predictions:
-        if skip or preds is None:
+    for period, preds in predictions:
+        if preds is None:
             continue
         try:
             ic = spearman_ic(preds, period.next_returns)

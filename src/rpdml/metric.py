@@ -154,10 +154,6 @@ class PairConstraints:
     def n_similar(self) -> int:
         return self.similar_diffs.shape[0]
 
-    @property
-    def n_constraints(self) -> int:
-        return self.diffs.shape[0]
-
     def bounded(self, u: float, l: float) -> BoundedPairs:
         """These pairs with bounds 0 < u < l, sharing the read-only rows."""
         if not (u > 0 and l > 0 and u < l):
@@ -214,8 +210,8 @@ class RpdmlConfig:
 
 @dataclass(frozen=True, eq=False)
 class MetricModel:
-    """A learned metric with its reference point and bounds; ``trace``, the run
-    history, is set by ``train`` and is None on a model read by ``load``."""
+    """A learned metric with its reference point and bounds; ``trace``, the
+    run's records, is set by ``train`` and is None on a model read by ``load``."""
 
     w: SpdMatrix
     w0: SpdMatrix
@@ -243,14 +239,20 @@ class MetricModel:
         if type(n) is not int or n < 1:  # excludes a JSON true, whose type is bool
             raise ConfigError(f"model file {path}: dim must be an integer >= 1, got {n!r}")
 
+        def number(x, key: str) -> float:
+            if type(x) not in (int, float):  # a JSON bool, string, null, list or object
+                raise ConfigError(f"model file {path}: {key} must hold numbers only, got {x!r}")
+            return float(x)
+
         def matrix(key: str) -> SpdMatrix:
             # Row-major entries of an n x n matrix, validated as SPD.
-            data = np.asarray(obj[key], dtype=float)
+            entries = obj[key] if type(obj[key]) is list else [obj[key]]
+            data = np.array([number(x, key) for x in entries])
             if data.size != n * n:
                 raise DimensionMismatchError(f"{key}: expected {n * n} entries, got {data.size}")
             return SpdMatrix(data.reshape(n, n))
 
-        return cls(w=matrix("w"), w0=matrix("w0"), u=float(obj["u"]), l=float(obj["l"]))
+        return cls(w=matrix("w"), w0=matrix("w0"), u=number(obj["u"], "u"), l=number(obj["l"], "l"))
 
 
 def build_pairs(
@@ -485,9 +487,9 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     Prepares the window (``_prepare``: pairs, bounds and W0), then runs
     ``solver.run`` for ``iters`` iterations on the saddle problem of the
     module docstring, starting from (W0, 0).  The returned model carries the
-    final W and the full trace, whose points are (W, xi) pairs.  An unbounded
-    W subproblem, or a W step refused at the eigenvalue floor, raises
-    ``DivergedError`` carrying the partial trace.
+    last iterate's W and the trace, scalars only.  An unbounded W subproblem,
+    or a W step refused at the eigenvalue floor, raises ``DivergedError``
+    carrying the partial trace.
     """
     pairs, w0, w0_inv, w0_logdet, u, l = _prepare(features, labels, config)
     trace = _run(pairs, w0, w0_inv, w0_logdet, config)

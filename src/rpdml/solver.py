@@ -15,8 +15,9 @@ through a problem-supplied inner minimizer, then updates the dual with
 
 Points are opaque to this module: a problem supplies the objective,
 constraints and the inner minimizer, so scalar toy problems and SPD matrix
-problems run through the same loop.  ``prefix_bounds`` turns a run's records
-into the paper's suboptimality bound for every prefix of the run.
+problems run through the same loop, which keeps only the current iterate.
+``prefix_bounds`` turns a run's records into the paper's suboptimality
+bound for every prefix of the run.
 """
 
 from __future__ import annotations
@@ -107,11 +108,10 @@ class IterationRecord:
     t: int
     eta: float
     objective: float
-    h: Array
+    h_max: float  # max |h|, for prefix_bounds
     violation: float
     dual_norm: float
     dual_min: float
-    point: Any
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -128,7 +128,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-iteration history of a solver or training run."""
+    """Per-iteration records of a solver or training run and its last point."""
 
     records: list[IterationRecord]
     final_point: Any
@@ -138,13 +138,6 @@ class RunTrace:
 
     def __len__(self):
         return len(self.records)
-
-    def etas(self) -> Array:
-        return np.array([r.eta for r in self.records])
-
-    @property
-    def best_record(self) -> IterationRecord:
-        return self.records[self.best_index]
 
     def write_jsonl(self, path: str | Path, rows: list[dict] | None = None) -> None:
         rows = [r.to_dict() for r in self.records] if rows is None else rows
@@ -191,11 +184,11 @@ def dual_ascent_step(lam: Array, h_val: Array, eta: float, alpha: float) -> Arra
 def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
     """Alternate proximal primal steps and projected dual ascent.
 
-    The trace records every iterate.  ``final_point`` is the last iterate
-    (the ``w`` that ``train`` saves).  ``best_index`` picks the best
-    objective among feasible (or least-violating) iterates: the convergence
-    guarantee certifies that iterate, not the last one, and
-    ``bench-convergence`` reports it.
+    Each iteration leaves one ``IterationRecord`` of scalars; only the current
+    iterate is held.  ``final_point`` is the last iterate (the ``w`` that
+    ``train`` saves).  ``best_index`` picks the best objective among feasible
+    (or least-violating) iterates: the convergence guarantee certifies that
+    iterate, not the last one, and ``bench-convergence`` reports it.
     """
     records: list[IterationRecord] = []
     initial_objective = float(problem.objective(x0))
@@ -225,11 +218,10 @@ def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
             t=t,
             eta=eta,
             objective=f_val,
-            h=h_val,
+            h_max=float(np.max(np.abs(h_val), initial=0.0)),
             violation=aggregate_violation(h_val),
             dual_norm=float(np.linalg.norm(lam)),
             dual_min=float(lam.min()) if lam.size else 0.0,
-            point=x_next,
             extras=problem.record_extras(x_next, lam) if problem.record_extras else {},
         ))
         lam = dual_ascent_step(lam, h_val, eta, config.alpha)
@@ -240,8 +232,8 @@ def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
 
 def prefix_bounds(
     records: Sequence[IterationRecord],
-    x0,
-    distance_sq: Callable[[Any, Any], float],
+    d0_sq: Sequence[float],
+    m: int,
     alpha: float,
 ) -> list[tuple[int, float]]:
     """Best index and guaranteed gap of every prefix ``records[:t + 1]``.
@@ -250,8 +242,8 @@ def prefix_bounds(
 
         (d0_sq / 2 + 2 m g^2 sum eta_t^2) / sum eta_t,
 
-    with constants estimated from the prefix: d0_sq is
-    ``distance_sq(best point, x0)``, the best iterate (``best_iterate_key``)
+    with constants estimated from the prefix: d0_sq is ``d0_sq[i]``, the
+    squared distance from x0 of the best iterate i (``best_iterate_key``),
     standing in for the unknown optimum; g is the largest observed |h| plus
     alpha * max ||lam||, which also covers the dual gradient h - alpha*lam;
     m is the number of constraints.  One pass over the records.
@@ -262,14 +254,14 @@ def prefix_bounds(
     for i, rec in enumerate(records):
         sum_eta += rec.eta
         sum_eta_sq += rec.eta ** 2
-        max_abs_h = max(max_abs_h, float(np.max(np.abs(rec.h))))
+        max_abs_h = max(max_abs_h, rec.h_max)
         max_dual = max(max_dual, rec.dual_norm)
         key = best_iterate_key(rec, i)
         if key < best_key:
             best_key = key
-            d0_sq = float(distance_sq(rec.point, x0))
+            d0 = d0_sq[i]
         g = max_abs_h + alpha * max_dual
-        bound = (0.5 * d0_sq + 2.0 * rec.h.size * g ** 2 * sum_eta_sq) / sum_eta
+        bound = (0.5 * d0 + 2.0 * m * g ** 2 * sum_eta_sq) / sum_eta
         out.append((best_key[-1], bound))
     return out
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rpdml.benchmarks import TOY_ALPHA, run_toy, scalar_distance_sq
+from rpdml.benchmarks import TOY_ALPHA, run_toy
 from rpdml.cli import main as cli_main
 from rpdml.data import (
     PanelDataset,
@@ -67,14 +67,14 @@ F_STAR = 1.0  # frozen from grid_search_f_star(); re-verified in criterion 3
 @pytest.fixture(scope="module")
 def toy_trace_500():
     t0 = time.perf_counter()
-    trace = run_toy(500)
-    return trace, time.perf_counter() - t0
+    trace, d0_sq = run_toy(500)
+    return trace, d0_sq, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def toy_trace_2000():
     t0 = time.perf_counter()
-    trace = run_toy(2000)
+    trace, _ = run_toy(2000)
     return trace, time.perf_counter() - t0
 
 
@@ -174,11 +174,11 @@ def test_criterion_2_manifold_invariants():
 
 
 def test_criterion_3_toy_saddle_point_oracle(toy_trace_500):
-    trace, fixture_elapsed = toy_trace_500
+    trace, _, fixture_elapsed = toy_trace_500
     t0 = time.perf_counter()
     f_star = grid_search_f_star()
     assert f_star == F_STAR
-    best = trace.best_record.objective
+    best = trace.records[trace.best_index].objective
     gap = abs(best - f_star)
     elapsed = fixture_elapsed + time.perf_counter() - t0
     ok = gap <= 1e-2 and elapsed < 30.0
@@ -187,10 +187,10 @@ def test_criterion_3_toy_saddle_point_oracle(toy_trace_500):
 
 
 def test_criterion_4_suboptimality_bound_holds(toy_trace_500):
-    trace, fixture_elapsed = toy_trace_500
+    trace, d0_sq, fixture_elapsed = toy_trace_500
     t0 = time.perf_counter()
-    x0 = 2.0
-    bounds = prefix_bounds(trace.records, x0, scalar_distance_sq, TOY_ALPHA)
+    # d0_sq: the LogDet distance of each iterate from x0 = 2; one constraint.
+    bounds = prefix_bounds(trace.records, d0_sq, 1, TOY_ALPHA)
     results = []
     for T in (10, 50, 100, 500):
         # The bound certifies the prefix's best iterate, not its smallest
@@ -312,7 +312,7 @@ def test_criterion_9_backtest_arithmetic():
         PanelPeriod("p2", ["a", "b", "c"], np.zeros((3, 1)), np.array([0.02, 0.08, -0.04])),
     ]
     panel = PanelDataset(periods)
-    preds = [(p, np.array([2.0, 2.0, 1.0]), False) for p in periods[1:]]
+    preds = [(p, np.array([2.0, 2.0, 1.0])) for p in periods[1:]]
     result = backtest_from_predictions(preds, top_n=2)
     # prediction tie between a and b resolves by asset id: select a, b
     exp0, exp1 = (0.30 - 0.10) / 2.0, (0.02 + 0.08) / 2.0
@@ -321,8 +321,8 @@ def test_criterion_9_backtest_arithmetic():
     cum_expected = np.cumprod(1.0 + result.period_returns) - 1.0
     cum_ok = np.max(np.abs(result.cumulative - cum_expected)) <= 1e-12
 
-    oracle = [(p, p.next_returns.copy(), False) for p in periods[1:]]
-    constant = [(p, np.zeros(3), False) for p in periods[1:]]
+    oracle = [(p, p.next_returns.copy()) for p in periods[1:]]
+    constant = [(p, np.zeros(3)) for p in periods[1:]]
     r_oracle = backtest_from_predictions(oracle, top_n=1)
     r_const = backtest_from_predictions(constant, top_n=1)
     dominance_ok = r_oracle.cumulative[-1] >= r_const.cumulative[-1]

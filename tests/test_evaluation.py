@@ -610,7 +610,7 @@ class TestRollingBacktest:
             (f"p{i}", rng.normal(size=(6, 2)), rng.uniform(-0.1, 0.2, 6)) for i in range(5)
         ]
         panel = make_panel(periods)
-        preds = [(p, p.next_returns.copy(), False) for p in panel.periods[1:]]
+        preds = [(p, p.next_returns.copy()) for p in panel.periods[1:]]
         result = backtest_from_predictions(preds, top_n=1)
         for i, p in enumerate(panel.periods[1:]):
             assert result.period_returns[i] == pytest.approx(np.max(p.next_returns))
@@ -619,7 +619,7 @@ class TestRollingBacktest:
         rng = np.random.default_rng(6)
         periods = [(f"p{i}", rng.normal(size=(5, 2)), rng.uniform(-0.1, 0.2, 5)) for i in range(3)]
         panel = make_panel(periods)
-        preds = [(p, np.zeros(5), False) for p in panel.periods[1:]]
+        preds = [(p, np.zeros(5)) for p in panel.periods[1:]]
         result = backtest_from_predictions(preds, top_n=2)
         for i, p in enumerate(panel.periods[1:]):
             assert result.period_returns[i] == pytest.approx(np.mean(p.next_returns[:2]))
@@ -627,7 +627,7 @@ class TestRollingBacktest:
     @pytest.mark.parametrize("top_n", [-1, 0, 3])
     def test_top_n_outside_one_to_assets_is_rejected(self, top_n):
         panel = self._two_period_panel()
-        preds = [(panel.periods[1], np.array([0.05, -0.02]), False)]
+        preds = [(panel.periods[1], np.array([0.05, -0.02]))]
         with pytest.raises(ConfigError, match=f"top_n={top_n} out of range for 2 assets"):
             backtest_from_predictions(preds, top_n=top_n)
 
@@ -635,8 +635,8 @@ class TestRollingBacktest:
         rng = np.random.default_rng(7)
         periods = [(f"p{i}", rng.normal(size=(8, 3)), rng.uniform(-0.15, 0.25, 8)) for i in range(6)]
         panel = make_panel(periods)
-        oracle = [(p, p.next_returns.copy(), False) for p in panel.periods[1:]]
-        constant = [(p, np.zeros(8), False) for p in panel.periods[1:]]
+        oracle = [(p, p.next_returns.copy()) for p in panel.periods[1:]]
+        constant = [(p, np.zeros(8)) for p in panel.periods[1:]]
         r_oracle = backtest_from_predictions(oracle, top_n=3)
         r_const = backtest_from_predictions(constant, top_n=3)
         assert r_oracle.cumulative[-1] >= r_const.cumulative[-1]
@@ -689,7 +689,7 @@ class TestRollingBacktest:
             calls.append(windows)
             return [euclidean_metric(f) for f, _ in windows]
         preds = list(window_predictions(panel, provider, k=3, normalize=False))
-        assert [(p.label, skip) for p, _, skip in preds] == [
+        assert [(p.label, pred is None) for p, pred in preds] == [
             ("p1", False), ("p2", True), ("p3", False)]
         assert len(calls) == 1
         train_periods = (panel.periods[0], panel.periods[2])  # p1 has 2 < k rows

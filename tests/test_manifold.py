@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -207,4 +208,18 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"dim": dim, "w": [1.0], "w0": [1.0], "u": 1.0, "l": 2.0}))
         with pytest.raises(ConfigError, match=r"dim must be an integer >= 1"):
+            MetricModel.load(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("u", [1]), ("l", "2"), ("u", True), ("l", None), ("w", {"a": 1}),
+        ("w", [1.0, "0", 0.0, 1.0]), ("w0", [1.0, 0.0, None, 1.0]), ("w0", [[1.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_json_rejects_entries_that_are_not_numbers(self, tmp_path, key, value):
+        # Each used to escape as a TypeError or ValueError traceback, or to
+        # load a string or bool as a number.
+        obj = {"dim": 2, "w": [1.0, 0.0, 0.0, 1.0], "w0": [1.0, 0.0, 0.0, 1.0], "u": 1.0, "l": 2.0}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**obj, key: value}))
+        where = re.escape(f"model file {path}: {key}")
+        with pytest.raises(ConfigError, match=rf"^{where} must hold numbers only"):
             MetricModel.load(path)

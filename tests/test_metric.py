@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,7 +230,7 @@ class TestStackedConstraintLayer:
         sd = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0]]
         dd = [[3.0, 0.0], [0.0, 0.0], [0.0, 4.0]]
         pc = PairConstraints(sd, dd).without_degenerate_rows()
-        assert (pc.n_similar, pc.dissimilar_diffs.shape[0], pc.n_constraints) == (2, 2, 4)
+        assert (pc.n_similar, pc.dissimilar_diffs.shape[0], pc.diffs.shape[0]) == (2, 2, 4)
         assert np.array_equal(pc.similar_diffs, pc.diffs[:2])
         assert np.array_equal(pc.dissimilar_diffs, pc.diffs[2:])
         assert np.shares_memory(pc.similar_diffs, pc.diffs)
@@ -357,17 +359,19 @@ class TestInnerSolveW:
         # W[1, 1] = 1 feasible (h = [-1, -1]), so the dual stays 0.
         pc = PairConstraints([[0.0, 1.0]], [[0.0, 2.0]]).bounded(2.0, 3.0)
         w0_inv, w_inv = np.diag([1.5e8, 1.0]), np.eye(2)
+        iterates = []
 
         def inner(w, lam, eta):
             nonlocal w_inv
             w_next, w_inv, _ = inner_solve_w(w_inv, lam, w0_inv, eta, pc)
+            iterates.append(w_next)
             return w_next
 
         problem = SaddleProblem(lambda w: 0.0, lambda w: eval_h(w, np.zeros(2), pc), inner)
         with pytest.raises(DivergedError, match="at t=1: .*floor") as exc_info:
             run(problem, SpdMatrix.identity(2), SolverConfig(alpha=1.0, eta0=1.0, iters=5))
         trace = exc_info.value.trace
-        assert len(trace) == 1 and trace.final_point is trace.records[0].point
+        assert len(trace) == 1 and trace.final_point is iterates[0]
         assert trace.records[0].dual_norm == 0.0
         SpdMatrix(trace.final_point.mat)  # full invariant validation
 
@@ -491,12 +495,13 @@ class TestTrain:
             assert rec.extras["slack_min"] >= 0.0
             assert rec.extras["gamma_min"] >= 0.0
 
-    def test_every_iterate_is_spd(self):
+    def test_every_iterate_is_spd(self, train_iterates):
         rng = np.random.default_rng(44)
         feats, labels = blob_data(rng, n=30)
-        model = train(feats, labels, RpdmlConfig(iters=20, seed=2))
-        for rec in model.trace.records:
-            SpdMatrix(rec.point[0].mat)  # full invariant validation
+        train(feats, labels, RpdmlConfig(iters=20, seed=2))
+        assert len(train_iterates) == 20
+        for w, _ in train_iterates:
+            SpdMatrix(w.mat)  # full invariant validation
 
     def test_divergence_raises_with_partial_trace(self):
         # The CLI's exit-2 case: the labeled fixture of tests/test_cli.py,
@@ -508,7 +513,7 @@ class TestTrain:
             train(feats, ds.labels, cfg)
         trace = exc_info.value.trace
         assert len(trace) == 1
-        SpdMatrix(trace.records[0].point[0].mat)  # full invariant validation
+        SpdMatrix(trace.final_point[0].mat)  # the t=0 iterate, fully validated
 
     def test_initial_violation_positive_on_continuous_data(self):
         rng = np.random.default_rng(45)
@@ -518,7 +523,7 @@ class TestTrain:
         model = train(feats, labels, RpdmlConfig(iters=1, seed=0))
         assert model.trace.initial_violation > 0.0
 
-    def test_carried_inverse_matches_fresh_inverse_replay(self):
+    def test_carried_inverse_matches_fresh_inverse_replay(self, train_iterates):
         # train passes each solve's returned W^-1 into the next solve.
         # Replaying the run with a freshly inverted W_t and the duals rebuilt
         # from the trace must land on the same iterates.
@@ -532,12 +537,12 @@ class TestTrain:
         m = pc.signs.size
         w0_inv = spd_inverse(model.w0).mat
         w_t, lam = model.w0, np.zeros(m)
-        for rec in model.trace.records:
+        for rec, (w_run, xi_run) in zip(model.trace.records, train_iterates, strict=True):
             w, _, _ = inner_solve_w(spd_inverse(w_t).mat, lam, w0_inv, rec.eta, pc)
-            ref = rec.point[0].mat
+            ref = w_run.mat
             assert np.linalg.norm(w.mat - ref) <= 1e-10 * np.linalg.norm(ref)
-            lam = dual_ascent_step(lam, rec.h, rec.eta, cfg.c2)
-            w_t = rec.point[0]
+            lam = dual_ascent_step(lam, eval_h(w_run, xi_run, pc), rec.eta, cfg.c2)
+            w_t = w_run
 
     def test_inverse_covariance_reference(self):
         rng = np.random.default_rng(46)
@@ -562,6 +567,29 @@ class TestTrain:
         feats, labels = blob_data(rng, n=40)
         train(feats, labels, RpdmlConfig(iters=10, seed=0, w0=w0))
         assert len(calls) == (0 if w0 == "identity" else 1)
+
+
+class TestTrainMemory:
+    def test_peak_does_not_grow_with_iterations(self):
+        # README-shape train (d=20, the --train-frac 0.5 half).  A run holds
+        # one iterate at a time and one record of scalars (~0.5 KB) per
+        # iteration, so 800 more iterations add well under 1 MiB; keeping
+        # every iterate's (W, xi, h) would add ~8 MiB.
+        ds = generate_synthetic(SyntheticSpec(samples=200, dim=20, informative_dims=4,
+                                              noise_scale=3.0, seed=7))
+        feats, _ = normalize_features(ds.features[:100])
+        peaks = {}
+        tracemalloc.start()
+        try:
+            # A first, one-iteration run takes the one-time allocations.
+            for iters in (1, 200, 1000):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                train(feats, ds.labels[:100], RpdmlConfig(iters=iters, seed=7))
+                peaks[iters] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks[1000] - peaks[200] < 2**20, peaks
 
 
 def median_split_windows(features_list, rng):
@@ -589,7 +617,7 @@ class TestTrainMany:
     def test_bitwise_equal_to_train_per_window(self, dim, w0, max_pairs, groups):
         windows = self._windows(dim)
         config = RpdmlConfig(iters=15, w0=w0, max_pairs=max_pairs, seed=4)
-        pair_counts = {build_pairs(f, y, max_pairs, 4).without_degenerate_rows().n_constraints
+        pair_counts = {build_pairs(f, y, max_pairs, 4).without_degenerate_rows().diffs.shape[0]
                        for f, y in windows}
         assert len(pair_counts) == groups
         got = train_many(windows, config)
@@ -610,7 +638,7 @@ class TestSlackMultiplierIsZero:
 
     @pytest.mark.parametrize("w0", ["identity", "inverse_covariance"])
     @pytest.mark.parametrize("seed", [7, 8])
-    def test_train_equals_gamma_formulation(self, seed, w0):
+    def test_train_equals_gamma_formulation(self, seed, w0, train_iterates):
         ds = generate_synthetic(SyntheticSpec(samples=100, dim=12, informative_dims=4,
                                               noise_scale=3.0, seed=seed))
         feats, _ = normalize_features(ds.features)
@@ -626,17 +654,24 @@ class TestSlackMultiplierIsZero:
         else:
             w0_inv = metric_module._ridged_covariance(feats).mat
         w_inv = w0_inv
+        # The reference run's iterates and constraint vectors (after h(x0)).
+        points, hs = [], []
 
         def inner_minimizer(x, dual, eta):
             nonlocal w_inv
             lam, gamma = dual[:m], dual[m:]
             w, w_inv, _ = inner_solve_w(w_inv, lam, w0_inv, eta, pc)
             xi = positive_part((eta * x[1] + gamma + lam * pc.bounds) / (cfg.c1 + eta))
+            points.append((w, xi))
             return w, xi
+
+        def constraints(x):
+            hs.append(np.concatenate([eval_h(x[0], x[1], pc), -x[1]]))
+            return hs[-1]
 
         problem = SaddleProblem(
             objective=lambda x: 0.0,
-            constraints=lambda x: np.concatenate([eval_h(x[0], x[1], pc), -x[1]]),
+            constraints=constraints,
             inner_minimizer=inner_minimizer,
             record_extras=lambda x, dual: {"gamma": dual[m:].copy()},
         )
@@ -644,14 +679,15 @@ class TestSlackMultiplierIsZero:
                   SolverConfig(alpha=cfg.c2, eta0=cfg.eta0, iters=cfg.iters))
 
         assert len(ref) == len(model.trace) == cfg.iters
-        assert model.trace.records[-1].point[1].max() > 0.0  # the slacks do move
+        assert model.trace.final_point[1].max() > 0.0  # the slacks do move
         gamma = np.zeros(m)
-        for r, rec in zip(ref.records, model.trace.records):
+        for r, rec, (w_ref, xi_ref), h_ref, (w, xi) in zip(
+                ref.records, model.trace.records, points, hs[1:], train_iterates, strict=True):
             assert np.array_equal(r.extras["gamma"], gamma)
-            assert np.array_equal(r.point[0].mat, rec.point[0].mat)
-            assert np.array_equal(r.point[1], rec.point[1])
-            assert np.array_equal(r.h[:m], rec.h)
-            gamma = update_gamma(gamma, rec.point[1], rec.eta, cfg.c2)
+            assert np.array_equal(w_ref.mat, w.mat)
+            assert np.array_equal(xi_ref, xi)
+            assert np.array_equal(h_ref[:m], eval_h(w, xi, pc))
+            gamma = update_gamma(gamma, xi, rec.eta, cfg.c2)
             assert not gamma.any()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from rpdml.benchmarks import (
     TOY_ALPHA,
+    TOY_ETA0,
     TOY_X0,
     run_toy,
     scalar_distance_sq,
@@ -19,7 +21,7 @@ from rpdml.errors import (
     InvariantViolationError,
 )
 from rpdml.manifold import logdet_divergence
-from rpdml.metric import RpdmlConfig, train
+from rpdml.metric import RpdmlConfig, build_pairs, eval_h, train
 from rpdml.solver import (
     IterationRecord,
     SaddleProblem,
@@ -122,9 +124,9 @@ class TestSolverConfig:
 
 class TestRun:
     def test_toy_problem_reaches_oracle_optimum(self):
-        trace = run_toy(500)
+        trace, _ = run_toy(500)
         f_star = grid_oracle()
-        assert abs(trace.best_record.objective - f_star) <= 1e-2
+        assert abs(trace.records[trace.best_index].objective - f_star) <= 1e-2
 
     def test_unconstrained_reduces_to_proximal_point(self):
         # h == -1 never activates the dual, so the run is a pure proximal
@@ -137,21 +139,23 @@ class TestRun:
         )
         trace = run(inactive, 0.5, SolverConfig(alpha=TOY_ALPHA, eta0=1.0, iters=300))
         assert all(r.dual_norm == 0.0 for r in trace.records)
-        assert trace.best_record.objective <= 1e-3
+        assert all(r.h_max == 1.0 for r in trace.records)  # max |h| of h = -1
+        assert trace.records[trace.best_index].objective <= 1e-3
 
     def test_trace_shape_and_dual_feasibility(self):
-        trace = run_toy(80)
+        trace, _ = run_toy(80)
         assert len(trace) == 80
         assert all(np.isfinite(r.dual_norm) for r in trace.records)
         assert all(r.dual_min >= 0.0 for r in trace.records)
         assert [r.t for r in trace.records] == list(range(80))
 
     def test_deterministic(self):
-        t1, t2 = run_toy(120), run_toy(120)
+        (t1, d1), (t2, d2) = run_toy(120), run_toy(120)
         assert [r.objective for r in t1.records] == [r.objective for r in t2.records]
         assert [r.violation for r in t1.records] == [r.violation for r in t2.records]
         assert t1.best_index == t2.best_index
         assert t1.final_point == t2.final_point
+        assert d1 == d2
 
     def test_negative_constant_constraints_keep_dual_zero(self):
         lam = np.zeros(3)
@@ -236,39 +240,35 @@ class TestRun:
 
 class TestBestIndexSelection:
     def test_prefers_feasible_minimum(self):
-        trace = run_toy(300)
-        best = trace.best_record
+        trace, _ = run_toy(300)
+        best = trace.records[trace.best_index]
         feasible = [r for r in trace.records if r.violation <= 1e-8]
         assert feasible, "toy run should visit the feasible side"
         assert best.violation <= 1e-8
         assert best.objective == min(r.objective for r in feasible)
 
     def test_falls_back_to_least_violating(self):
-        trace = run_toy(2)  # both early iterates sit on the infeasible side
+        trace, _ = run_toy(2)  # both early iterates sit on the infeasible side
         recs = trace.records
         if all(r.violation > 1e-8 for r in recs):
             i = select_best_index(recs)
             assert recs[i].violation == min(r.violation for r in recs)
 
 
-def hand_records(etas, h, dual_norm=0.0, point=1.0):
+def hand_records(etas, h, dual_norm=0.0):
     """Records with the given steps and one constraint vector h throughout."""
     h = np.asarray(h, dtype=float)
-    return [IterationRecord(t=t, eta=eta, objective=0.0, h=h,
+    return [IterationRecord(t=t, eta=eta, objective=0.0, h_max=float(np.max(np.abs(h))),
                             violation=float(np.sum(positive_part(h))),
-                            dual_norm=dual_norm, dual_min=0.0, point=point)
+                            dual_norm=dual_norm, dual_min=0.0)
             for t, eta in enumerate(etas)]
-
-
-def unit_distance(a, b):
-    return 1.0
 
 
 class TestSuboptimalityBound:
     def test_zero_numerator(self):
         # Best point equals x0 (d0 = 0) and h = 0 with a zero dual (g = 0).
-        records = hand_records([1.0, 0.5], [0.0, 0.0], point=1.7)
-        bounds = prefix_bounds(records, 1.7, scalar_distance_sq, 0.1)
+        records = hand_records([1.0, 0.5], [0.0, 0.0])
+        bounds = prefix_bounds(records, [scalar_distance_sq(1.7, 1.7)] * 2, 2, 0.1)
         assert [b for _, b in bounds] == [0.0, 0.0]
 
     def test_hand_value(self):
@@ -276,17 +276,17 @@ class TestSuboptimalityBound:
         etas = [1.0, 1.0 / math.sqrt(2.0)]
         records = hand_records(etas, [1.0, -1.0])
         expected = (0.5 * 1.0 + 2 * 2 * 1.0 * 1.5) / (1.0 + 1.0 / math.sqrt(2.0))
-        got = prefix_bounds(records, 1.0, unit_distance, 0.1)[-1][1]
+        got = prefix_bounds(records, [1.0, 1.0], 2, 0.1)[-1][1]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(3.8076, abs=1e-4)
 
     def test_decreasing_in_horizon(self):
         etas = [1.0 / math.sqrt(t + 1) for t in range(1000)]
-        bounds = prefix_bounds(hand_records(etas, [1.0]), 1.0, unit_distance, 0.1)
+        bounds = prefix_bounds(hand_records(etas, [1.0]), [1.0] * 1000, 1, 0.1)
         assert bounds[999][1] < bounds[99][1]
 
     def test_empty_records_give_no_bounds(self):
-        assert prefix_bounds([], 1.0, unit_distance, 0.1) == []
+        assert prefix_bounds([], [], 1, 0.1) == []
 
 
 class TestStepSumBounds:
@@ -319,42 +319,63 @@ class TestStepSumBounds:
             step_sum_bounds(0)
 
 
-def reference_bound(prefix, x0, distance_sq, alpha):
-    """Bound of one prefix, computed from scratch over the whole prefix."""
+def recording(problem):
+    """The problem with an inner minimizer that also appends each iterate to a list."""
+    points = []
+
+    def inner_minimizer(x, lam, eta):
+        points.append(problem.inner_minimizer(x, lam, eta))
+        return points[-1]
+
+    return dataclasses.replace(problem, inner_minimizer=inner_minimizer), points
+
+
+def reference_bound(prefix, points, x0, distance_sq, constraints, alpha):
+    """Bound of one prefix, computed from scratch over the prefix's iterates."""
     etas = np.array([r.eta for r in prefix])
     best = select_best_index(prefix)
-    d0_sq = float(distance_sq(prefix[best].point, x0))
-    g = max(float(np.max(np.abs(r.h))) for r in prefix) + alpha * max(r.dual_norm for r in prefix)
-    m = prefix[0].h.size
+    d0_sq = float(distance_sq(points[best], x0))
+    hs = [np.atleast_1d(constraints(x)) for x in points[:len(prefix)]]
+    g = max(float(np.max(np.abs(h))) for h in hs) + alpha * max(r.dual_norm for r in prefix)
+    m = hs[0].size
     return best, (0.5 * d0_sq + 2.0 * m * g ** 2 * float(np.sum(etas ** 2))) / float(np.sum(etas))
 
 
 class TestPrefixBounds:
     def test_matches_reference_on_toy_run(self):
-        trace = run_toy(500)
-        bounds = prefix_bounds(trace.records, TOY_X0, scalar_distance_sq, TOY_ALPHA)
+        trace, d0_sq = run_toy(500)
+        bounds = prefix_bounds(trace.records, d0_sq, 1, TOY_ALPHA)
         assert len(bounds) == 500
+        # The same run, its iterates kept by the test.
+        problem, points = recording(scalar_toy_problem())
+        replay = run(problem, TOY_X0, SolverConfig(alpha=TOY_ALPHA, eta0=TOY_ETA0, iters=500))
+        assert [r.to_dict() for r in replay.records] == [r.to_dict() for r in trace.records]
+        assert d0_sq == [scalar_distance_sq(x, TOY_X0) for x in points]
         for T in [*range(1, 101), *range(110, 501, 10)]:
-            best, bound = reference_bound(trace.records[:T], TOY_X0, scalar_distance_sq, TOY_ALPHA)
+            best, bound = reference_bound(trace.records[:T], points, TOY_X0, scalar_distance_sq,
+                                          problem.constraints, TOY_ALPHA)
             assert bounds[T - 1][0] == best
             assert bounds[T - 1][1] == pytest.approx(bound, rel=1e-12, abs=0.0)
 
-    def test_matches_reference_on_desk_train(self):
+    def test_matches_reference_on_desk_train(self, train_iterates):
         ds = generate_synthetic(SyntheticSpec(samples=80, dim=6, informative_dims=3, seed=7))
         feats, _ = normalize_features(ds.features)
         cfg = RpdmlConfig(iters=20, seed=7)
         model = train(feats, ds.labels, cfg)
-        records = model.trace.records
-        x0 = (model.w0, np.zeros(records[0].point[1].size))
+        records, points = model.trace.records, train_iterates
+        x0 = (model.w0, np.zeros(points[0][1].size))
+        pc = build_pairs(feats, ds.labels, cfg.max_pairs, cfg.seed)
+        pc = pc.without_degenerate_rows().bounded(model.u, model.l)
 
         def distance_sq(a, b):
             # LogDet divergence of W plus the squared slack distance.
             return logdet_divergence(a[0], b[0]) + float(np.sum((a[1] - b[1]) ** 2))
 
-        bounds = prefix_bounds(records, x0, distance_sq, cfg.c2)
+        bounds = prefix_bounds(records, [distance_sq(x, x0) for x in points], pc.signs.size, cfg.c2)
         assert bounds[-1][0] == model.trace.best_index
         for T in range(1, len(records) + 1):
-            best, bound = reference_bound(records[:T], x0, distance_sq, cfg.c2)
+            best, bound = reference_bound(records[:T], points, x0, distance_sq,
+                                          lambda x: eval_h(*x, pc), cfg.c2)
             assert bounds[T - 1][0] == best
             assert bounds[T - 1][1] == pytest.approx(bound, rel=1e-12, abs=0.0)
 
@@ -364,9 +385,9 @@ class TestEmpiricalBound:
         # The certificate is about the best iterate, not the smallest
         # objective: infeasible iterates near x = 2 have f ~ 0 < f*, which
         # would make a min-objective gap negative and the check vacuous.
-        trace = run_toy(2000)
+        trace, d0_sq = run_toy(2000)
         f_star = grid_oracle()
-        bounds = prefix_bounds(trace.records, TOY_X0, scalar_distance_sq, TOY_ALPHA)
+        bounds = prefix_bounds(trace.records, d0_sq, 1, TOY_ALPHA)
         assert len(bounds) == 2000
         for best, bound in bounds:
             assert trace.records[best].objective - f_star <= bound
