@@ -28,7 +28,8 @@ Array = np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class NormalizationStats:
-    """Per-column mean/std fitted on a training window.
+    """Per-column mean/std fitted on a training window, or (B, d) ones fitted
+    on each window of a stack.
 
     Columns flagged degenerate (std below 1e-12) are centered only.
     """
@@ -39,12 +40,12 @@ class NormalizationStats:
 
     def apply(self, features: Array) -> Array:
         f = np.atleast_2d(np.asarray(features, dtype=float))
-        if f.shape[1] != self.mean.size:
+        if f.shape[-1] != self.mean.shape[-1]:
             raise DimensionMismatchError(
-                f"feature dim {f.shape[1]} != fitted dim {self.mean.size}"
+                f"feature dim {f.shape[-1]} != fitted dim {self.mean.shape[-1]}"
             )
-        out = f - self.mean
-        out[:, ~self.degenerate] /= self.std[~self.degenerate]
+        out = f - self.mean[..., None, :]
+        out /= np.where(self.degenerate, 1.0, self.std)[..., None, :]  # centered only: divided by 1
         return out
 
 
@@ -52,18 +53,18 @@ def normalize_features(features: Array) -> tuple[Array, NormalizationStats]:
     """Center and scale each column to zero mean, unit (population) variance.
 
     Returns the transformed matrix and the fitted statistics, so test
-    windows can be transformed with training statistics only.
+    windows can be transformed with training statistics only.  With a
+    leading window axis each window gets its own statistics, as alone.
     """
     f = np.atleast_2d(np.asarray(features, dtype=float))
-    if f.size == 0 or f.shape[0] < 2:
+    if f.size == 0 or f.shape[-2] < 2:
         raise ConfigError("need at least two samples to normalize")
-    mean = f.mean(axis=0)
-    std = f.std(axis=0)
+    mean = f.mean(axis=-2)
+    std = f.std(axis=-2)
     degenerate = std < 1e-12
-    if degenerate.any():
-        logger.warning(
-            "%d constant feature column(s) left centered-only", int(degenerate.sum())
-        )
+    for count in np.atleast_1d(degenerate.sum(axis=-1)):
+        if count:
+            logger.warning("%d constant feature column(s) left centered-only", count)
     stats = NormalizationStats(mean=mean, std=std, degenerate=degenerate)
     return stats.apply(f), stats
 

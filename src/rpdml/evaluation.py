@@ -8,7 +8,8 @@ form an equal-weight portfolio whose realized return is compounded.  The
 metrics of all windows come from one call of the metric provider, so a
 learned metric can fit them together (``metric.train_many``).  When that
 call fails, each window is fit alone, and the error names each failing
-window by the period it trades.
+window by the period it trades.  The windows of one shape are normalized
+and ranked as one stack.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ def euclidean_metric(features: Array) -> SpdMatrix:
     return SpdMatrix.identity(np.atleast_2d(features).shape[1])
 
 
-#: Queries screened together by ``knn_neighbors``: one (block, n_train)
-#: distance screen at a time, so its memory does not grow with the batch.
-KNN_BLOCK = 32
+#: Queries per window, and training rows over the windows, that ``knn_neighbors`` screens
+#: at a time: its screen holds at most KNN_BLOCK x max(KNN_ROWS, n_train) values.
+KNN_BLOCK, KNN_ROWS = 32, 2048
 
 
 def _sq_distances(rows: Array, z_q: Array) -> Array:
@@ -98,26 +99,32 @@ def knn_neighbors(w: SpdMatrix, train_features: Array, queries: Array, k: int) -
     index) order, ranked in that order, so distance ties break toward the
     lower row index even when more than k rows tie at the k-th distance.
 
-    Queries are ranked in blocks of ``KNN_BLOCK``.  A block's screen is one
-    BLAS product, into one reused buffer, of the rows [-2 q, 1] with the
-    (d + 1, n_train) basis [x^T; |x|^2], built once per call and also where
-    the transformed training rows are kept.  It gives s(x) = |x|^2 - 2 q.x
-    (the scaling by -2 is exact): the distance less |q|^2, which is the same
-    along a query's row.  One partition at ``kth=k`` gives each query its k
-    screened rows and its (k + 1)-th screen value.  The screened rows' exact
-    distances are computed, and tau is the largest.
+    With a leading window axis ((B, d, d) metrics, (B, n_train, d) rows,
+    (B, n_queries, d) queries; (B, n_queries, k) result) each window ranks its
+    queries among its own rows by its own metric, as alone.  Windows are ranked
+    in chunks of at most ``KNN_ROWS`` training rows (or one window); a chunk's
+    rows form one flat list, so each step below runs once for its windows.
 
-    The margin.  With u = eps / 2 and R = (|q| + max |x|)^2, a rounded sum of
-    n products, in any order and with FMA or not, errs by at most n u times
-    the sum of the terms' sizes, plus n half-subnormals of underflow.  The
-    screen (d + 1 terms, one of them |x|^2 rounded over d terms) and the
-    rounded |q|^2 (d terms) err from the true distance by about (2 d + 1) u R;
-    the exact distance (d + 2 roundings of nonnegative terms) by (d + 2) u R;
-    the threshold tau - |q|^2 + m by 2 u R, one rounding per operation.
-    Underflow adds at most 2 d smallest subnormals.  So m = 8 (d + 4)
-    (eps R + the smallest subnormal) covers the (3 d + 5) u R of the three:
-    a row screened above the threshold has an exact distance above tau, and
-    cannot be among the k.
+    Queries are ranked in blocks of ``KNN_BLOCK`` per window.  A block's
+    screen is one BLAS product per window, into one reused buffer, of the rows
+    [-2 q, 1] with the window's (d + 1, n_train) basis [x^T; |x|^2], built
+    once per call and also where the transformed training rows are kept.  It
+    gives s(x) = |x|^2 - 2 q.x (the scaling by -2 is exact): the distance less
+    |q|^2, which is the same along a query's row.  One partition at ``kth=k``
+    gives each query its k screened rows and its (k + 1)-th screen value.  The
+    screened rows' exact distances are computed, and tau is the largest.
+
+    The margin.  With u = eps / 2 and R = (|q| + max |x|)^2 (x over the
+    window), a rounded sum of n products, in any order and with FMA or not,
+    errs by at most n u times the sum of the terms' sizes, plus n
+    half-subnormals of underflow.  The screen (d + 1 terms, one of them |x|^2
+    rounded over d terms) and the rounded |q|^2 (d terms) err from the true
+    distance by about (2 d + 1) u R; the exact distance (d + 2 roundings of
+    nonnegative terms) by (d + 2) u R; the threshold tau - |q|^2 + m by 2 u R,
+    one rounding per operation.  Underflow adds at most 2 d smallest
+    subnormals.  So m = 8 (d + 4) (eps R + the smallest subnormal) covers the
+    (3 d + 5) u R of the three: a row screened above the threshold has an
+    exact distance above tau, and cannot be among the k.
 
     When the (k + 1)-th screen value is above the threshold, the k screened
     rows are the answer, ranked by exact distance (with k equal to n_train
@@ -127,66 +134,82 @@ def knn_neighbors(w: SpdMatrix, train_features: Array, queries: Array, k: int) -
     below a quarter of the largest float (a screen that could overflow, from
     |z| ~ 1e154 on).  The screen only chooses which exact distances are
     ranked, never the answer, so a query's neighbors do not depend on the
-    other queries of the batch or on the BLAS.
+    other queries or windows of the batch or on the BLAS.
 
     A transformed row that is not finite raises ``NumericError``.  Returns an
-    (n_queries, k) int array.
+    (n_queries, k) int array, or (B, n_queries, k) for a window stack.
     """
-    train_features = np.atleast_2d(np.asarray(train_features, dtype=float))
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    n_train, dim = train_features.shape
+    train_features = np.asarray(train_features, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    mats = w.mat.reshape(-1, w.dim, w.dim)
+    one = w.mat.ndim == 2
+    if one:
+        train_features, queries = np.atleast_2d(train_features)[None], np.atleast_2d(queries)[None]
+    (n_wins, n_train, dim), n_queries = train_features.shape, queries.shape[1]
     if k < 1 or k > n_train:
         raise ConfigError(f"k={k} out of range for {n_train} training rows")
-    if dim != w.dim or queries.shape[1] != w.dim:
+    if dim != w.dim or queries.shape[2] != w.dim:
         raise DimensionMismatchError(
-            f"train dim {dim} and query dim {queries.shape[1]} must equal metric dim {w.dim}"
+            f"train dim {dim} and query dim {queries.shape[2]} must equal metric dim {w.dim}"
         )
+    chunk = max(1, KNN_ROWS // n_train)  # windows screened together
+    if n_wins > chunk:
+        return np.concatenate([knn_neighbors(SpdMatrix._trusted(mats[s:s + chunk]),
+                                             train_features[s:s + chunk], queries[s:s + chunk], k)
+                               for s in range(0, n_wins, chunk)])
     try:
-        chol = np.linalg.cholesky(w.mat)
+        chol = np.linalg.cholesky(mats)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"metric has no Cholesky factor: {exc}") from exc
-    z_train = np.einsum("ij,jk->ik", train_features, chol)
-    z_queries = np.einsum("ij,jk->ik", queries, chol)
+    z_train = np.einsum("...ij,...jk->...ik", train_features, chol).reshape(-1, dim)
+    z_queries = np.einsum("...ij,...jk->...ik", queries, chol)
     if not (np.isfinite(z_train).all() and np.isfinite(z_queries).all()):
         raise NumericError("k-NN input has a nan or inf after the metric transform")
     sq_train = np.einsum("ij,ij->i", z_train, z_train)
-    sq_queries = np.einsum("ij,ij->i", z_queries, z_queries)
+    sq_queries = np.einsum("...ij,...ij->...i", z_queries, z_queries)
     finfo = np.finfo(float)
     # The screen's basis [x^T; |x|^2] holds the transformed training rows
     # once: z_train becomes a view of it.
-    basis = np.empty((dim + 1, n_train))
+    basis = np.empty((dim + 1, n_wins * n_train))
     basis[:dim] = z_train.T
     basis[dim] = sq_train
     z_train = basis[:dim].T
-    augmented = np.ones((KNN_BLOCK, dim + 1))
-    screen = np.empty((KNN_BLOCK, n_train))
-    lanes = np.arange(KNN_BLOCK)
-    out = np.empty((z_queries.shape[0], k), dtype=np.intp)
+    augmented = np.ones((n_wins, KNN_BLOCK, dim + 1))
+    screen = np.empty((n_wins, KNN_BLOCK, n_train))
+    bases = basis.reshape(dim + 1, n_wins, n_train).swapaxes(0, 1)
+    first_rows = np.arange(0, n_wins * n_train, n_train)[:, None, None]
+    out = np.empty((n_wins, n_queries, k), dtype=np.intp)
     # A query whose screen could overflow is ranked over every row instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        reach = (np.sqrt(sq_queries) + np.sqrt(sq_train.max())) ** 2
+        widest = np.sqrt(sq_train.reshape(n_wins, n_train).max(axis=1))
+        reach = (np.sqrt(sq_queries) + widest[:, None]) ** 2
         offsets = 8 * (dim + 4) * (finfo.eps * reach + finfo.smallest_subnormal) - sq_queries
         screenable = reach < finfo.max / 4
-        for start in range(0, z_queries.shape[0], KNN_BLOCK):
+        for start in range(0, n_queries, KNN_BLOCK):
             block = slice(start, start + KNN_BLOCK)
-            z_q = z_queries[block]
-            n_q = z_q.shape[0]
+            z_q = z_queries[:, block]
+            n_q = z_q.shape[1]
             if k == n_train:
-                screened = np.broadcast_to(np.arange(n_train), (n_q, k))
+                screened = np.broadcast_to(np.arange(n_train), (n_wins * n_q, k))
             else:
-                np.multiply(z_q, -2.0, out=augmented[:n_q, :dim])
-                np.matmul(augmented[:n_q], basis, out=screen[:n_q])
-                screened, following = _partition(screen[:n_q], k)
-            exact = _sq_distances(z_train[screened], z_q[:, None]).reshape(screened.shape)
-            out[block] = screened[lanes[:n_q, None], exact.argsort(axis=1, kind="stable")]
-            if k == n_train:
-                continue
-            threshold = exact.max(axis=1) + offsets[block]
-            for i in (~(screenable[block] & (following > threshold))).nonzero()[0]:
-                rows = ((screen[i] <= threshold[i]).nonzero()[0] if screenable[start + i]
-                        else np.arange(n_train))
-                out[start + i] = rows[_k_smallest(_sq_distances(z_train[rows], z_q[i]), k)]
-    return out
+                np.multiply(z_q, -2.0, out=augmented[:, :n_q, :dim])
+                np.matmul(augmented[:, :n_q], bases, out=screen[:, :n_q])
+                block_screen = screen[:, :n_q].reshape(-1, n_train)
+                screened, following = _partition(block_screen, k)
+            # Window b's screened rows are its flat training rows from b * n_train.
+            exact = _sq_distances(z_train[screened.reshape(n_wins, n_q, k) + first_rows],
+                                  z_q[:, :, None]).reshape(screened.shape)
+            found = screened[np.arange(n_wins * n_q)[:, None], exact.argsort(axis=1, kind="stable")]
+            if k < n_train:
+                threshold = exact.max(axis=1) + offsets[:, block].ravel()
+                for i in (~(screenable[:, block].ravel() & (following > threshold))).nonzero()[0]:
+                    win, query = divmod(i, n_q)
+                    rows = ((block_screen[i] <= threshold[i]).nonzero()[0]
+                            if screenable[win, start + query] else np.arange(n_train))
+                    dist = _sq_distances(z_train[rows + win * n_train], z_q[win, query])
+                    found[i] = rows[_k_smallest(dist, k)]
+            out[:, block] = found.reshape(n_wins, n_q, k)
+    return out[0] if one else out
 
 
 def knn_predict(train_targets: Array, neighbors: Array) -> Array:
@@ -305,44 +328,48 @@ def window_predictions(
     ``metric_source`` call; the others are skipped, with predictions None.
     If that call raises an ``RpdmlError``, each window is fit alone, and an
     error of the same class names every window that fails, in period order,
-    by the period it trades, with its own message.  A panel with fewer than
-    two periods has no window and is rejected.
+    by the period it trades, with its own message.  Windows of one shape
+    (training rows, traded rows, dimension) are normalized and ranked as one
+    stack, each window as alone: one ``normalize_features`` and one
+    ``knn_neighbors`` call per shape, all before the first period is yielded.
+    A panel with fewer than two periods has no window and is rejected.
     """
     if len(data.periods) < 2:
         raise ConfigError("need at least two periods")
-    # (traded period, training period, features, query features); a skipped
-    # window has no training period.
-    windows = []
-    for train_p, cur_p in zip(data.periods, data.periods[1:]):
-        if train_p.features.shape[0] < k:
-            windows.append((cur_p, None, None, None))
-            continue
-        feats, query_feats = train_p.features, cur_p.features
+    windows = list(zip(data.periods, data.periods[1:]))  # (training, traded) periods
+    tradable = [i for i, (train_p, _) in enumerate(windows) if train_p.features.shape[0] >= k]
+    # Windows of one shape are normalized and ranked together, as one stack.
+    groups: dict[tuple, list[int]] = {}
+    for i in tradable:
+        groups.setdefault(tuple(p.features.shape for p in windows[i]), []).append(i)
+    stacks, feats = [], {}
+    for idx in groups.values():
+        train_feats, query_feats = (np.stack([windows[i][side].features for i in idx]) for side in (0, 1))
         if normalize:
-            feats, stats_ = normalize_features(feats)
+            train_feats, stats_ = normalize_features(train_feats)
             query_feats = stats_.apply(query_feats)
-        windows.append((cur_p, train_p, feats, query_feats))
-    tradable = [win for win in windows if win[1] is not None]
+        stacks.append((idx, train_feats, query_feats))
+        feats.update(zip(idx, train_feats))
     try:
-        metrics = metric_source([(feats, train_p.next_returns)
-                                 for _, train_p, feats, _ in tradable])
+        metrics = metric_source([(feats[i], windows[i][0].next_returns) for i in tradable])
     except RpdmlError as exc:
         failures = []
-        for cur_p, train_p, feats, _ in tradable:
+        for i in tradable:
+            train_p, cur_p = windows[i]
             try:
-                metric_source([(feats, train_p.next_returns)])
+                metric_source([(feats[i], train_p.next_returns)])
             except RpdmlError as alone:
                 failures.append(f"window {cur_p.label}: {alone}")
         if not failures:
             raise
         raise type(exc)("; ".join(failures)) from exc
-    metrics = iter(metrics)
-    for cur_p, train_p, feats, query_feats in windows:
-        if train_p is None:
-            yield cur_p, None
-            continue
-        neighbors = knn_neighbors(next(metrics), feats, query_feats, k)
-        yield cur_p, knn_predict(train_p.next_returns, neighbors)
+    metric_of = dict(zip(tradable, metrics))
+    neighbors = {}
+    for idx, train_feats, query_feats in stacks:
+        mats = SpdMatrix._trusted(np.stack([metric_of[i].mat for i in idx]))
+        neighbors.update(zip(idx, knn_neighbors(mats, train_feats, query_feats, k)))
+    for i, (train_p, cur_p) in enumerate(windows):
+        yield cur_p, knn_predict(train_p.next_returns, neighbors[i]) if i in neighbors else None
 
 
 def backtest_from_predictions(

@@ -41,8 +41,8 @@ maintained by the updates themselves and recorded in the trace.
 ``train_many`` fits many windows' problems as one: their product, B SPD
 matrices with the windows' constraints side by side, is again this saddle
 problem, and its steps separate by window.  ``BoundedPairs.stack`` holds
-their pairs with a leading window axis, and the kernels then work on every
-array with that axis.
+their pairs with a leading window axis, the kernels work on every array
+with that axis, and the windows share their pair set-up (``_prepare``).
 """
 
 from __future__ import annotations
@@ -260,67 +260,74 @@ def build_pairs(
     labels: Array,
     max_pairs: int,
     seed: int,
-) -> PairConstraints:
-    """Enumerate same-label and different-label pair differences.
+) -> list[PairConstraints]:
+    """Enumerate each window's same-label and different-label pair differences.
 
-    All pairs (i < j) are used when their count fits under the cap;
-    otherwise a seeded subsample is drawn.
+    Takes a stack of windows, (B, n, d) features and (B, n) labels, and
+    returns the B windows' pairs, each as the window alone gets them, from
+    one upper triangle and shared draws.  All pairs (i < j) are used when
+    their count fits under the cap; otherwise a seeded subsample is drawn:
+    ``max_pairs`` positions among a side's pairs, in (i, j) order, that
+    depend only on the seed, the side, the side's pair count and ``max_pairs``.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
+    features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
-    if features.shape[0] != labels.shape[0]:
+    if features.shape[:2] != labels.shape:
         raise DimensionMismatchError("features and labels disagree on sample count")
-    if features.shape[0] < 2:
+    if features.shape[1] < 2:
         raise ConstraintBuildError("need at least two samples")
-    if np.unique(labels).size < 2:
-        raise ConstraintBuildError("need at least two distinct labels")
 
-    iu, ju = np.triu_indices(labels.size, k=1)
-    same = labels[iu] == labels[ju]
-    sim_idx = np.flatnonzero(same)
-    dis_idx = np.flatnonzero(~same)
-    if sim_idx.size == 0:
-        raise ConstraintBuildError("no same-label pair exists (all classes are singletons)")
+    iu, ju = np.triu_indices(labels.shape[1], k=1)
+    same = labels.take(iu, axis=1) == labels.take(ju, axis=1)
+    seeds = np.random.SeedSequence(seed).spawn(2)
+    draws: dict[tuple[int, int], Array] = {}
 
-    ss_sim, ss_dis = np.random.SeedSequence(seed).spawn(2)
-
-    def pick(idx: Array, ss) -> Array:
+    def pick(idx: Array, side: int) -> Array:
         if idx.size <= max_pairs:
             return idx
-        rng = np.random.default_rng(ss)
-        return np.sort(rng.choice(idx, size=max_pairs, replace=False))
+        if (side, idx.size) not in draws:
+            rng = np.random.default_rng(seeds[side])
+            draws[side, idx.size] = np.sort(rng.choice(idx.size, size=max_pairs, replace=False))
+        return idx[draws[side, idx.size]]
 
-    sim_idx = pick(sim_idx, ss_sim)
-    dis_idx = pick(dis_idx, ss_dis)
-    sim_diffs = features[iu[sim_idx]] - features[ju[sim_idx]]
-    dis_diffs = features[iu[dis_idx]] - features[ju[dis_idx]]
-    return PairConstraints(sim_diffs, dis_diffs)
+    out = []
+    for window, window_labels, window_same in zip(features, labels, same):
+        if np.unique(window_labels).size < 2:
+            raise ConstraintBuildError("need at least two distinct labels")
+        sim_idx = np.flatnonzero(window_same)
+        if sim_idx.size == 0:
+            raise ConstraintBuildError("no same-label pair exists (all classes are singletons)")
+        sim_idx, dis_idx = pick(sim_idx, 0), pick(np.flatnonzero(~window_same), 1)
+        out.append(PairConstraints(window[iu[sim_idx]] - window[ju[sim_idx]],
+                                   window[iu[dis_idx]] - window[ju[dis_idx]]))
+    return out
 
 
-def compute_bounds(distances: Array, p_lo: float, p_hi: float) -> tuple[float, float]:
-    """Nearest-rank percentiles of an observed distance distribution."""
-    d = np.sort(np.asarray(distances, dtype=float))
-    if d.size == 0:
+def compute_bounds(distances: Array, p_lo: float, p_hi: float) -> tuple[Array, Array]:
+    """Nearest-rank percentiles u, l, as (B,) arrays, of each row of a (B, m)
+    stack of observed distance distributions."""
+    d = np.sort(np.asarray(distances, dtype=float), axis=1)
+    if d.shape[1] == 0:
         raise BoundsError("distance sample is empty")
     if not (0 < p_lo < p_hi < 100):
         raise ConfigError("percentiles must satisfy 0 < lo < hi < 100")
-    n = d.size
+    n = d.shape[1]
 
-    def nearest_rank(p: float) -> float:
+    def nearest_rank(p: float) -> Array:
         rank = max(1, math.ceil(p / 100.0 * n))
-        return float(d[rank - 1])
+        return d[:, rank - 1]
 
     u, l = nearest_rank(p_lo), nearest_rank(p_hi)
-    if not u < l:
-        raise BoundsError(
-            f"degenerate distance distribution (u = l = {u:g}); provide more varied data"
-        )
+    if not np.all(u < l):
+        u = u[np.argmin(u < l)]  # the first degenerate window's
+        raise BoundsError(f"degenerate distance distribution (u = l = {u:g}); provide more varied data")
     return u, l
 
 
 def eval_h(w: SpdMatrix, xi: Array, pairs: BoundedPairs) -> Array:
     """h = signs * (diag(X W X^T) - b) - b * xi over the stacked pair rows X,
-    of one window or of each window of a stack (one ``rowwise_quadratic`` each)."""
+    of one window or of each window of a stack (one batched BLAS product X @ W
+    and one row-wise ``einsum``: a window's values are those it gets alone)."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != pairs.signs.shape:
         raise DimensionMismatchError(f"slack shape {xi.shape}, expected {pairs.signs.shape}")
@@ -328,9 +335,7 @@ def eval_h(w: SpdMatrix, xi: Array, pairs: BoundedPairs) -> Array:
         raise DimensionMismatchError(f"pair dim {pairs.dim} != metric dim {w.dim}")
     b = pairs.bounds
     x = pairs.diffs
-    q = (rowwise_quadratic(w.mat, x) if x.ndim == 2
-         else np.stack([rowwise_quadratic(w_mat, rows) for w_mat, rows in zip(w.mat, x)]))
-    return pairs.signs * (q - b) - b * xi
+    return pairs.signs * (np.einsum("...ij,...ij->...i", x @ w.mat, x) - b) - b * xi
 
 
 def grad_h_contraction(lam: Array, pairs: BoundedPairs) -> Array:
@@ -426,27 +431,42 @@ def inverse_covariance_metric(features: Array) -> SpdMatrix:
     return spd_inverse(_ridged_covariance(features))
 
 
-def _prepare(features: Array, labels: Array, config: RpdmlConfig):
-    """A window's bounded pairs, W0, W0^-1, log det W0 and bounds u, l.
-
-    Builds the pair constraints (seeded subsample under the cap), drops the
-    degenerate rows and sets the distance bounds from percentiles of the pair
-    distances under W0.  W0 is I (inverse I, log det 0) in closed form, or one
-    ``spd_inverse`` of the ridged covariance, which is W0^-1 itself.
-    """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    pc = build_pairs(features, labels, config.max_pairs, config.seed)
-    pc = pc.without_degenerate_rows()
+def _reference(features: Array, config: RpdmlConfig) -> tuple[SpdMatrix, Array, float]:
+    """A window's W0, W0^-1 and log det W0: I (inverse I, log det 0) in closed
+    form, or one ``spd_inverse`` of the ridged covariance, which is W0^-1 itself."""
     if config.w0 == "identity":
         w0 = SpdMatrix.identity(features.shape[1])
-        w0_inv, w0_logdet = w0.mat, 0.0
-    else:
-        cov = _ridged_covariance(features)
-        w0, w0_inv = spd_inverse(cov), cov.mat
-        w0_logdet = spd_logdet(w0)
-    init_dists = rowwise_quadratic(w0.mat, pc.diffs)
-    u, l = compute_bounds(init_dists, config.percentile_lo, config.percentile_hi)
-    return pc.bounded(u, l), w0, w0_inv, w0_logdet, u, l
+        return w0, w0.mat, 0.0
+    cov = _ridged_covariance(features)
+    w0 = spd_inverse(cov)
+    return w0, cov.mat, spd_logdet(w0)
+
+
+def _prepare(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> list[tuple]:
+    """By pair count m, a list of (window indices, each window's bounded pairs,
+    W0, W0^-1 and log det W0, the windows' (B,) bounds u and l: percentiles of
+    the pair distances under W0).  Windows of one shape share a ``build_pairs``
+    call, and those of one m a ``compute_bounds`` call."""
+    windows = [(np.atleast_2d(np.asarray(f, dtype=float)), np.asarray(y)) for f, y in windows]
+    by_shape: dict[tuple, list[int]] = {}
+    for i, (features, labels) in enumerate(windows):
+        by_shape.setdefault((features.shape, labels.shape), []).append(i)
+    pcs = {}
+    for idx in by_shape.values():
+        built = build_pairs(np.stack([windows[i][0] for i in idx]),
+                            np.stack([windows[i][1] for i in idx]), config.max_pairs, config.seed)
+        pcs.update((i, pc.without_degenerate_rows()) for i, pc in zip(idx, built))
+    by_count: dict[int, list[int]] = {}
+    for i in range(len(windows)):
+        by_count.setdefault(pcs[i].diffs.shape[0], []).append(i)
+    groups = []
+    for idx in by_count.values():
+        w0, w0_inv, w0_logdet = zip(*(_reference(windows[i][0], config) for i in idx))
+        dists = np.stack([rowwise_quadratic(w.mat, pcs[i].diffs) for w, i in zip(w0, idx)])
+        u, l = compute_bounds(dists, config.percentile_lo, config.percentile_hi)
+        pairs = [pcs[i].bounded(*ul) for i, *ul in zip(idx, u, l)]
+        groups.append((idx, pairs, w0, w0_inv, w0_logdet, u, l))
+    return groups
 
 
 def _run(pairs: BoundedPairs, w0: SpdMatrix, w0_inv: Array,
@@ -491,35 +511,29 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     or a W step refused at the eigenvalue floor, raises ``DivergedError``
     carrying the partial trace.
     """
-    pairs, w0, w0_inv, w0_logdet, u, l = _prepare(features, labels, config)
+    [(_, [pairs], [w0], [w0_inv], [w0_logdet], [u], [l])] = _prepare([(features, labels)], config)
     trace = _run(pairs, w0, w0_inv, w0_logdet, config)
-    return MetricModel(w=trace.final_point[0], w0=w0, u=u, l=l, trace=trace)
+    return MetricModel(w=trace.final_point[0], w0=w0, u=float(u), l=float(l), trace=trace)
 
 
 def train_many(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> list[SpdMatrix]:
     """The metric ``train`` learns on each (features, labels) window, bitwise.
 
-    Each window is prepared as ``train`` prepares it.  Windows of one pair
-    count m are fit by one ``solver.run`` on their product problem: a
-    (B, d, d) W stack with (B, m) slacks and duals, on which the W/slack
-    step and the dual step separate by window.  Only the stacked pairs are
-    kept once a group is stacked.  A run stops, raising ``DivergedError``,
-    at the first iteration at which any of its windows fails; the error does
-    not say which (``evaluation.window_predictions`` finds them).
+    The windows are prepared together (``_prepare``), each as ``train``
+    prepares it alone.  Windows of one pair count m are stacked and fit by one
+    ``solver.run`` on their product problem: a (B, d, d) W stack with (B, m)
+    slacks and duals, on which the W/slack step and the dual step separate
+    by window.  A run stops, raising ``DivergedError``, at the first
+    iteration at which any of its windows fails; the error does not say
+    which (``evaluation.window_predictions`` finds them).
     """
-    prepared = [_prepare(features, labels, config) for features, labels in windows]
-    groups: dict[int, list[int]] = {}
-    for i, (pairs, *_) in enumerate(prepared):
-        groups.setdefault(pairs.signs.shape[0], []).append(i)
-    out: list[SpdMatrix | None] = [None] * len(prepared)
-    for idx in groups.values():
-        pairs = BoundedPairs.stack([prepared[i][0] for i in idx])
-        w0 = SpdMatrix._trusted(np.stack([prepared[i][1].mat for i in idx]))
-        w0_inv = np.stack([prepared[i][2] for i in idx])
-        w0_logdet = np.array([prepared[i][3] for i in idx])
-        for i in idx:
-            prepared[i] = None
-        final = _run(pairs, w0, w0_inv, w0_logdet, config).final_point[0]
+    out: list[SpdMatrix | None] = [None] * len(windows)
+    groups = _prepare(windows, config)
+    while groups:  # a group's windows' pairs live on only in its stack while it is fitted
+        idx, pairs, w0, w0_inv, w0_logdet, _, _ = groups.pop(0)
+        pairs = BoundedPairs.stack(pairs)
+        final = _run(pairs, SpdMatrix._trusted(np.stack([w.mat for w in w0])), np.stack(w0_inv),
+                     np.array(w0_logdet), config).final_point[0]
         for j, i in enumerate(idx):
             out[i] = SpdMatrix._trusted(final.mat[j])
     return out

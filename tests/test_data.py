@@ -68,6 +68,26 @@ class TestNormalizeFeatures:
         with pytest.raises(ConfigError):
             normalize_features(np.ones((1, 3)))
 
+    def test_stack_equals_each_window_alone(self, caplog):
+        # Each window of a (B, n, d) stack gets its own statistics, bit for
+        # bit those it gets alone, and one warning per window with a
+        # constant column, in window order.
+        rng = np.random.default_rng(3)
+        windows = rng.normal(loc=2.0, scale=3.0, size=(4, 9, 3))
+        windows[1, :, 2] = 5.0
+        windows[3, :, 0] = -1.0
+        queries = rng.normal(size=(4, 7, 3))
+        with caplog.at_level("WARNING"):
+            out, stats = normalize_features(windows)
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 constant feature column(s) left centered-only"] * 2
+        applied = stats.apply(queries)
+        assert stats.mean.shape == stats.std.shape == stats.degenerate.shape == (4, 3)
+        for window, query, got, got_query in zip(windows, queries, out, applied):
+            want, alone = normalize_features(window)
+            assert got.tobytes() == want.tobytes()
+            assert got_query.tobytes() == alone.apply(query).tobytes()
+
 
 class TestGenerateSynthetic:
     def test_deterministic_per_seed(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rpdml import evaluation as evaluation_module
 from rpdml.data import (
     PanelDataset,
     PanelPeriod,
@@ -355,15 +356,11 @@ def per_query_neighbors(w, feats, queries, k):
     return out
 
 
-@st.composite
-def screen_case(draw):
-    """Queries on both sides of the block edges, with exact ties (integer
-    grids, duplicated rows), near-ties (queries 1e-9 off a training row) and
-    scales 1e-3..1e3, under the identity or a random SPD metric."""
-    n_query = draw(st.sampled_from([1, 31, 32, 33, 65]))
-    dim = draw(st.integers(1, 24))
-    n_train = draw(st.integers(1, 80))
-    k = draw(st.integers(1, n_train))
+def draw_screen_window(draw, dim, n_train, n_query):
+    """One window's metric, training rows and queries: exact ties (integer
+    grids, duplicated rows), near-ties (queries 1e-9 off a training row) or
+    continuous rows, at scales 1e-3..1e3, under the identity or a random SPD
+    metric."""
     kind = draw(st.sampled_from(["grid", "duplicates", "near", "continuous"]))
     scale = 10.0 ** draw(st.floats(-3, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -382,7 +379,17 @@ def screen_case(draw):
         w = SpdMatrix.identity(dim)
     else:
         w = random_case(int(rng.integers(2**32)), dim, 1, 1)[0]
-    return w, feats, queries, k
+    return w, feats, queries
+
+
+@st.composite
+def screen_case(draw):
+    """Queries on both sides of the block edges (see ``draw_screen_window``)."""
+    n_query = draw(st.sampled_from([1, 31, 32, 33, 65]))
+    dim = draw(st.integers(1, 24))
+    n_train = draw(st.integers(1, 80))
+    k = draw(st.integers(1, n_train))
+    return (*draw_screen_window(draw, dim, n_train, n_query), k)
 
 
 class TestKnnScreen:
@@ -443,6 +450,139 @@ class TestKnnScreen:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def stack_windows(windows):
+    """``knn_neighbors``' stacked arguments from (metric, rows, queries) windows."""
+    ws, feats, queries = zip(*windows)
+    return SpdMatrix._trusted(np.stack([w.mat for w in ws])), np.stack(feats), np.stack(queries)
+
+
+@st.composite
+def window_stack_case(draw):
+    """One to four windows of one shape, each drawn on its own: its own kind
+    of ties, scale and metric; k is 1, n_train or in between."""
+    n_query = draw(st.sampled_from([1, 31, 33, 40]))
+    dim = draw(st.integers(1, 12))
+    n_train = draw(st.integers(1, 50))
+    k = draw(st.sampled_from([1, n_train, draw(st.integers(1, n_train))]))
+    windows = [draw_screen_window(draw, dim, n_train, n_query)
+               for _ in range(draw(st.integers(1, 4)))]
+    return windows, k
+
+
+class TestStackedKnn:
+    @staticmethod
+    def counting_fallback(monkeypatch):
+        """Count the queries ranked on their own (the fallback path)."""
+        calls = []
+        original = evaluation_module._k_smallest
+
+        def counted(dist, k):
+            calls.append(k)
+            return original(dist, k)
+        monkeypatch.setattr(evaluation_module, "_k_smallest", counted)
+        return calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=window_stack_case())
+    def test_each_window_equals_its_own_call_bitwise(self, case):
+        windows, k = case
+        got = knn_neighbors(*stack_windows(windows), k)
+        assert got.shape == (len(windows), windows[0][2].shape[0], k)
+        for (w, feats, queries), found in zip(windows, got):
+            assert np.array_equal(found, knn_neighbors(w, feats, queries, k))
+            assert np.array_equal(found, per_query_neighbors(w, feats, queries, k))
+
+    def test_exact_ties_take_the_same_fallback_as_alone(self, monkeypatch):
+        # Integer grids tie at the k-th distance, so queries fall back to
+        # ranking on their own, in the stack as often as alone.
+        rng = np.random.default_rng(4)
+        windows = [(SpdMatrix.identity(3), rng.integers(-2, 3, size=(40, 3)).astype(float),
+                    rng.integers(-2, 3, size=(40, 3)).astype(float)) for _ in range(5)]
+        calls = self.counting_fallback(monkeypatch)
+        alone = [knn_neighbors(w, feats, queries, 10) for w, feats, queries in windows]
+        n_alone = len(calls)
+        assert n_alone > 0
+        got = knn_neighbors(*stack_windows(windows), 10)
+        assert len(calls) == 2 * n_alone
+        assert all(np.array_equal(a, b) for a, b in zip(got, alone))
+
+    def test_chunks_of_windows_equal_each_window_alone(self, monkeypatch):
+        # 45 rows a chunk: windows of 20 rows go 2, 2 and 1 to a screen.
+        monkeypatch.setattr(evaluation_module, "KNN_ROWS", 45)
+        windows = [random_case(seed, 4, 20, 33) for seed in range(5)]
+        got = knn_neighbors(*stack_windows(windows), 7)
+        assert got.shape == (5, 33, 7)
+        for (w, feats, queries), found in zip(windows, got):
+            assert np.array_equal(found, knn_neighbors(w, feats, queries, 7))
+
+    def test_peak_memory_of_a_window_stack_stays_flat(self):
+        # One screen for all 64 windows of 1000 rows would be 64 x KNN_BLOCK x
+        # 1000 floats (16 MB); chunks of KNN_ROWS rows screen two at a time.
+        rng = np.random.default_rng(1)
+        feats, queries = rng.normal(size=(64, 1000, 4)), rng.normal(size=(64, 40, 4))
+        metrics = SpdMatrix._trusted(np.tile(np.eye(4), (64, 1, 1)))
+        tracemalloc.start()
+        try:
+            got = knn_neighbors(metrics, feats, queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        for b in (0, 33, 63):
+            assert np.array_equal(got[b], knn_neighbors(SpdMatrix.identity(4), feats[b], queries[b], 10))
+
+    def test_k_equal_to_n_train(self, monkeypatch):
+        windows = [random_case(seed, 6, 12, 35) for seed in range(3)]
+        calls = self.counting_fallback(monkeypatch)
+        got = knn_neighbors(*stack_windows(windows), 12)
+        assert calls == []
+        for (w, feats, queries), found in zip(windows, got):
+            assert np.array_equal(found, per_query_neighbors(w, feats, queries, 12))
+
+    def test_a_window_depends_only_on_its_own_rows(self, monkeypatch):
+        # Rows near 1e155 overflow the middle window's screen; its margin,
+        # screen and fallback stay its own, and the other windows keep
+        # theirs: no query of theirs is ranked on its own.
+        rng = np.random.default_rng(3)
+        huge = rng.normal(size=(50, 4))
+        huge[::3] *= 1e155
+        windows = [random_case(5, 4, 50, 40),
+                   (SpdMatrix.identity(4), huge, np.vstack([huge[:33], rng.normal(size=(7, 4))])),
+                   random_case(6, 4, 50, 40)]
+        calls = self.counting_fallback(monkeypatch)
+        alone = [knn_neighbors(w, feats, queries, 10) for w, feats, queries in windows]
+        per_window = len(calls)
+        got = knn_neighbors(*stack_windows(windows), 10)
+        assert len(calls) == 2 * per_window
+        for (w, feats, queries), found, want in zip(windows, got, alone):
+            assert np.array_equal(found, want)
+            assert np.array_equal(found, per_query_neighbors(w, feats, queries, 10))
+
+    def test_backtest_ranks_each_shape_group_in_one_call(self, monkeypatch):
+        # Periods of 12 and 9 assets make windows of four (train, query)
+        # shapes; each shape's windows are ranked by one call, and every
+        # prediction equals that of the window ranked alone.
+        rng = np.random.default_rng(2)
+        sizes = [12, 12, 12, 9, 9, 12]
+        panel = make_panel([(f"p{i}", rng.normal(size=(n, 3)), rng.normal(size=n))
+                            for i, n in enumerate(sizes)])
+        calls = []
+        original = evaluation_module.knn_neighbors
+
+        def counted(w, feats, queries, k):
+            calls.append(np.shape(feats))
+            return original(w, feats, queries, k)
+        monkeypatch.setattr(evaluation_module, "knn_neighbors", counted)
+        provider = lambda windows: [mahalanobis_metric(f) for f, _ in windows]
+        preds = list(window_predictions(panel, provider, k=4))
+        assert sorted(calls) == [(1, 9, 3), (1, 9, 3), (1, 12, 3), (2, 12, 3)]
+        for train_p, (cur_p, pred) in zip(panel.periods, preds):
+            feats, stats_ = normalize_features(train_p.features)
+            queries = stats_.apply(cur_p.features)
+            neighbors = original(mahalanobis_metric(feats), feats, queries, 4)
+            assert pred.tobytes() == knn_predict(train_p.next_returns, neighbors).tobytes()
 
 
 @st.composite

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from rpdml import metric as metric_module
 from rpdml.data import (
+    PanelDataset,
+    PanelPeriod,
     SyntheticSpec,
     generate_synthetic,
     normalize_features,
@@ -18,8 +20,10 @@ from rpdml.errors import (
     DimensionMismatchError,
     DivergedError,
     InnerSolveError,
+    RpdmlError,
 )
-from rpdml.manifold import EPS_PD, SpdMatrix, spd_inverse
+from rpdml.evaluation import window_predictions
+from rpdml.manifold import EPS_PD, SpdMatrix, rowwise_quadratic, spd_inverse
 from rpdml.metric import (
     W0_MODES,
     BoundedPairs,
@@ -59,40 +63,42 @@ def blob_data(rng, n=60, dim=6, sep=3.0):
 class TestBuildPairs:
     def test_exhaustive_enumeration(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        pc = build_pairs(feats, np.array(["a", "a", "b"]), max_pairs=100, seed=0)
+        pc = build_pairs(feats[None], np.array(["a", "a", "b"])[None], max_pairs=100, seed=0)[0]
         assert pc.n_similar == 1 and pc.dissimilar_diffs.shape[0] == 2
         assert np.array_equal(pc.similar_diffs, [[-1.0, 0.0]])  # x0 - x1
         assert np.array_equal(pc.dissimilar_diffs, [[0.0, -2.0], [1.0, -2.0]])
 
     def test_duplicate_rows_give_zero_row(self):
         feats = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 3.0]])
-        pc = build_pairs(feats, np.array([0, 0, 1]), max_pairs=10, seed=0)
+        pc = build_pairs(feats[None], np.array([0, 0, 1])[None], max_pairs=10, seed=0)[0]
         assert np.array_equal(pc.similar_diffs, [[0.0, 0.0]])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         feats, labels = blob_data(rng, n=40)
-        a = build_pairs(feats, labels, max_pairs=50, seed=123)
-        b = build_pairs(feats, labels, max_pairs=50, seed=123)
+        a = build_pairs(feats[None], labels[None], max_pairs=50, seed=123)[0]
+        b = build_pairs(feats[None], labels[None], max_pairs=50, seed=123)[0]
         assert np.array_equal(a.similar_diffs, b.similar_diffs)
         assert np.array_equal(a.dissimilar_diffs, b.dissimilar_diffs)
-        c = build_pairs(feats, labels, max_pairs=50, seed=124)
+        c = build_pairs(feats[None], labels[None], max_pairs=50, seed=124)[0]
         assert not np.array_equal(a.similar_diffs, c.similar_diffs)
 
     def test_cap_is_respected(self):
         rng = np.random.default_rng(12)
         feats, labels = blob_data(rng, n=40)
-        pc = build_pairs(feats, labels, max_pairs=25, seed=0)
+        pc = build_pairs(feats[None], labels[None], max_pairs=25, seed=0)[0]
         assert pc.n_similar == 25 and pc.dissimilar_diffs.shape[0] == 25
 
     def test_errors(self):
         with pytest.raises(ConstraintBuildError):
-            build_pairs(np.ones((1, 2)), np.array([0]), 10, 0)
+            build_pairs(np.ones((1, 2))[None], np.array([0])[None], 10, 0)
         with pytest.raises(ConstraintBuildError):
-            build_pairs(np.ones((3, 2)), np.array([0, 0, 0]), 10, 0)  # one label
+            build_pairs(np.ones((3, 2))[None], np.array([0, 0, 0])[None], 10, 0)  # one label
         with pytest.raises(ConstraintBuildError):
             # all classes singletons: no similar pair
-            build_pairs(np.ones((2, 2)), np.array([0, 1]), 10, 0)
+            build_pairs(np.ones((2, 2))[None], np.array([0, 1])[None], 10, 0)
+        with pytest.raises(DimensionMismatchError):  # one window, not a stack of them
+            build_pairs(np.ones((3, 2)), np.array([0, 0, 1]), 10, 0)
 
     def test_degenerate_row_dropping(self):
         pc = PairConstraints(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 2.0]]))
@@ -103,19 +109,34 @@ class TestBuildPairs:
 
 class TestComputeBounds:
     def test_nearest_rank_on_1_to_100(self):
-        assert compute_bounds(np.arange(1.0, 101.0), 5, 95) == (5.0, 95.0)
+        u, l = compute_bounds(np.arange(1.0, 101.0)[None], 5, 95)
+        assert (u.tolist(), l.tolist()) == ([5.0], [95.0])
 
     def test_constant_distances_error(self):
         with pytest.raises(BoundsError):
-            compute_bounds(np.full(50, 2.5), 5, 95)
+            compute_bounds(np.full(50, 2.5)[None], 5, 95)
 
     def test_single_value_error(self):
         with pytest.raises(BoundsError):
-            compute_bounds(np.array([3.0]), 5, 95)
+            compute_bounds(np.array([[3.0]]), 5, 95)
 
     def test_bad_percentiles(self):
         with pytest.raises(ConfigError):
-            compute_bounds(np.arange(10.0), 95, 5)
+            compute_bounds(np.arange(10.0)[None], 95, 5)
+
+    def test_stack_equals_each_row_alone(self):
+        rng = np.random.default_rng(5)
+        rows = rng.exponential(size=(4, 37))
+        u, l = compute_bounds(rows, 5, 95)
+        assert u.shape == l.shape == (4,)
+        for row, u_b, l_b in zip(rows, u, l):
+            [u_alone], [l_alone] = compute_bounds(row[None], 5, 95)
+            assert (u_alone, l_alone) == (u_b, l_b)
+
+    def test_stack_names_the_first_degenerate_row(self):
+        rows = np.vstack([np.arange(1.0, 51.0), np.full(50, 2.5), np.full(50, 7.0)])
+        with pytest.raises(BoundsError, match=r"u = l = 2\.5\)"):
+            compute_bounds(rows, 5, 95)
 
 
 class TestPairConstraints:
@@ -164,6 +185,27 @@ class TestEvalH:
         pc = PairConstraints([[1.0, 0.0]], [[2.0, 0.0]]).bounded(1.0, 3.0)
         with pytest.raises(DimensionMismatchError):
             eval_h(SpdMatrix.identity(3), np.zeros(2), pc)
+
+
+class TestStackedEvalH:
+    @pytest.mark.parametrize("m, dim", [(1, 5), (7, 5), (400, 12)])
+    @pytest.mark.parametrize("n_windows", [1, 3])
+    def test_bitwise_equal_to_per_window_rowwise_quadratic(self, n_windows, m, dim):
+        # Each window's h from the one batched product equals the one-window
+        # formula with ``rowwise_quadratic``, bit for bit.
+        rng = np.random.default_rng(10 * n_windows + m)
+        mats = np.stack([rand_spd(dim, rng).mat for _ in range(n_windows)])
+        windows = [BoundedPairs(rng.normal(size=(m, dim)) * rng.uniform(0.1, 10.0),
+                                rng.choice([-1.0, 1.0], m), rng.uniform(0.5, 3.0, m))
+                   for _ in range(n_windows)]
+        xi = rng.uniform(0.0, 2.0, (n_windows, m))
+        h = eval_h(SpdMatrix._trusted(mats), xi, BoundedPairs.stack(windows))
+        assert h.shape == (n_windows, m)
+        for b, pairs in enumerate(windows):
+            q = rowwise_quadratic(mats[b], pairs.diffs)
+            want = pairs.signs * (q - pairs.bounds) - pairs.bounds * xi[b]
+            assert h[b].tobytes() == want.tobytes()
+            assert eval_h(SpdMatrix._trusted(mats[b]), xi[b], pairs).tobytes() == want.tobytes()
 
 
 class TestGradHContraction:
@@ -518,7 +560,7 @@ class TestTrain:
     def test_initial_violation_positive_on_continuous_data(self):
         rng = np.random.default_rng(45)
         feats, labels = blob_data(rng, n=50)
-        pc = build_pairs(feats, labels, 200, 0)
+        pc = build_pairs(feats[None], labels[None], 200, 0)[0]
         assert pc.n_similar >= 20 and pc.dissimilar_diffs.shape[0] >= 20
         model = train(feats, labels, RpdmlConfig(iters=1, seed=0))
         assert model.trace.initial_violation > 0.0
@@ -532,7 +574,7 @@ class TestTrain:
         cfg = RpdmlConfig(iters=20, seed=4)
         model = train(feats, labels, cfg)
         assert len(model.trace) == 20
-        pc = build_pairs(feats, labels, cfg.max_pairs, cfg.seed)
+        pc = build_pairs(feats[None], labels[None], cfg.max_pairs, cfg.seed)[0]
         pc = pc.without_degenerate_rows().bounded(model.u, model.l)
         m = pc.signs.size
         w0_inv = spd_inverse(model.w0).mat
@@ -617,7 +659,7 @@ class TestTrainMany:
     def test_bitwise_equal_to_train_per_window(self, dim, w0, max_pairs, groups):
         windows = self._windows(dim)
         config = RpdmlConfig(iters=15, w0=w0, max_pairs=max_pairs, seed=4)
-        pair_counts = {build_pairs(f, y, max_pairs, 4).without_degenerate_rows().diffs.shape[0]
+        pair_counts = {build_pairs(f[None], y[None], max_pairs, 4)[0].without_degenerate_rows().diffs.shape[0]
                        for f, y in windows}
         assert len(pair_counts) == groups
         got = train_many(windows, config)
@@ -628,6 +670,83 @@ class TestTrainMany:
 
     def test_no_window(self):
         assert train_many([], RpdmlConfig()) == []
+
+    # Nine rows each, targets tied at the median: the windows share one
+    # triangle but split 4/5, 1/8, 3/6 and 1/8, so at max_pairs=10 their
+    # similar sides draw from populations 16, 28, 18, 28 and their
+    # dissimilar sides from 20, 8, 18, 8 (8 is under the cap: no draw).
+    TIED_TARGETS = ([0, 0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 1, 2],
+                    [0, 0, 1, 1, 1, 1, 2, 2, 2], [3, 1, 2, 2, 2, 2, 0, 0, 1])
+
+    def _tied_windows(self):
+        rng = np.random.default_rng(8)
+        targets = [np.array(t, dtype=float) for t in self.TIED_TARGETS]
+        return [(rng.normal(size=(9, 3)), (t > np.median(t)).astype(int)) for t in targets]
+
+    def test_one_row_count_with_different_splits(self):
+        windows = self._tied_windows()
+        alone = [build_pairs(f[None], y[None], 10, 5)[0] for f, y in windows]
+        assert [pc.n_similar for pc in alone] == [10, 10, 10, 10]
+        assert [pc.dissimilar_diffs.shape[0] for pc in alone] == [10, 8, 10, 8]
+        stacked = build_pairs(np.stack([f for f, _ in windows]), np.stack([y for _, y in windows]), 10, 5)
+        for got, want in zip(stacked, alone):
+            assert got.diffs.tobytes() == want.diffs.tobytes()
+            assert got.n_similar == want.n_similar
+        config = RpdmlConfig(iters=15, max_pairs=10, seed=5)
+        for (features, labels), w in zip(windows, train_many(windows, config)):
+            assert w.mat.tobytes() == train(features, labels, config).w.mat.tobytes()
+
+    def test_each_call_draws_for_its_own_seed(self):
+        # No draw carries over between calls: a second call with another
+        # seed gets that seed's draws, and the first seed's come back after.
+        windows = self._tied_windows()
+        features, labels = np.stack([f for f, _ in windows]), np.stack([y for _, y in windows])
+        first = build_pairs(features, labels, 10, 1)
+        second = build_pairs(features, labels, 10, 2)
+        for (f, y), a, b in zip(windows, first, second):
+            assert b.diffs.tobytes() == build_pairs(f[None], y[None], 10, 2)[0].diffs.tobytes()
+            assert not np.array_equal(a.similar_diffs, b.similar_diffs)
+        again = build_pairs(features, labels, 10, 1)
+        assert all(a.diffs.tobytes() == c.diffs.tobytes() for a, c in zip(first, again))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5, 16), n_windows=st.integers(2, 5), dim=st.integers(1, 4),
+           levels=st.integers(2, 5), max_pairs=st.sampled_from([3, 10, 1000]),
+           w0=st.sampled_from(W0_MODES), seed=st.integers(0, 2**32 - 1))
+    def test_windows_of_one_row_count_equal_train(self, n, n_windows, dim, levels, max_pairs,
+                                                  w0, seed):
+        # Odd and even row counts, targets on a few levels (ties at the
+        # median), so the windows share a triangle but not their splits.
+        rng = np.random.default_rng(seed)
+        windows = []
+        for _ in range(n_windows):
+            targets = rng.integers(0, levels, n).astype(float)
+            labels = (targets > np.median(targets)).astype(int)
+            labels[0] = 1 - labels[0] if labels.min() == labels.max() else labels[0]
+            windows.append((rng.normal(size=(n, dim)), labels))
+        config = RpdmlConfig(iters=5, w0=w0, max_pairs=max_pairs, seed=int(seed % 1000))
+        try:
+            want = [train(f, y, config).w.mat.tobytes() for f, y in windows]
+        except RpdmlError:
+            with pytest.raises(RpdmlError):
+                train_many(windows, config)
+            return
+        assert [w.mat.tobytes() for w in train_many(windows, config)] == want
+
+    def test_failing_window_of_a_shared_group_is_named(self):
+        # Every period has nine assets, so all windows share one build_pairs
+        # call; the one trained on p2 (trading p3) has a single label.
+        rng = np.random.default_rng(1)
+        panel = PanelDataset([
+            PanelPeriod(f"p{i}", [f"A{j}" for j in range(9)], rng.normal(size=(9, 3)),
+                        np.full(9, 0.01) if i == 2 else rng.normal(size=9))
+            for i in range(5)])
+        config = RpdmlConfig(iters=5, max_pairs=10, seed=3)
+
+        def provider(windows):
+            return train_many([(f, (r > np.median(r)).astype(int)) for f, r in windows], config)
+        with pytest.raises(ConstraintBuildError, match="^window p3: need at least two distinct labels$"):
+            list(window_predictions(panel, provider, k=3))
 
 
 class TestSlackMultiplierIsZero:
@@ -646,7 +765,7 @@ class TestSlackMultiplierIsZero:
         model = train(feats, ds.labels, cfg)
 
         # train's set-up: the same pairs, bounds and W0^-1.
-        pc = build_pairs(feats, ds.labels, cfg.max_pairs, cfg.seed)
+        pc = build_pairs(feats[None], ds.labels[None], cfg.max_pairs, cfg.seed)[0]
         pc = pc.without_degenerate_rows().bounded(model.u, model.l)
         m = pc.signs.size
         if w0 == "identity":

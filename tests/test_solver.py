@@ -364,7 +364,7 @@ class TestPrefixBounds:
         model = train(feats, ds.labels, cfg)
         records, points = model.trace.records, train_iterates
         x0 = (model.w0, np.zeros(points[0][1].size))
-        pc = build_pairs(feats, ds.labels, cfg.max_pairs, cfg.seed)
+        pc = build_pairs(feats[None], ds.labels[None], cfg.max_pairs, cfg.seed)[0]
         pc = pc.without_degenerate_rows().bounded(model.u, model.l)
 
         def distance_sq(a, b):
