@@ -342,9 +342,11 @@ def make_metric_provider(name: str, opts: dict, seed: int):
     config = _rpdml_config(opts, seed)
 
     def provider(windows):
-        # Two groups per window: assets above / below the window's median return.
-        return train_many([(feats, (rets > np.median(rets)).astype(int))
-                           for feats, rets in windows], config)
+        # Two groups per window: assets above / below its median return, np.median's value (the
+        # mean of the one or two middle sorted returns), from one sort per window length.
+        mid = {n: iter(np.sort([r for _, r in windows if len(r) == n])[:, (n - 1) // 2:n // 2 + 1]
+                       .mean(axis=1)) for n in {len(r) for _, r in windows}}
+        return train_many([(f, (r > next(mid[len(r)])).astype(int)) for f, r in windows], config)
     return provider
 
 

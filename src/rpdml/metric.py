@@ -255,52 +255,47 @@ class MetricModel:
         return cls(w=matrix("w"), w0=matrix("w0"), u=number(obj["u"], "u"), l=number(obj["l"], "l"))
 
 
-def build_pairs(
-    features: Array,
-    labels: Array,
-    max_pairs: int,
-    seed: int,
-) -> list[PairConstraints]:
-    """Enumerate each window's same-label and different-label pair differences.
+def build_pairs(features: Array, labels: Array, max_pairs: int, seed: int) -> list[PairConstraints]:
+    """Each window's same-label and different-label pair differences x_i - x_j.
 
-    Takes a stack of windows, (B, n, d) features and (B, n) labels, and
-    returns the B windows' pairs, each as the window alone gets them, from
-    one upper triangle and shared draws.  All pairs (i < j) are used when
-    their count fits under the cap; otherwise a seeded subsample is drawn:
-    ``max_pairs`` positions among a side's pairs, in (i, j) order, that
-    depend only on the seed, the side, the side's pair count and ``max_pairs``.
-    """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
+    Takes (B, n, d) features and (B, n) labels and returns the B windows' pairs,
+    each as the window alone gets them: all of a side's pairs (i < j) under the
+    cap, else a seeded draw of ``max_pairs`` positions in (i, j) order that
+    depends only on the seed, the side, its pair count and ``max_pairs``, each
+    unranked to its pair in O(n + m) memory for m pairs, with no triangle."""
+    features, labels = np.asarray(features, dtype=float), np.asarray(labels)
     if features.shape[:2] != labels.shape:
         raise DimensionMismatchError("features and labels disagree on sample count")
-    if features.shape[1] < 2:
+    n = labels.shape[1]
+    if n < 2:
         raise ConstraintBuildError("need at least two samples")
-
-    iu, ju = np.triu_indices(labels.shape[1], k=1)
-    same = labels.take(iu, axis=1) == labels.take(ju, axis=1)
+    # Member s of the class-sorted stack is row order[s] of the flat stack, s = pos[row].
+    members = np.arange(labels.size)
+    order = labels.argsort(kind="stable").ravel() + members - members % n
+    sorted_labels, pos = labels.ravel()[order], order.argsort()
+    cls = ((sorted_labels != sorted_labels[members - 1]) | (members % n == 0)).cumsum()
+    later = (np.bincount(cls).cumsum()[cls] - members - 1)[pos]  # same-label rows after a row
+    keys = 2 * n * cls + order - members  # ascending: 2n class + (outside rows below) - (class start)
+    for same in later.reshape(-1, n).sum(1).tolist():  # every pair same-label: one label
+        if not 0 < same < n * (n - 1) // 2:
+            raise ConstraintBuildError("need at least two distinct labels" if same else
+                                       "no same-label pair exists (all classes are singletons)")
     seeds = np.random.SeedSequence(seed).spawn(2)
-    draws: dict[tuple[int, int], Array] = {}
-
-    def pick(idx: Array, side: int) -> Array:
-        if idx.size <= max_pairs:
-            return idx
-        if (side, idx.size) not in draws:
-            rng = np.random.default_rng(seeds[side])
-            draws[side, idx.size] = np.sort(rng.choice(idx.size, size=max_pairs, replace=False))
-        return idx[draws[side, idx.size]]
-
-    out = []
-    for window, window_labels, window_same in zip(features, labels, same):
-        if np.unique(window_labels).size < 2:
-            raise ConstraintBuildError("need at least two distinct labels")
-        sim_idx = np.flatnonzero(window_same)
-        if sim_idx.size == 0:
-            raise ConstraintBuildError("no same-label pair exists (all classes are singletons)")
-        sim_idx, dis_idx = pick(sim_idx, 0), pick(np.flatnonzero(~window_same), 1)
-        out.append(PairConstraints(window[iu[sim_idx]] - window[ju[sim_idx]],
-                                   window[iu[dis_idx]] - window[ju[dis_idx]]))
-    return out
+    sides, rows = [], features.reshape(labels.size, -1)
+    for side, counts in enumerate((later, n - 1 - members % n - later)):
+        cum = counts.cumsum()
+        first, ends = cum - counts, cum[n - 1::n].tolist()
+        spans = [*zip([0, *ends], ends)]  # each window's positions
+        drawn = {m: np.sort(np.random.default_rng(seeds[side]).choice(m, max_pairs, replace=False))
+                 if m > max_pairs else np.arange(m) for m in {b - a for a, b in spans}}
+        p = np.concatenate([drawn[b - a] + a for a, b in spans])
+        i = cum.searchsorted(p, "right")  # position p is pair r of row i, member s of its class
+        r, s = p - first[i], pos[i]
+        # Same side: j is the r-th later member of i's class.  Other side: the q-th row outside the
+        # class, q + (members with at most q outside rows below), q = (outside rows before i) + r.
+        j = order[s + 1 + r] if side == 0 else i - s + r + keys.searchsorted(keys[s] + r, "right")
+        sides.append(np.split(np.array([i, j]), p.searchsorted(ends[:-1]), axis=1))
+    return [PairConstraints(*(np.subtract(*rows.take(ij, 0)) for ij in pair)) for pair in zip(*sides)]
 
 
 def compute_bounds(distances: Array, p_lo: float, p_hi: float) -> tuple[Array, Array]:

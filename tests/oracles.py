@@ -1,4 +1,5 @@
-"""Closed-form oracle of the W subproblem, for checking ``metric.inner_solve_w``.
+"""Oracles: the W subproblem, for checking ``metric.inner_solve_w``, and the
+pair enumeration that ``metric.build_pairs`` reproduces without enumerating.
 
 The subproblem at prox anchor W_t, dual lam and step eta_t is
 
@@ -13,8 +14,9 @@ import math
 
 import numpy as np
 
+from rpdml.errors import ConstraintBuildError, DimensionMismatchError
 from rpdml.manifold import rowwise_quadratic, spd_inverse, spd_logdet
-from rpdml.metric import grad_h_contraction
+from rpdml.metric import PairConstraints, grad_h_contraction
 
 
 def logdet_divergence_raw(w, ref_inv, ref_logdet):
@@ -44,3 +46,38 @@ def inner_gradient(w_mat, w_t, lam, w0, eta_t, pc):
     grad = 0.5 * (spd_inverse(w0).mat - w_inv)
     grad = grad + grad_h_contraction(lam, pc)
     return grad + (spd_inverse(w_t).mat - w_inv) / (2.0 * eta_t)
+
+
+def build_pairs(features, labels, max_pairs, seed):
+    """Reference ``metric.build_pairs``: enumerate every window's whole upper
+    triangle of pairs (i < j) and its label mask, then take, per side, every
+    pair or the seeded draw of ``max_pairs`` positions among the side's pairs
+    in (i, j) order.  It needs O(n^2) memory for n rows."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels)
+    if features.shape[:2] != labels.shape:
+        raise DimensionMismatchError("features and labels disagree on sample count")
+    if features.shape[1] < 2:
+        raise ConstraintBuildError("need at least two samples")
+
+    iu, ju = np.triu_indices(labels.shape[1], k=1)
+    same = labels.take(iu, axis=1) == labels.take(ju, axis=1)
+    seeds = np.random.SeedSequence(seed).spawn(2)
+
+    def pick(idx, side):
+        if idx.size <= max_pairs:
+            return idx
+        rng = np.random.default_rng(seeds[side])
+        return idx[np.sort(rng.choice(idx.size, size=max_pairs, replace=False))]
+
+    out = []
+    for window, window_labels, window_same in zip(features, labels, same):
+        if np.unique(window_labels).size < 2:
+            raise ConstraintBuildError("need at least two distinct labels")
+        sim_idx = np.flatnonzero(window_same)
+        if sim_idx.size == 0:
+            raise ConstraintBuildError("no same-label pair exists (all classes are singletons)")
+        sim_idx, dis_idx = pick(sim_idx, 0), pick(np.flatnonzero(~window_same), 1)
+        out.append(PairConstraints(window[iu[sim_idx]] - window[ju[sim_idx]],
+                                   window[iu[dis_idx]] - window[ju[dis_idx]]))
+    return out

@@ -8,9 +8,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rpdml
 from rpdml import cli
@@ -423,6 +426,19 @@ class TestBacktest:
                        "--outdir", str(outdir)) == 1
         assert "need at least two periods" in capsys.readouterr().err
         assert not (outdir / "metrics.json").exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.25, 3.0]) | st.floats(-5, 5),
+                             min_size=1, max_size=8), min_size=1, max_size=6))
+    def test_grouped_median_split_equals_np_median(self, returns):
+        # Odd and even lengths, ties at the median, several lengths in one call.
+        windows = [(np.zeros((len(r), 2)), np.array(r)) for r in returns]
+        provider = cli.make_metric_provider("rpdml", dict(cli._BACKTEST_DEFAULTS), 0)
+        with mock.patch.object(cli, "train_many", lambda windows, config: windows):
+            split = provider(windows)
+        for (_, rets), (_, labels) in zip(windows, split):
+            want = (rets > np.median(rets)).astype(int)
+            assert labels.dtype == want.dtype and np.array_equal(labels, want)
 
 
 class TestBenchConvergence:
@@ -984,3 +1000,50 @@ class TestDeterminism:
                        "--outdir", str(tmp_path / "ignored"), "--iters", "3") == 0
         assert (env_dir / "model.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+#: The README command sequence through ``main`` in one process, with short
+#: runs; prints the modules it loaded beyond those of ``import numpy``.
+README_SEQUENCE = r"""
+import json, sys
+import numpy
+before = set(sys.modules)
+from rpdml.cli import main
+labeled, panel = "data/labeled.csv", "data/panel.csv"
+steps = [
+    ["gen-data", "--seed", "7", "--out", labeled, "--samples", "200", "--dim", "20",
+     "--informative-dims", "4", "--noise-scale", "3"],
+    ["train", "--seed", "7", "--data", labeled, "--outdir", "runs/train1", "--train-frac", "0.5",
+     "--iters", "10"],
+    ["eval", "--seed", "7", "--data", labeled, "--outdir", "runs/eval_eucl", "--metric", "euclidean"],
+    ["eval", "--seed", "7", "--data", labeled, "--outdir", "runs/eval_maha", "--metric", "mahalanobis"],
+    ["eval", "--seed", "7", "--data", labeled, "--outdir", "runs/eval_rpdml", "--metric", "learned",
+     "--model", "runs/train1/model.json"],
+    ["gen-data", "--seed", "3", "--kind", "panel", "--out", panel, "--dim", "12",
+     "--informative-dims", "3", "--periods", "12", "--assets", "40"],
+    ["backtest", "--seed", "3", "--data", panel, "--outdir", "runs/bt1", "--metric", "rpdml",
+     "--k", "10", "--top-n", "10", "--iters", "10"],
+    ["backtest", "--seed", "3", "--data", panel, "--outdir", "runs/bt_eucl", "--metric", "euclidean",
+     "--k", "10", "--top-n", "10"],
+    ["bench-convergence", "--T", "50", "--outdir", "runs/bench1"],
+    ["export-plots", "--run", "runs/train1"],
+]
+codes = [main(argv) for argv in steps]
+print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - before),
+                  "all": sorted(sys.modules)}))
+"""
+
+
+class TestRuntimeImports:
+    def test_readme_sequence_loads_neither_numpy_ma_nor_scipy(self, tmp_path):
+        # Measured against the modules of a bare ``import numpy``: numpy 1.x
+        # loads numpy.ma itself, numpy 2 only when a call such as np.median
+        # or a bare np.unique reaches for it.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(rpdml.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", README_SEQUENCE], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True)
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["codes"] == [0] * 10
+        assert not [m for m in result["loaded"] if m == "numpy.ma" or m.startswith("numpy.ma.")]
+        assert not [m for m in result["all"] if m == "scipy" or m.startswith("scipy.")]

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,7 @@ from rpdml.metric import (
 )
 from rpdml.solver import SaddleProblem, SolverConfig, dual_ascent_step, positive_part, run
 
+from oracles import build_pairs as enumerated_pairs
 from oracles import inner_gradient, inner_objective
 
 
@@ -105,6 +107,65 @@ class TestBuildPairs:
         cleaned = pc.without_degenerate_rows()
         assert cleaned.n_similar == 1
         assert np.array_equal(cleaned.similar_diffs, [[1.0, 0.0]])
+
+
+def side_counts(labels):
+    """(same-label, different-label) pair counts of one window's labels."""
+    _, sizes = np.unique(labels, return_counts=True)
+    same = int((sizes * (sizes - 1) // 2).sum())
+    return same, labels.size * (labels.size - 1) // 2 - same
+
+
+class TestBuildPairsUnranking:
+    """``build_pairs`` unranks its draw; the oracle enumerates the triangle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 200), classes=st.integers(2, 6),
+           n_windows=st.sampled_from([1, 3]), singletons=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_the_enumerated_triangle(self, data, n, classes, n_windows,
+                                                      singletons, seed):
+        # Each window splits its rows its own way; the last rows may be
+        # singleton classes (labels no other row has).
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, classes, size=(n_windows, n))
+        labels[:, n - min(singletons, n):] = classes + np.arange(min(singletons, n))
+        features = rng.normal(size=(n_windows, n, 3))
+        # Caps below, at and above each side's count in the first window.
+        caps = [c + k for c in side_counts(labels[0]) for k in (-1, 0, 1) if c + k >= 1]
+        max_pairs = data.draw(st.sampled_from(caps + [1, 400]), label="max_pairs")
+        try:
+            want = enumerated_pairs(features, labels, max_pairs, seed)
+        except ConstraintBuildError as exc:
+            with pytest.raises(ConstraintBuildError, match=f"^{re.escape(str(exc))}$"):
+                build_pairs(features, labels, max_pairs, seed)
+            return
+        got = build_pairs(features, labels, max_pairs, seed)
+        assert len(got) == n_windows
+        for g, w in zip(got, want):
+            assert g.n_similar == w.n_similar
+            assert g.diffs.tobytes() == w.diffs.tobytes()
+
+    @pytest.mark.parametrize("labels", [["b", "a", "b", "c", "a"], [2.5, -1.0, 2.5, 2.5, 0.0]])
+    def test_labels_of_any_sortable_dtype(self, labels):
+        features = np.random.default_rng(0).normal(size=(1, 5, 2))
+        for max_pairs in (1, 2, 10):
+            got = build_pairs(features, np.array([labels]), max_pairs, 3)[0]
+            want = enumerated_pairs(features, np.array([labels]), max_pairs, 3)[0]
+            assert got.diffs.tobytes() == want.diffs.tobytes() and got.n_similar == want.n_similar
+
+    def test_peak_memory_is_linear_in_rows(self):
+        # The triangle of 8000 rows alone would take ~1 GiB of indices and mask.
+        rng = np.random.default_rng(0)
+        features, labels = rng.normal(size=(1, 8000, 20)), rng.integers(0, 3, size=(1, 8000))
+        tracemalloc.start()
+        try:
+            pc = build_pairs(features, labels, 200, 0)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pc.n_similar == 200 and pc.dissimilar_diffs.shape[0] == 200
+        assert peak < 8 * 2**20
 
 
 class TestComputeBounds:

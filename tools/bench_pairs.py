@@ -27,7 +27,13 @@ panel (``gen-data --seed 3 --kind panel --dim 12 --informative-dims 3
 --periods 12 --assets 40``, 10 iterations), each through a public entry
 point: the set-up of the 11 windows (``train_many`` with 0 iterations:
 pairs, bounds, W0 and the stacked start), the whole fit (``train_many``)
-and the ranking (``window_predictions`` with the fitted metrics).
+and the ranking (``window_predictions`` with the fitted metrics).  It also
+adds a scale table: ``build_pairs`` (``max_pairs`` 200) and a whole ``train``
+(10 iterations) on normalized ``gen-data`` labeled data with d=20 and 3
+classes, their untraced times and tracemalloc peaks at each n of
+``SCALE_ROWS``, in one fresh process per side and n.  The parent runs only up
+to ``PARENT_MAX_ROWS`` rows: a tree that enumerates the upper triangle of
+pairs needs about 16 GiB for it at n=32000.
 
 The exit code is 1 when any run fails or does not report
 ``"correct": true`` with ``"failed": 0``, else 0.
@@ -50,6 +56,9 @@ HOST_KEYS = ("nproc", "cpus_usable", "python", "numpy", "scipy", "blas", "blas_t
 SIDES = ("parent", "change")
 #: Fresh processes per side, and timed calls per stage in each, of ``--layers``.
 LAYER_ROUNDS, LAYER_REPS = 5, 30
+#: Row counts of the ``--layers`` scale table, the largest the parent runs,
+#: and the timed calls per size.
+SCALE_ROWS, PARENT_MAX_ROWS, SCALE_REPS = (1000, 2000, 4000, 8000, 32000), 8000, 3
 
 #: Times the backtest's stages in the tree on PYTHONPATH; prints one JSON line
 #: of per-stage (min, median) milliseconds over ``reps`` timed calls.
@@ -82,6 +91,33 @@ for name, fn in stages.items():
         fn()
         times.append((time.perf_counter() - start) * 1e3)
     out[name] = [round(min(times), 4), round(statistics.median(times), 4)]
+print(json.dumps(out))
+"""
+
+#: Times ``build_pairs`` and ``train`` at argv[1] rows in the tree on PYTHONPATH;
+#: prints one JSON line of (min, median) milliseconds and tracemalloc peak MiB.
+SCALE_SNIPPET = r"""
+import json, statistics, sys, time, tracemalloc
+from rpdml import data, metric
+n, reps = int(sys.argv[1]), int(sys.argv[2])
+ds = data.generate_synthetic(data.SyntheticSpec(classes=3, samples=n, dim=20, seed=7))
+features, labels = data.normalize_features(ds.features)[0], ds.labels
+config = metric.RpdmlConfig(iters=10, seed=7)
+steps = {"build_pairs": lambda: metric.build_pairs(features[None], labels[None], 200, 7),
+         "train_10_iters": lambda: metric.train(features, labels, config)}
+out = {"n": n}
+for name, fn in steps.items():
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - start) * 1e3)
+    tracemalloc.start()
+    fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out[name] = {"ms": [round(min(times), 3), round(statistics.median(times), 3)],
+                 "peak_mib": round(peak / 2**20, 3)}
 print(json.dumps(out))
 """
 
@@ -209,6 +245,25 @@ def layers(trees: dict) -> dict:
         medians = {side: statistics.median(r[stage][1] for r in per_side[side]) for side in SIDES}
         out[stage] = {**{side: [r[stage] for r in per_side[side]] for side in SIDES},
                       "change_over_parent_median": round(medians["change"] / medians["parent"], 3)}
+    out["scale"] = scale(trees)
+    return out
+
+
+def scale(trees: dict) -> dict:
+    out = {"what": f"build_pairs (max_pairs 200) and train (10 iterations) on normalized gen-data labeled data, "
+                   f"d=20, 3 classes: [min, median] ms of {SCALE_REPS} untraced calls and the "
+                   "tracemalloc peak (MiB) of one more, one fresh process per side and n, BLAS 1 thread; "
+                   f"the parent is not run above n={PARENT_MAX_ROWS} (its pair triangle needs about "
+                   "16 GiB at n=32000)"}
+    for side in SIDES:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(trees[side] / "src"))
+        rows = [n for n in SCALE_ROWS if side == "change" or n <= PARENT_MAX_ROWS]
+        out[side] = [json.loads(subprocess.run(
+            [sys.executable, "-c", SCALE_SNIPPET, str(n), str(SCALE_REPS)], env=env,
+            stdout=subprocess.PIPE, text=True, check=True).stdout.strip().splitlines()[-1]) for n in rows]
+        for n in SCALE_ROWS[len(rows):]:
+            print(f"scale: parent not run at n={n} (above {PARENT_MAX_ROWS} rows)", file=sys.stderr)
     return out
 
 
