@@ -1,4 +1,5 @@
-"""Datasets: normalization, synthetic generators, and file formats.
+"""Datasets: normalization, synthetic generators, and file formats (the
+labeled and panel CSVs and the learned model's JSON).
 
 All randomness flows from one 64-bit seed: generators spawn child
 SeedSequences (one per logical stream, in a fixed documented order) so that
@@ -8,6 +9,7 @@ adding a stream never perturbs the others.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
 import operator
@@ -16,10 +18,15 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, require_keys
+from .manifold import SpdMatrix
+
+if TYPE_CHECKING:
+    from .solver import RunTrace
 
 logger = logging.getLogger(__name__)
 
@@ -293,6 +300,56 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
             next_returns=block[:, -1].copy(),
         ))
     return PanelDataset(periods)
+
+
+# ---------------------------------------------------------------------------
+# Model JSON (written by ``train``, read by ``--metric learned``).
+
+@dataclass(frozen=True, eq=False)
+class MetricModel:
+    """A learned metric with its reference point and bounds; ``trace``, the
+    run's records, is set by ``train`` and is None on a model read by ``load``."""
+
+    w: SpdMatrix
+    w0: SpdMatrix
+    u: float
+    l: float
+    trace: RunTrace | None = None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "dim": self.w.dim,
+            "w": [float(x) for x in self.w.mat.ravel()],
+            "w0": [float(x) for x in self.w0.mat.ravel()],
+            "u": self.u,
+            "l": self.l,
+        }
+
+    def save(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
+
+    @classmethod
+    def load(cls, path: str | Path) -> "MetricModel":
+        obj = json.loads(Path(path).read_text())
+        require_keys(obj, ("dim", "w", "w0", "u", "l"), f"model file {path}")
+        n = obj["dim"]
+        if type(n) is not int or n < 1:  # excludes a JSON true, whose type is bool
+            raise ConfigError(f"model file {path}: dim must be an integer >= 1, got {n!r}")
+
+        def number(x, key: str) -> float:
+            if type(x) not in (int, float):  # a JSON bool, string, null, list or object
+                raise ConfigError(f"model file {path}: {key} must hold numbers only, got {x!r}")
+            return float(x)
+
+        def matrix(key: str) -> SpdMatrix:
+            # Row-major entries of an n x n matrix, validated as SPD.
+            entries = obj[key] if type(obj[key]) is list else [obj[key]]
+            data = np.array([number(x, key) for x in entries])
+            if data.size != n * n:
+                raise DimensionMismatchError(f"{key}: expected {n * n} entries, got {data.size}")
+            return SpdMatrix(data.reshape(n, n))
+
+        return cls(w=matrix("w"), w0=matrix("w0"), u=number(obj["u"], "u"), l=number(obj["l"], "l"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ metrics of all windows come from one call of the metric provider, so a
 learned metric can fit them together (``metric.train_many``).  When that
 call fails, each window is fit alone, and the error names each failing
 window by the period it trades.  The windows of one shape are normalized
-and ranked as one stack.
+and ranked as one stack; the periods of one asset count are scored as one.
 """
 
 from __future__ import annotations
@@ -248,27 +248,36 @@ def knn_accuracy(train_labels: Array, neighbors: Array, test_labels: Array) -> f
     return hits / len(test_labels)
 
 
-def _average_ranks(v: Array) -> Array:
-    """1-based ranks of v; each run of tied values shares the mean of its ranks."""
-    _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    return ((2 * ends - counts + 1) / 2.0)[inv]
-
-
-def spearman_ic(pred: Array, actual: Array) -> float:
-    """Rank correlation between predictions and realizations: average ranks
-    for ties, then the Pearson correlation of the ranks on their (n, 2)
-    column layout, ``scipy.stats.spearmanr``'s own path (bitwise equal).
-    A constant vector, or one holding a nan, raises ``NumericError``.
-    """
-    pred = np.asarray(pred, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if pred.shape != actual.shape or pred.ndim != 1 or pred.size < 2:
+def spearman_ic(pred: Array, actual: Array) -> float | list[float | None]:
+    """Rank correlation of predictions and realizations: average ranks (-0.0
+    ties 0.0), then their Pearson correlation by ``np.corrcoef``'s steps, as
+    ``scipy.stats.spearmanr``.  Vectors give a float (constant or nan: raises
+    ``NumericError``); (B, n) stacks, ranked by one ``argsort``, a list with
+    None for such rows.  Ranks are multiples of 1/2, so every sum is exact
+    for n <= 2^18: bitwise scipy's there, within round-off above."""
+    pred, actual = np.asarray(pred, dtype=float), np.asarray(actual, dtype=float)
+    if pred.shape != actual.shape or pred.ndim not in (1, 2) or pred.shape[-1] < 2:
         raise DimensionMismatchError("need two equal-length vectors of size >= 2")
-    if not (np.ptp(pred) > 0 and np.ptp(actual) > 0):  # a nan spread also fails
+    n = pred.shape[-1]
+    v = np.stack([pred, actual]).reshape(2, -1, n)
+    order = v.argsort(axis=-1)  # any order of tied values: they share a rank
+    ranked = np.take_along_axis(v, order, -1)
+    starts, ends = np.ones((2, *v.shape), dtype=bool)  # where runs of tied values start, end
+    starts[..., 1:] = ends[..., :-1] = ranked[..., 1:] != ranked[..., :-1]
+    first = np.maximum.accumulate(np.where(starts, np.arange(n), 0), -1)
+    last = np.minimum.accumulate(np.where(ends, np.arange(n), n)[..., ::-1], -1)[..., ::-1]
+    centered = np.empty_like(v)  # each value's mean rank less (n + 1) / 2
+    np.put_along_axis(centered, order, (first + last - (n - 1)) / 2.0, -1)
+    c = np.einsum("kbi,lbi->klb", centered, centered) * np.true_divide(1, n - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # undefined rows: None below
+        ic = np.clip(c[0, 1] / np.sqrt(c[1, 1]) / np.sqrt(c[0, 0]), -1, 1).tolist()
+    defined = (ranked[..., 0] < ranked[..., -1]).all(0).tolist()  # a nan sorts last
+    ics = [x if ok else None for x, ok in zip(ic, defined)]
+    if pred.ndim == 2:
+        return ics
+    if ics[0] is None:
         raise NumericError("rank correlation undefined for a constant vector or a nan")
-    ranks = np.column_stack([_average_ranks(pred), _average_ranks(actual)])
-    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+    return ics[0]
 
 
 def accumulated_return(period_returns: Array) -> Array:
@@ -279,25 +288,29 @@ def accumulated_return(period_returns: Array) -> Array:
     return np.cumprod(1.0 + r) - 1.0
 
 
-def max_drawdown(cumulative_values: Array) -> float:
-    """Largest peak-to-trough relative decline of a positive value series."""
+def max_drawdown(cumulative_values: Array) -> float | Array:
+    """Largest peak-to-trough relative decline of a positive value series, or
+    of each row of a stack of them."""
     v = np.asarray(cumulative_values, dtype=float)
     if v.size == 0:
         raise ConfigError("empty value series")
     if np.any(v <= 0):
         raise ConfigError("values must be positive")
-    peaks = np.maximum.accumulate(v)
-    return float(np.max((peaks - v) / peaks))
+    peaks = np.maximum.accumulate(v, axis=-1)
+    out = np.max((peaks - v) / peaks, axis=-1)
+    return out if out.ndim else float(out)
 
 
 def rolling_max_drawdown(cumulative_values: Array, window: int = 4) -> Array:
-    """max_drawdown over a trailing window, evaluated at every index."""
+    """max_drawdown over a trailing window at every index: one ``max_drawdown``
+    of the sliding windows, the front padded with the first value."""
     v = np.asarray(cumulative_values, dtype=float)
     if window < 1:
         raise ConfigError("window must be >= 1")
-    return np.array([
-        max_drawdown(v[max(0, i - window + 1): i + 1]) for i in range(v.size)
-    ])
+    if v.size == 0:
+        return v
+    padded = np.concatenate([np.repeat(v[:1], window - 1), v])
+    return max_drawdown(np.lib.stride_tricks.sliding_window_view(padded, window))
 
 
 def _annual_groups(labels: Sequence[str]) -> dict[str, list[int]]:
@@ -372,6 +385,17 @@ def window_predictions(
         yield cur_p, knn_predict(train_p.next_returns, neighbors[i]) if i in neighbors else None
 
 
+def _by_asset_count(predictions: Iterable[tuple[PanelPeriod, Array | None]]) -> tuple[list, list]:
+    """Traded (period, predictions), and per asset count the positions and
+    (B, n) predictions and next returns of its periods."""
+    traded = [(period, preds) for period, preds in predictions if preds is not None]
+    groups: dict[int, list[int]] = {}
+    for i, (period, _) in enumerate(traded):
+        groups.setdefault(len(period.asset_ids), []).append(i)
+    return traded, [(idx, np.array([traded[i][1] for i in idx]),
+                     np.array([traded[i][0].next_returns for i in idx])) for idx in groups.values()]
+
+
 def backtest_from_predictions(
     predictions: Sequence[tuple[PanelPeriod, Array | None]],
     top_n: int,
@@ -379,27 +403,24 @@ def backtest_from_predictions(
 ) -> PortfolioResult:
     """Form equal-weight top-N portfolios from per-period predictions.
 
-    Prediction ties break toward the smaller asset id.  Periods whose
-    predictions are missing are recorded as skipped.
+    Prediction ties break toward the smaller asset id (-0.0 ties 0.0).
+    Periods whose predictions are missing are recorded as skipped.  Periods
+    of one asset count are ranked by one ``lexsort``.
     """
-    labels, returns, skipped = [], [], []
-    for period, preds in predictions:
-        if preds is None:
-            skipped.append(period.label)
-            continue
+    predictions = list(predictions)
+    skipped = [period.label for period, preds in predictions if preds is None]
+    traded, stacks = _by_asset_count(predictions)
+    for period, _ in traded:  # the first period too small for top_n
         if not 1 <= top_n <= len(period.asset_ids):
             raise ConfigError(f"top_n={top_n} out of range for {len(period.asset_ids)} assets")
-        order = sorted(
-            range(len(period.asset_ids)),
-            key=lambda i: (-preds[i], period.asset_ids[i]),
-        )
-        chosen = order[:top_n]
-        labels.append(period.label)
-        returns.append(float(np.mean(period.next_returns[chosen])))
-    returns = np.asarray(returns)
+    returns = np.empty(len(traded))
+    for idx, preds, next_returns in stacks:
+        ids = np.array([traded[i][0].asset_ids for i in idx])
+        chosen = np.lexsort((ids, -preds), axis=1)[:, :top_n]
+        returns[idx] = np.take_along_axis(next_returns, chosen, 1).mean(axis=1)
+    labels = [period.label for period, _ in traded]
     cumulative = accumulated_return(returns) if returns.size else np.array([])
-    wealth = 1.0 + cumulative
-    mdd = rolling_max_drawdown(wealth, mdd_window) if returns.size else np.array([])
+    mdd = rolling_max_drawdown(1.0 + cumulative, mdd_window)
     annual = {}
     for year, idxs in _annual_groups(labels).items():
         annual[year] = float(np.prod(1.0 + returns[idxs]) - 1.0)
@@ -421,17 +442,14 @@ def rolling_ic(
     Takes the ``window_predictions`` output, as ``backtest_from_predictions``
     does; skipped periods are left out.  A period whose IC is undefined
     (constant predictions or realizations) is kept with the value None.
+    Periods of one asset count share one ``spearman_ic`` call.
     """
-    out = []
-    for period, preds in predictions:
-        if preds is None:
-            continue
-        try:
-            ic = spearman_ic(preds, period.next_returns)
-        except NumericError:
-            ic = None
-        out.append((period.label, ic))
-    return out
+    traded, stacks = _by_asset_count(predictions)
+    ics: list[float | None] = [None] * len(traded)
+    for idx, preds, next_returns in stacks:
+        for i, ic in zip(idx, spearman_ic(preds, next_returns)):
+            ics[i] = ic
+    return [(period.label, ic) for (period, _), ic in zip(traded, ics)]
 
 
 def ic_summary(ics: Sequence[tuple[str, float | None]]) -> dict:

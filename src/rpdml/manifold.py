@@ -190,7 +190,8 @@ def rowwise_quadratic(w_mat: Array, rows: Array) -> Array:
     """diag(X @ W @ X.T) from one BLAS product X @ W and a row-wise dot.
 
     A row's value may move at round-off with the rest of the batch, so
-    ``metric`` passes one fixed pair matrix per train, and
+    ``metric`` takes each window's pair distances from one batched product
+    (one BLAS call per window's fixed pair matrix), and
     ``evaluation.knn_neighbors`` uses its own BLAS screen only to choose
     candidates, then ranks them by row-wise distances that do not depend on
     the batch.

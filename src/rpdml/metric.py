@@ -36,38 +36,35 @@ xi_{t+1} >= 0.  By induction gamma stays 0; the projection keeps the bound.
 Dual and slack vectors are plain nonnegative ndarrays; nonnegativity is
 maintained by the updates themselves and recorded in the trace.
 
-``PairConstraints`` builds a window's pairs; ``bounded(u, l)`` gives the
-``BoundedPairs`` (rows, signs and bounds) that the constraint kernels take.
-``train_many`` fits many windows' problems as one: their product, B SPD
-matrices with the windows' constraints side by side, is again this saddle
-problem, and its steps separate by window.  ``BoundedPairs.stack`` holds
-their pairs with a leading window axis, the kernels work on every array
-with that axis, and the windows share their pair set-up (``_prepare``).
+``PairConstraints`` holds one window's pairs or many windows'; ``bounded(u,
+l)`` gives the ``BoundedPairs`` (rows, signs and bounds) that the constraint
+kernels take.  ``train_many`` fits many windows' problems as one: their
+product, B SPD matrices with the windows' constraints side by side, is again
+this saddle problem, and its steps separate by window.  The windows' pairs
+stay one stack from the draw to the ``BoundedPairs`` of each pair count,
+with a leading window axis that the kernels take (``_prepare``).
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .data import MetricModel
 from .errors import (
     BoundsError,
     ConfigError,
     ConstraintBuildError,
     DimensionMismatchError,
     InnerSolveError,
-    require_keys,
 )
 from .manifold import (
     EPS_PD,
     SpdMatrix,
-    rowwise_quadratic,
     spd_inverse,
     spd_logdet,
     sym,
@@ -103,76 +100,74 @@ class BoundedPairs:
     signs: Array
     bounds: Array
 
-    @classmethod
-    def stack(cls, windows: Sequence["BoundedPairs"]) -> "BoundedPairs":
-        arrays = [np.stack([getattr(p, name) for p in windows])
-                  for name in ("diffs", "signs", "bounds")]
-        for a in arrays:
-            a.flags.writeable = False
-        return cls(*arrays)
-
     @property
     def dim(self) -> int:
         return self.diffs.shape[-1]
 
 
-@dataclass(frozen=True, eq=False)
 class PairConstraints:
-    """Difference vectors of similar / dissimilar sample pairs.
+    """Differences x_i - x_j of similar / dissimilar pairs of one window
+    (``PairConstraints(similar, dissimilar)``) or of B windows: read-only rows
+    ``diffs``, window after window and similar rows first, read-only
+    ``signs`` (+1 / -1) and the (B, 2) side ``counts``.  ``pcs[b]`` is window
+    b's, ``pcs[index_array]`` those windows'; ``n_similar``,
+    ``similar_diffs`` and ``dissimilar_diffs`` are the first window's."""
 
-    One read-only stacked matrix ``diffs`` (similar rows first) with its
-    ``signs`` (+1 similar, -1 dissimilar); ``similar_diffs`` and
-    ``dissimilar_diffs`` are views.
-    """
-
-    similar_diffs: Array
-    dissimilar_diffs: Array
-    diffs: Array = field(init=False, repr=False)
-    signs: Array = field(init=False, repr=False)
-
-    def __post_init__(self):
-        sd = np.atleast_2d(np.asarray(self.similar_diffs, dtype=float))
-        dd = np.atleast_2d(np.asarray(self.dissimilar_diffs, dtype=float))
+    def __init__(self, similar_diffs: Array, dissimilar_diffs: Array):
+        sd, dd = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (similar_diffs, dissimilar_diffs))
         if sd.shape[0] < 1 or dd.shape[0] < 1:
             raise ConstraintBuildError("need at least one pair on each side")
         if sd.shape[1] != dd.shape[1]:
-            raise DimensionMismatchError(
-                f"feature dims differ: {sd.shape[1]} vs {dd.shape[1]}"
-            )
-        n_s = sd.shape[0]
-        diffs = np.vstack([sd, dd])
-        signs = np.ones(diffs.shape[0])
-        signs[n_s:] = -1.0
+            raise DimensionMismatchError(f"feature dims differ: {sd.shape[1]} vs {dd.shape[1]}")
+        self._hold(np.vstack([sd, dd]), np.array([[len(sd), len(dd)]]))
+
+    def _hold(self, diffs: Array, counts: Array) -> "PairConstraints":
         diffs.flags.writeable = False
-        signs.flags.writeable = False
-        object.__setattr__(self, "diffs", diffs)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "similar_diffs", diffs[:n_s])
-        object.__setattr__(self, "dissimilar_diffs", diffs[n_s:])
+        n_s = self.n_similar = int(counts[0, 0])
+        self.diffs, self.counts, self.similar_diffs = diffs, counts, diffs[:n_s]
+        self.dissimilar_diffs = diffs[n_s:counts[0].sum()]
+        self.signs = np.repeat([1.0, -1.0] * len(counts), counts.ravel())
+        self.signs.flags.writeable = False
+        return self
 
-    @property
-    def n_similar(self) -> int:
-        return self.similar_diffs.shape[0]
+    def __len__(self) -> int:
+        return len(self.counts)
 
-    def bounded(self, u: float, l: float) -> BoundedPairs:
-        """These pairs with bounds 0 < u < l, sharing the read-only rows."""
-        if not (u > 0 and l > 0 and u < l):
+    def __getitem__(self, b) -> "PairConstraints":
+        b = np.atleast_1d(b)  # an index past the last window raises IndexError
+        sizes = self.counts.sum(1)
+        rows = np.arange(sizes[b].sum()) + np.repeat(sizes.cumsum()[b] - sizes[b].cumsum(), sizes[b])
+        return _pairs(self.diffs[rows], self.counts[b])
+
+    def bounded(self, u, l) -> BoundedPairs:
+        """These pairs with bounds 0 < u < l, sharing the read-only rows; with
+        (B,) arrays u, l, B windows of one pair count, on a leading axis."""
+        if not np.all((0 < u) & (u < l)):  # nan fails
             raise ConfigError(f"bounds must satisfy 0 < u < l, got u={u}, l={l}")
-        bounds = np.where(self.signs > 0, u, l)
+        x, signs, lead = self.diffs, self.signs, np.shape(u)
+        if lead:
+            x, signs, u, l = x.reshape(*lead, -1, x.shape[1]), signs.reshape(*lead, -1), u[:, None], l[:, None]
+        bounds = np.where(signs > 0, u, l)
         bounds.flags.writeable = False
-        return BoundedPairs(self.diffs, self.signs, bounds)
+        return BoundedPairs(x, signs, bounds)
 
     def without_degenerate_rows(self) -> "PairConstraints":
-        """Drop difference rows of norm at most ``DEGENERATE_ROW_TOL`` (duplicate points)."""
-        keep = np.linalg.norm(self.diffs, axis=1) > DEGENERATE_ROW_TOL
-        dropped = int((~keep).sum())
-        if dropped == 0:
+        """Drop difference rows of norm at most ``DEGENERATE_ROW_TOL`` (duplicate
+        points) in one pass; a window that has one loses pairs."""
+        keep = np.einsum("ij,ij->i", self.diffs, self.diffs) > DEGENERATE_ROW_TOL**2
+        if keep.all():
             return self
-        keep_s, keep_d = keep[: self.n_similar], keep[self.n_similar:]
-        if not keep_s.any() or not keep_d.any():
+        kept = np.add.reduceat(keep, np.r_[0, self.counts.cumsum()[:-1]], dtype=int).reshape(-1, 2)
+        if not kept.all():
             raise ConstraintBuildError("all pairs on one side are degenerate (zero difference)")
-        logger.warning("dropping %d degenerate zero-difference pair rows", dropped)
-        return PairConstraints(self.similar_diffs[keep_s], self.dissimilar_diffs[keep_d])
+        for dropped in filter(None, (self.counts - kept).sum(1).tolist()):
+            logger.warning("dropping %d degenerate zero-difference pair rows", dropped)
+        return _pairs(self.diffs[keep], kept)
+
+
+def _pairs(diffs: Array, counts: Array) -> PairConstraints:
+    """``PairConstraints`` of rows already laid out, and their side counts."""
+    return object.__new__(PairConstraints)._hold(diffs, counts)
 
 
 @dataclass(frozen=True)
@@ -208,61 +203,15 @@ class RpdmlConfig:
             raise ConfigError("max_pairs must be >= 1")
 
 
-@dataclass(frozen=True, eq=False)
-class MetricModel:
-    """A learned metric with its reference point and bounds; ``trace``, the
-    run's records, is set by ``train`` and is None on a model read by ``load``."""
-
-    w: SpdMatrix
-    w0: SpdMatrix
-    u: float
-    l: float
-    trace: RunTrace | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.w.dim,
-            "w": [float(x) for x in self.w.mat.ravel()],
-            "w0": [float(x) for x in self.w0.mat.ravel()],
-            "u": self.u,
-            "l": self.l,
-        }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MetricModel":
-        obj = json.loads(Path(path).read_text())
-        require_keys(obj, ("dim", "w", "w0", "u", "l"), f"model file {path}")
-        n = obj["dim"]
-        if type(n) is not int or n < 1:  # excludes a JSON true, whose type is bool
-            raise ConfigError(f"model file {path}: dim must be an integer >= 1, got {n!r}")
-
-        def number(x, key: str) -> float:
-            if type(x) not in (int, float):  # a JSON bool, string, null, list or object
-                raise ConfigError(f"model file {path}: {key} must hold numbers only, got {x!r}")
-            return float(x)
-
-        def matrix(key: str) -> SpdMatrix:
-            # Row-major entries of an n x n matrix, validated as SPD.
-            entries = obj[key] if type(obj[key]) is list else [obj[key]]
-            data = np.array([number(x, key) for x in entries])
-            if data.size != n * n:
-                raise DimensionMismatchError(f"{key}: expected {n * n} entries, got {data.size}")
-            return SpdMatrix(data.reshape(n, n))
-
-        return cls(w=matrix("w"), w0=matrix("w0"), u=number(obj["u"], "u"), l=number(obj["l"], "l"))
-
-
-def build_pairs(features: Array, labels: Array, max_pairs: int, seed: int) -> list[PairConstraints]:
+def build_pairs(features: Array, labels: Array, max_pairs: int, seed: int) -> PairConstraints:
     """Each window's same-label and different-label pair differences x_i - x_j.
 
-    Takes (B, n, d) features and (B, n) labels and returns the B windows' pairs,
-    each as the window alone gets them: all of a side's pairs (i < j) under the
-    cap, else a seeded draw of ``max_pairs`` positions in (i, j) order that
-    depends only on the seed, the side, its pair count and ``max_pairs``, each
-    unranked to its pair in O(n + m) memory for m pairs, with no triangle."""
+    Takes (B, n, d) features and (B, n) labels and returns the B windows'
+    pairs side by side, each as the window alone gets them: all of a side's
+    pairs (i < j) under the cap, else a seeded draw of ``max_pairs`` positions
+    in (i, j) order that depends only on the seed, the side, its pair count and
+    ``max_pairs``, each unranked to its pair in O(n + m) memory for m pairs,
+    with no triangle."""
     features, labels = np.asarray(features, dtype=float), np.asarray(labels)
     if features.shape[:2] != labels.shape:
         raise DimensionMismatchError("features and labels disagree on sample count")
@@ -295,7 +244,13 @@ def build_pairs(features: Array, labels: Array, max_pairs: int, seed: int) -> li
         # class, q + (members with at most q outside rows below), q = (outside rows before i) + r.
         j = order[s + 1 + r] if side == 0 else i - s + r + keys.searchsorted(keys[s] + r, "right")
         sides.append(np.split(np.array([i, j]), p.searchsorted(ends[:-1]), axis=1))
-    return [PairConstraints(*(np.subtract(*rows.take(ij, 0)) for ij in pair)) for pair in zip(*sides)]
+    pairs = [ij for window in zip(*sides) for ij in window]  # window after window, similar first
+    i, j = np.concatenate(pairs, axis=1)
+    diffs = np.empty((i.size, rows.shape[1]))
+    step = max(1, 8192 // rows.shape[1])  # gathers of at most 64 KB, not stack-sized
+    for s in range(0, i.size, step):
+        np.subtract(rows.take(i[s:s + step], 0), rows.take(j[s:s + step], 0), out=diffs[s:s + step])
+    return _pairs(diffs, np.array([ij.shape[1] for ij in pairs]).reshape(-1, 2))
 
 
 def compute_bounds(distances: Array, p_lo: float, p_hi: float) -> tuple[Array, Array]:
@@ -306,13 +261,7 @@ def compute_bounds(distances: Array, p_lo: float, p_hi: float) -> tuple[Array, A
         raise BoundsError("distance sample is empty")
     if not (0 < p_lo < p_hi < 100):
         raise ConfigError("percentiles must satisfy 0 < lo < hi < 100")
-    n = d.shape[1]
-
-    def nearest_rank(p: float) -> Array:
-        rank = max(1, math.ceil(p / 100.0 * n))
-        return d[:, rank - 1]
-
-    u, l = nearest_rank(p_lo), nearest_rank(p_hi)
+    u, l = (d[:, max(1, math.ceil(p / 100.0 * d.shape[1])) - 1] for p in (p_lo, p_hi))  # nearest rank
     if not np.all(u < l):
         u = u[np.argmin(u < l)]  # the first degenerate window's
         raise BoundsError(f"degenerate distance distribution (u = l = {u:g}); provide more varied data")
@@ -426,41 +375,50 @@ def inverse_covariance_metric(features: Array) -> SpdMatrix:
     return spd_inverse(_ridged_covariance(features))
 
 
-def _reference(features: Array, config: RpdmlConfig) -> tuple[SpdMatrix, Array, float]:
+def _reference(features: Array, config: RpdmlConfig) -> tuple[Array, Array, float]:
     """A window's W0, W0^-1 and log det W0: I (inverse I, log det 0) in closed
     form, or one ``spd_inverse`` of the ridged covariance, which is W0^-1 itself."""
     if config.w0 == "identity":
-        w0 = SpdMatrix.identity(features.shape[1])
-        return w0, w0.mat, 0.0
+        eye = np.eye(features.shape[1])
+        return eye, eye, 0.0
     cov = _ridged_covariance(features)
     w0 = spd_inverse(cov)
-    return w0, cov.mat, spd_logdet(w0)
+    return w0.mat, cov.mat, spd_logdet(w0)
+
+
+def _groups(keys: list) -> list[list[int]]:
+    """Positions of equal keys, grouped in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 def _prepare(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> list[tuple]:
-    """By pair count m, a list of (window indices, each window's bounded pairs,
-    W0, W0^-1 and log det W0, the windows' (B,) bounds u and l: percentiles of
-    the pair distances under W0).  Windows of one shape share a ``build_pairs``
-    call, and those of one m a ``compute_bounds`` call."""
+    """By pair count m, a list of (window indices, their (B, m, d) bounded
+    pairs, (B, d, d) W0 and W0^-1, and (B,) log det W0 and bounds u and l:
+    percentiles of the pair distances under W0).  Windows of one shape share
+    a ``build_pairs`` call, and those of one m a gather (none if that is all),
+    a batched distance product and a ``compute_bounds`` call."""
     windows = [(np.atleast_2d(np.asarray(f, dtype=float)), np.asarray(y)) for f, y in windows]
-    by_shape: dict[tuple, list[int]] = {}
-    for i, (features, labels) in enumerate(windows):
-        by_shape.setdefault((features.shape, labels.shape), []).append(i)
-    pcs = {}
-    for idx in by_shape.values():
-        built = build_pairs(np.stack([windows[i][0] for i in idx]),
-                            np.stack([windows[i][1] for i in idx]), config.max_pairs, config.seed)
-        pcs.update((i, pc.without_degenerate_rows()) for i, pc in zip(idx, built))
-    by_count: dict[int, list[int]] = {}
-    for i in range(len(windows)):
-        by_count.setdefault(pcs[i].diffs.shape[0], []).append(i)
+    shapes = _groups([(f.shape, y.shape) for f, y in windows])
+    built = [build_pairs(*map(np.array, zip(*(windows[i] for i in idx))), config.max_pairs,
+                         config.seed).without_degenerate_rows() for idx in shapes]
+    if not built:
+        return []
+    pcs = built[0] if len(built) == 1 else _pairs(
+        *(np.concatenate([getattr(pc, a) for pc in built]) for a in ("diffs", "counts")))
+    order = [i for idx in shapes for i in idx]  # the windows of pcs
     groups = []
-    for idx in by_count.values():
-        w0, w0_inv, w0_logdet = zip(*(_reference(windows[i][0], config) for i in idx))
-        dists = np.stack([rowwise_quadratic(w.mat, pcs[i].diffs) for w, i in zip(w0, idx)])
-        u, l = compute_bounds(dists, config.percentile_lo, config.percentile_hi)
-        pairs = [pcs[i].bounded(*ul) for i, *ul in zip(idx, u, l)]
-        groups.append((idx, pairs, w0, w0_inv, w0_logdet, u, l))
+    for sel in _groups(pcs.counts.sum(1).tolist()):
+        idx = [order[b] for b in sel]
+        w0, w0_inv, w0_logdet = map(np.array, zip(*(_reference(windows[i][0], config) for i in idx)))
+        pairs = pcs if len(sel) == len(pcs) else pcs[sel]
+        x = pairs.diffs.reshape(len(sel), -1, w0.shape[-1])
+        # x @ I is x but for zeros' signs, which no kept row's distance shows.
+        xw = x if config.w0 == "identity" else x @ w0
+        u, l = compute_bounds(np.einsum("...ij,...ij->...i", xw, x), config.percentile_lo, config.percentile_hi)
+        groups.append((idx, pairs.bounded(u, l), SpdMatrix._trusted(w0), w0_inv, w0_logdet, u, l))
     return groups
 
 
@@ -506,8 +464,10 @@ def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:
     or a W step refused at the eigenvalue floor, raises ``DivergedError``
     carrying the partial trace.
     """
-    [(_, [pairs], [w0], [w0_inv], [w0_logdet], [u], [l])] = _prepare([(features, labels)], config)
-    trace = _run(pairs, w0, w0_inv, w0_logdet, config)
+    [(_, pairs, w0, w0_inv, w0_logdet, [u], [l])] = _prepare([(features, labels)], config)
+    w0 = SpdMatrix._trusted(w0.mat[0])  # the one window, unstacked
+    pairs = BoundedPairs(pairs.diffs[0], pairs.signs[0], pairs.bounds[0])
+    trace = _run(pairs, w0, w0_inv[0], w0_logdet[0], config)
     return MetricModel(w=trace.final_point[0], w0=w0, u=float(u), l=float(l), trace=trace)
 
 
@@ -515,7 +475,7 @@ def train_many(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> l
     """The metric ``train`` learns on each (features, labels) window, bitwise.
 
     The windows are prepared together (``_prepare``), each as ``train``
-    prepares it alone.  Windows of one pair count m are stacked and fit by one
+    prepares it alone.  Windows of one pair count m are fit by one
     ``solver.run`` on their product problem: a (B, d, d) W stack with (B, m)
     slacks and duals, on which the W/slack step and the dual step separate
     by window.  A run stops, raising ``DivergedError``, at the first
@@ -524,11 +484,9 @@ def train_many(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> l
     """
     out: list[SpdMatrix | None] = [None] * len(windows)
     groups = _prepare(windows, config)
-    while groups:  # a group's windows' pairs live on only in its stack while it is fitted
-        idx, pairs, w0, w0_inv, w0_logdet, _, _ = groups.pop(0)
-        pairs = BoundedPairs.stack(pairs)
-        final = _run(pairs, SpdMatrix._trusted(np.stack([w.mat for w in w0])), np.stack(w0_inv),
-                     np.array(w0_logdet), config).final_point[0]
+    while groups:  # a group's pairs live on only while it is fitted
+        idx, *prepared, _, _ = groups.pop(0)
+        final = _run(*prepared, config).final_point[0]
         for j, i in enumerate(idx):
             out[i] = SpdMatrix._trusted(final.mat[j])
     return out

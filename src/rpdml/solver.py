@@ -178,7 +178,9 @@ def dual_ascent_step(lam: Array, h_val: Array, eta: float, alpha: float) -> Arra
         raise ConfigError(f"alpha * eta = {alpha * eta:.4g} exceeds 1")
     if np.any(lam < 0):
         raise InvariantViolationError("dual vector has negative entries")
-    return positive_part((1.0 - alpha * eta) * lam + eta * h_val)
+    step = (1.0 - alpha * eta) * lam
+    step += eta * h_val
+    return np.maximum(step, 0.0, out=step)  # positive_part, in place
 
 
 def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
@@ -212,13 +214,15 @@ def run(problem: SaddleProblem, x0, config: SolverConfig) -> RunTrace:
         if h_val.shape != h0.shape:
             raise DimensionMismatchError(
                 f"constraints returned shape {h_val.shape} at t={t}, {h0.shape} at x0")
-        if not (np.isfinite(f_val) and np.all(np.isfinite(h_val))):
+        # A nan or an infinity in h makes max |h| nan or inf.
+        h_max = float(np.max(np.abs(h_val), initial=0.0))
+        if not (math.isfinite(f_val) and math.isfinite(h_max)):
             raise DivergedError(f"non-finite objective/constraints at t={t}", partial_trace(x))
         records.append(IterationRecord(
             t=t,
             eta=eta,
             objective=f_val,
-            h_max=float(np.max(np.abs(h_val), initial=0.0)),
+            h_max=h_max,
             violation=aggregate_violation(h_val),
             dual_norm=float(np.linalg.norm(lam)),
             dual_min=float(lam.min()) if lam.size else 0.0,

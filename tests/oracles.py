@@ -1,5 +1,7 @@
-"""Oracles: the W subproblem, for checking ``metric.inner_solve_w``, and the
-pair enumeration that ``metric.build_pairs`` reproduces without enumerating.
+"""Oracles: the W subproblem, for checking ``metric.inner_solve_w``; the
+pair enumeration that ``metric.build_pairs`` reproduces without enumerating;
+the per-window stacking of bounded pairs; and the per-period rank IC,
+portfolio and drawdown loops that ``evaluation`` runs once per stack.
 
 The subproblem at prox anchor W_t, dual lam and step eta_t is
 
@@ -14,9 +16,9 @@ import math
 
 import numpy as np
 
-from rpdml.errors import ConstraintBuildError, DimensionMismatchError
+from rpdml.errors import ConfigError, ConstraintBuildError, DimensionMismatchError, NumericError
 from rpdml.manifold import rowwise_quadratic, spd_inverse, spd_logdet
-from rpdml.metric import PairConstraints, grad_h_contraction
+from rpdml.metric import BoundedPairs, PairConstraints, grad_h_contraction
 
 
 def logdet_divergence_raw(w, ref_inv, ref_logdet):
@@ -81,3 +83,77 @@ def build_pairs(features, labels, max_pairs, seed):
         out.append(PairConstraints(window[iu[sim_idx]] - window[ju[sim_idx]],
                                    window[iu[dis_idx]] - window[ju[dis_idx]]))
     return out
+
+
+def stack_pairs(windows):
+    """Bounded pairs of B windows of one pair count, stacked on a leading
+    window axis (read-only), as ``metric._prepare`` lays out a group."""
+    arrays = [np.stack([getattr(p, name) for p in windows]) for name in ("diffs", "signs", "bounds")]
+    for a in arrays:
+        a.flags.writeable = False
+    return BoundedPairs(*arrays)
+
+
+def average_ranks(v):
+    """1-based ranks of v; each run of tied values shares the mean of its ranks."""
+    _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2.0)[inv]
+
+
+def spearman_ic(pred, actual):
+    """Reference one-window ``evaluation.spearman_ic``: ``np.unique`` average
+    ranks and ``np.corrcoef`` on their (n, 2) column layout."""
+    pred = np.asarray(pred, dtype=float)
+    actual = np.asarray(actual, dtype=float)
+    if pred.shape != actual.shape or pred.ndim != 1 or pred.size < 2:
+        raise DimensionMismatchError("need two equal-length vectors of size >= 2")
+    if not (np.ptp(pred) > 0 and np.ptp(actual) > 0):  # a nan spread also fails
+        raise NumericError("rank correlation undefined for a constant vector or a nan")
+    ranks = np.column_stack([average_ranks(pred), average_ranks(actual)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def rolling_ic(predictions):
+    """Reference ``evaluation.rolling_ic``: one ``spearman_ic`` per period."""
+    out = []
+    for period, preds in predictions:
+        if preds is None:
+            continue
+        try:
+            ic = spearman_ic(preds, period.next_returns)
+        except NumericError:
+            ic = None
+        out.append((period.label, ic))
+    return out
+
+
+def max_drawdown(v):
+    """Largest peak-to-trough relative decline of a positive value series."""
+    peaks = np.maximum.accumulate(v)
+    return float(np.max((peaks - v) / peaks))
+
+
+def rolling_max_drawdown(cumulative_values, window=4):
+    """Reference ``evaluation.rolling_max_drawdown``: one ``max_drawdown`` per index."""
+    v = np.asarray(cumulative_values, dtype=float)
+    if window < 1:
+        raise ConfigError("window must be >= 1")
+    if np.any(v <= 0):
+        raise ConfigError("values must be positive")
+    return np.array([max_drawdown(v[max(0, i - window + 1): i + 1]) for i in range(v.size)])
+
+
+def portfolio_returns(predictions, top_n):
+    """Reference top-N selection of ``evaluation.backtest_from_predictions``:
+    per period, a Python ``sorted`` by (-prediction, asset id) and the mean of
+    the chosen assets' next returns, in rank order; skipped periods are left out."""
+    returns = []
+    for period, preds in predictions:
+        if preds is None:
+            continue
+        if not 1 <= top_n <= len(period.asset_ids):
+            raise ConfigError(f"top_n={top_n} out of range for {len(period.asset_ids)} assets")
+        order = sorted(range(len(period.asset_ids)), key=lambda i: (-preds[i], period.asset_ids[i]))
+        returns.append(float(np.mean(period.next_returns[order[:top_n]])))
+    return np.asarray(returns)

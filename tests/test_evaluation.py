@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,8 @@ from rpdml.evaluation import (
 )
 from rpdml.manifold import SpdMatrix, rowwise_quadratic
 from rpdml.metric import RpdmlConfig, train, train_many
+
+import oracles
 
 
 def make_panel(periods):
@@ -907,6 +910,145 @@ class TestRollingBacktest:
         panel = make_panel([("p0", [[0.0], [1.0]], [0.1, 0.2])])
         with pytest.raises(ConfigError, match="need at least two periods"):
             run_backtest(panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=1, top_n=1)
+
+
+@st.composite
+def rank_stack(draw):
+    """Two (B, n) stacks, each row continuous, on a small tie-heavy grid with
+    signed zeros, or constant (its IC undefined)."""
+    b, n = draw(st.integers(1, 12)), draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    stacks = []
+    for _ in range(2):
+        rows = []
+        for kind in draw(st.lists(st.sampled_from(["continuous", "grid", "constant"]),
+                                  min_size=b, max_size=b)):
+            if kind == "continuous":
+                rows.append(rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n))
+            elif kind == "grid":
+                rows.append(rng.choice(grid, size=n))
+            else:
+                rows.append(np.full(n, rng.choice(grid)))
+        stacks.append(np.array(rows))
+    return stacks
+
+
+class TestStackedSpearman:
+    """``spearman_ic`` on (B, n) stacks, bitwise against the per-row
+    reference (``np.unique`` ranks and ``np.corrcoef``) and scipy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=rank_stack())
+    def test_each_row_equals_the_oracle_and_scipy(self, case):
+        from scipy import stats  # a test oracle only; the package does not import scipy
+
+        pred, actual = case
+        got = spearman_ic(pred, actual)
+        assert len(got) == pred.shape[0]
+        for p, a, ic in zip(pred, actual, got):
+            try:
+                want = oracles.spearman_ic(p, a)
+            except NumericError:
+                assert ic is None
+                continue
+            assert type(ic) is float and ic == want
+            assert ic == float(stats.spearmanr(p, a).statistic)
+            assert spearman_ic(p, a) == ic
+
+    def test_nan_row_is_undefined(self):
+        pred = np.array([[1.0, np.nan, 3.0], [1.0, 2.0, 3.0]])
+        actual = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+        assert spearman_ic(pred, actual) == [None, oracles.spearman_ic(pred[1], actual[1])]
+
+    def test_bitwise_at_the_stated_bound(self):
+        # 2^18 values: the largest n for which the docstring claims exact sums.
+        from scipy import stats
+
+        rng = np.random.default_rng(18)
+        n = 2**18
+        pred, actual = rng.permutation(n).astype(float), rng.normal(size=n)
+        actual[: n // 2] = np.round(actual[: n // 2], 1)  # ties as well
+        assert spearman_ic(pred, actual) == float(stats.spearmanr(pred, actual).statistic)
+
+    @pytest.mark.parametrize("pred, actual", [
+        (np.ones((2, 3)), np.ones((3, 2))),
+        (np.ones((2, 1)), np.ones((2, 1))),
+        (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+    ])
+    def test_shape_errors(self, pred, actual):
+        with pytest.raises(DimensionMismatchError):
+            spearman_ic(pred, actual)
+
+
+@st.composite
+def scored_periods(draw):
+    """(period, predictions) pairs of mixed asset counts, some skipped, with
+    tied and signed-zero predictions and asset ids out of sorted order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = [1, 2, 3, 5, 8] if draw(st.booleans()) else [2, 3, 5, 8]  # one asset: IC undefined
+    out = []
+    for i in range(draw(st.integers(1, 14))):
+        n = int(rng.choice(sizes))
+        ids = [f"A{j:02d}" for j in rng.permutation(40)[:n]]
+        period = PanelPeriod(f"{2015 + i // 4}Q{i % 4 + 1}", ids, np.zeros((n, 1)),
+                             rng.uniform(-0.3, 0.4, n))
+        kind = draw(st.sampled_from(["none", "continuous", "ties"]))
+        preds = (None if kind == "none" else rng.normal(size=n) if kind == "continuous"
+                 else rng.choice([-1.0, -0.0, 0.0, 1.0], size=n))
+        out.append((period, preds))
+    return out
+
+
+class TestStackedPortfolio:
+    """The portfolio and drawdowns of ``backtest_from_predictions``, bitwise
+    against the per-period ``sorted`` selection and per-index drawdowns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(predictions=scored_periods(), top=st.sampled_from(["one", "all", "two"]),
+           mdd_window=st.integers(1, 6))
+    def test_equals_the_per_period_oracle(self, predictions, top, mdd_window):
+        smallest = min([len(p.asset_ids) for p, preds in predictions if preds is not None], default=1)
+        top_n = {"one": 1, "all": smallest, "two": 2}[top]
+        try:
+            want = oracles.portfolio_returns(predictions, top_n)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                backtest_from_predictions(predictions, top_n, mdd_window)
+            return
+        got = backtest_from_predictions(predictions, top_n, mdd_window)
+        assert got.period_returns.tobytes() == want.tobytes()
+        assert got.skipped_periods == [p.label for p, preds in predictions if preds is None]
+        if want.size:
+            wealth = 1.0 + accumulated_return(want)
+            assert got.rolling_mdd.tobytes() == oracles.rolling_max_drawdown(wealth, mdd_window).tobytes()
+        try:
+            want_ics = oracles.rolling_ic(predictions)
+        except DimensionMismatchError as exc:  # a traded period of one asset
+            with pytest.raises(DimensionMismatchError, match=f"^{re.escape(str(exc))}$"):
+                rolling_ic(predictions)
+            return
+        assert rolling_ic(predictions) == want_ics
+
+    def test_signed_zero_ties_go_to_the_smaller_asset_id(self):
+        period = PanelPeriod("p1", ["B", "A", "C"], np.zeros((3, 1)), np.array([0.1, 0.2, 0.3]))
+        result = backtest_from_predictions([(period, np.array([0.0, -0.0, -1.0]))], top_n=1)
+        assert result.period_returns.tolist() == [0.2]
+
+    def test_range_error_names_the_first_bad_period(self):
+        small = PanelPeriod("p1", ["A", "B"], np.zeros((2, 1)), np.zeros(2))
+        smaller = PanelPeriod("p2", ["A"], np.zeros((1, 1)), np.zeros(1))
+        wide = PanelPeriod("p3", ["A", "B", "C"], np.zeros((3, 1)), np.zeros(3))
+        preds = [(wide, np.zeros(3)), (small, np.zeros(2)), (smaller, np.zeros(1))]
+        with pytest.raises(ConfigError, match="^top_n=3 out of range for 2 assets$"):
+            backtest_from_predictions(preds, top_n=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(1e-3, 1e3), max_size=30), window=st.integers(1, 8))
+    def test_rolling_drawdown_equals_the_per_index_oracle(self, values, window):
+        v = np.array(values)
+        got = rolling_max_drawdown(v, window)
+        assert got.tobytes() == oracles.rolling_max_drawdown(v, window).tobytes()
 
 
 class TestRollingIC:

@@ -46,7 +46,7 @@ from rpdml.metric import (
 from rpdml.solver import SaddleProblem, SolverConfig, dual_ascent_step, positive_part, run
 
 from oracles import build_pairs as enumerated_pairs
-from oracles import inner_gradient, inner_objective
+from oracles import inner_gradient, inner_objective, stack_pairs
 
 
 def rand_spd(n, rng, lo=0.3, hi=3.0):
@@ -260,7 +260,7 @@ class TestStackedEvalH:
                                 rng.choice([-1.0, 1.0], m), rng.uniform(0.5, 3.0, m))
                    for _ in range(n_windows)]
         xi = rng.uniform(0.0, 2.0, (n_windows, m))
-        h = eval_h(SpdMatrix._trusted(mats), xi, BoundedPairs.stack(windows))
+        h = eval_h(SpdMatrix._trusted(mats), xi, stack_pairs(windows))
         assert h.shape == (n_windows, m)
         for b, pairs in enumerate(windows):
             q = rowwise_quadratic(mats[b], pairs.diffs)
@@ -340,7 +340,7 @@ class TestStackedConstraintLayer:
         assert np.shares_memory(pc.dissimilar_diffs, pc.diffs)
         pairs, w = pc.bounded(1.0, 5.0), SpdMatrix.identity(2)
         if stacked:  # two copies of the window side by side
-            pairs = BoundedPairs.stack([pairs, pairs])
+            pairs = stack_pairs([pairs, pairs])
             w = SpdMatrix._trusted(np.stack([w.mat, w.mat]))
         lead = (2,) if stacked else ()
         assert pairs.diffs.shape == lead + (4, 2)
@@ -354,7 +354,7 @@ class TestStackedConstraintLayer:
     def test_arrays_are_read_only_and_bounds_cached(self):
         pc = PairConstraints(np.ones((2, 3)), np.ones((1, 3)))
         pairs = pc.bounded(1.0, 2.0)
-        stack = BoundedPairs.stack([pairs, pc.bounded(0.5, 3.0)])
+        stack = stack_pairs([pairs, pc.bounded(0.5, 3.0)])
         assert np.array_equal(stack.bounds, [[1.0, 1.0, 2.0], [0.5, 0.5, 3.0]])
         for arr in (pc.diffs, pc.signs, pc.similar_diffs, pc.dissimilar_diffs,
                     pairs.bounds, stack.diffs, stack.signs, stack.bounds):
@@ -808,6 +808,81 @@ class TestTrainMany:
             return train_many([(f, (r > np.median(r)).astype(int)) for f, r in windows], config)
         with pytest.raises(ConstraintBuildError, match="^window p3: need at least two distinct labels$"):
             list(window_predictions(panel, provider, k=3))
+
+
+class TestStackedPairSetUp:
+    """``_prepare`` keeps the pairs stacked from the draw to the bounded
+    groups; each window's rows, signs, bounds and W0 must be those that its
+    own set-up gives: its ``build_pairs`` draw without degenerate rows, the
+    bounds from ``rowwise_quadratic`` distances under its W0, and ``train``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_windows=st.integers(2, 6), rows=st.sampled_from([(9,), (12,), (9, 12)]),
+           dim=st.integers(1, 4), max_pairs=st.sampled_from([3, 10, 1000]),
+           w0=st.sampled_from(W0_MODES), seed=st.integers(0, 2**32 - 1))
+    def test_each_window_equals_its_own_set_up(self, n_windows, rows, dim, max_pairs, w0, seed):
+        rng = np.random.default_rng(seed)
+        windows = []
+        for b in range(n_windows):
+            n = rows[b % len(rows)]
+            features = rng.normal(size=(n, dim))
+            if b == 1:  # zero-difference pairs: this window's pair count falls
+                features[1] = features[0]
+                features[4] = features[3]
+            labels = np.zeros(n, dtype=int)
+            labels[rng.permutation(n)[: n // 2]] = 1
+            windows.append((features, labels))
+        config = RpdmlConfig(iters=3, w0=w0, max_pairs=max_pairs, seed=int(seed % 1000))
+        try:
+            groups = metric_module._prepare(windows, config)
+        except RpdmlError:
+            with pytest.raises(RpdmlError):
+                for features, labels in windows:
+                    train(features, labels, config)
+            return
+        seen = []
+        for idx, pairs, w0s, w0_inv, _, u, l in groups:
+            assert pairs.diffs.shape[:2] == pairs.signs.shape == pairs.bounds.shape
+            for j, i in enumerate(idx):
+                features, labels = windows[i]
+                pc = build_pairs(features[None], labels[None], max_pairs, config.seed)[0]
+                pc = pc.without_degenerate_rows()
+                ref = (inverse_covariance_metric(features) if w0 == "inverse_covariance"
+                       else SpdMatrix.identity(dim))
+                [u_i], [l_i] = compute_bounds(rowwise_quadratic(ref.mat, pc.diffs)[None], 5, 95)
+                want = pc.bounded(u_i, l_i)
+                for name in ("diffs", "signs", "bounds"):
+                    assert getattr(pairs, name)[j].tobytes() == getattr(want, name).tobytes()
+                assert w0s.mat[j].tobytes() == ref.mat.tobytes()
+                assert (u[j], l[j]) == (u_i, l_i)
+                model = train(features, labels, config)
+                assert (model.u, model.l) == (u_i, l_i)
+                assert model.w0.mat.tobytes() == ref.mat.tobytes()
+                seen.append(i)
+        assert sorted(seen) == list(range(n_windows))
+        fitted = train_many(windows, config)
+        for (features, labels), w in zip(windows, fitted):
+            assert w.mat.tobytes() == train(features, labels, config).w.mat.tobytes()
+
+    def test_wide_rows_are_gathered_in_many_blocks(self):
+        # 700 features: blocks of 11 rows, so the block edges cut every window.
+        rng = np.random.default_rng(9)
+        features, labels = rng.normal(size=(3, 20, 700)), rng.integers(0, 3, size=(3, 20))
+        got = build_pairs(features, labels, 50, 4)
+        for g, w in zip(got, enumerated_pairs(features, labels, 50, 4)):
+            assert g.diffs.tobytes() == w.diffs.tobytes() and g.n_similar == w.n_similar
+
+    def test_indexing_a_stack_gives_each_window(self):
+        rng = np.random.default_rng(3)
+        features, labels = rng.normal(size=(3, 9, 2)), np.tile([0, 0, 0, 0, 1, 1, 1, 1, 1], (3, 1))
+        labels[1, 4] = 0  # another split: other side counts
+        stack = build_pairs(features, labels, 10, 2)
+        assert len(stack) == 3
+        both = stack[[2, 0]]
+        assert both.counts.tolist() == [stack[2].counts[0].tolist(), stack[0].counts[0].tolist()]
+        assert both.diffs.tobytes() == np.vstack([stack[2].diffs, stack[0].diffs]).tobytes()
+        with pytest.raises(IndexError):
+            stack[3]
 
 
 class TestSlackMultiplierIsZero:

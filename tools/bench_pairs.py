@@ -21,13 +21,16 @@ attempted ops and the host record of the runs.
 ``--traced`` adds one ``--trace 1`` run per side and workload, with the
 change-minus-parent shift of every per-layer metric and each side's spans
 per op of every traced function.  ``--layers`` adds
-in-process timings, in one fresh process per side and round
-(``LAYER_ROUNDS`` rounds), of the backtest's three stages on the README
-panel (``gen-data --seed 3 --kind panel --dim 12 --informative-dims 3
---periods 12 --assets 40``, 10 iterations), each through a public entry
-point: the set-up of the 11 windows (``train_many`` with 0 iterations:
-pairs, bounds, W0 and the stacked start), the whole fit (``train_many``)
-and the ranking (``window_predictions`` with the fitted metrics).  It also
+in-process timings of the backtest's four stages on the README panel
+(``gen-data --seed 3 --kind panel --dim 12 --informative-dims 3 --periods
+12 --assets 40``, 10 iterations), each through a public entry point: the
+set-up of the 11 windows (``train_many`` with 0 iterations: pairs, bounds,
+W0 and the stacked start), the whole fit (``train_many``), the ranking
+(``window_predictions`` with the fitted metrics) and the scoring
+(``rolling_ic`` and ``backtest_from_predictions`` of the ranked
+predictions, top 10).  Each stage is timed in its own fresh process per
+side and round (``LAYER_ROUNDS`` rounds), so that no stage inherits the
+allocator state that another stage left.  It also
 adds a scale table: ``build_pairs`` (``max_pairs`` 200) and a whole ``train``
 (10 iterations) on normalized ``gen-data`` labeled data with d=20 and 3
 classes, their untraced times and tracemalloc peaks at each n of
@@ -54,19 +57,20 @@ END_TO_END = ("setup_s", "op_s", "peak_rss_mb")
 HOST_KEYS = ("nproc", "cpus_usable", "python", "numpy", "scipy", "blas", "blas_threads",
              "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 SIDES = ("parent", "change")
-#: Fresh processes per side, and timed calls per stage in each, of ``--layers``.
+#: Rounds of fresh processes per side and stage, and timed calls in each, of ``--layers``.
 LAYER_ROUNDS, LAYER_REPS = 5, 30
 #: Row counts of the ``--layers`` scale table, the largest the parent runs,
 #: and the timed calls per size.
 SCALE_ROWS, PARENT_MAX_ROWS, SCALE_REPS = (1000, 2000, 4000, 8000, 32000), 8000, 3
 
-#: Times the backtest's stages in the tree on PYTHONPATH; prints one JSON line
-#: of per-stage (min, median) milliseconds over ``reps`` timed calls.
+#: Times one of the backtest's stages, argv[2], in the tree on PYTHONPATH;
+#: prints one JSON line of the stage's (min, median) milliseconds over
+#: argv[1] timed calls.
 LAYERS_SNIPPET = r"""
 import dataclasses, json, statistics, sys, time
 import numpy as np
 from rpdml import data, evaluation, metric
-reps = int(sys.argv[1])
+reps, stage = int(sys.argv[1]), sys.argv[2]
 panel = data.generate_synthetic_panel(data.SyntheticSpec(seed=3, dim=12, informative_dims=3),
                                       periods=12, assets_per_period=40)
 config = metric.RpdmlConfig(iters=10, seed=3)
@@ -77,22 +81,24 @@ for train_p in panel.periods[:-1]:
     windows.append((feats, (rets > np.median(rets)).astype(int)))
 set_up = dataclasses.replace(config, iters=0)
 fitted = metric.train_many(windows, config)
-stages = {
+preds = list(evaluation.window_predictions(panel, lambda w: fitted, k=10))
+fn = {
     "set_up_11_windows": lambda: metric.train_many(windows, set_up),
     "train_many_11_windows": lambda: metric.train_many(windows, config),
     "rank_11_windows": lambda: list(evaluation.window_predictions(panel, lambda w: fitted, k=10)),
-}
-out = {}
-for name, fn in stages.items():
+    "score_11_windows": lambda: (evaluation.rolling_ic(preds),
+                                 evaluation.backtest_from_predictions(preds, 10)),
+}[stage]
+fn()
+times = []
+for _ in range(reps):
+    start = time.perf_counter()
     fn()
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - start) * 1e3)
-    out[name] = [round(min(times), 4), round(statistics.median(times), 4)]
-print(json.dumps(out))
+    times.append((time.perf_counter() - start) * 1e3)
+print(json.dumps([round(min(times), 4), round(statistics.median(times), 4)]))
 """
+#: The stages of ``LAYERS_SNIPPET``, each timed in its own fresh process.
+LAYER_STAGES = ("set_up_11_windows", "train_many_11_windows", "rank_11_windows", "score_11_windows")
 
 #: Times ``build_pairs`` and ``train`` at argv[1] rows in the tree on PYTHONPATH;
 #: prints one JSON line of (min, median) milliseconds and tracemalloc peak MiB.
@@ -230,20 +236,22 @@ def traced(trees: dict, workload: str, seconds: float) -> dict:
 
 
 def layers(trees: dict) -> dict:
-    per_side: dict[str, list] = {side: [] for side in SIDES}
+    per_side: dict[str, dict] = {side: {stage: [] for stage in LAYER_STAGES} for side in SIDES}
     for number in range(LAYER_ROUNDS):
-        for side in (SIDES if number % 2 == 0 else SIDES[::-1]):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                       PYTHONPATH=str(trees[side] / "src"))
-            proc = subprocess.run([sys.executable, "-c", LAYERS_SNIPPET, str(LAYER_REPS)], env=env,
-                                  stdout=subprocess.PIPE, text=True, check=True)
-            per_side[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
-    out = {"what": f"{LAYER_REPS} timed calls after one warm-up per stage, one fresh process per side "
-                   f"and round, {LAYER_ROUNDS} rounds alternating which side runs first; "
+        for stage in LAYER_STAGES:
+            for side in (SIDES if number % 2 == 0 else SIDES[::-1]):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                           PYTHONPATH=str(trees[side] / "src"))
+                proc = subprocess.run([sys.executable, "-c", LAYERS_SNIPPET, str(LAYER_REPS), stage],
+                                      env=env, stdout=subprocess.PIPE, text=True, check=True)
+                per_side[side][stage].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    out = {"what": f"{LAYER_REPS} timed calls after one warm-up, in one fresh process per side, "
+                   f"stage and round (no stage runs after another in one process), "
+                   f"{LAYER_ROUNDS} rounds alternating which side runs first; "
                    "[min, median] ms of each round, BLAS 1 thread"}
-    for stage in per_side["parent"][0]:
-        medians = {side: statistics.median(r[stage][1] for r in per_side[side]) for side in SIDES}
-        out[stage] = {**{side: [r[stage] for r in per_side[side]] for side in SIDES},
+    for stage in LAYER_STAGES:
+        medians = {side: statistics.median(r[1] for r in per_side[side][stage]) for side in SIDES}
+        out[stage] = {**{side: per_side[side][stage] for side in SIDES},
                       "change_over_parent_median": round(medians["change"] / medians["parent"], 3)}
     out["scale"] = scale(trees)
     return out
