@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -31,6 +31,14 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 Array = np.ndarray
+
+
+def positions_by_key(keys: Iterable) -> dict[object, list[int]]:
+    """``{key: [positions]}`` of equal keys, in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +130,6 @@ class PanelDataset:
         labels = [p.label for p in self.periods]
         if sorted(labels) != labels or len(set(labels)) != len(labels):
             raise ConfigError("period labels must be strictly increasing")
-
-    def __len__(self):
-        return len(self.periods)
 
 
 # ---------------------------------------------------------------------------

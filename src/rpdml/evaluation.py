@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import PanelDataset, PanelPeriod, normalize_features
+from .data import PanelDataset, PanelPeriod, normalize_features, positions_by_key
 from .errors import ConfigError, DimensionMismatchError, NumericError, RpdmlError
 from .manifold import SpdMatrix
 from .metric import inverse_covariance_metric as mahalanobis_metric
@@ -317,14 +317,9 @@ def _annual_groups(labels: Sequence[str]) -> dict[str, list[int]]:
     """Group period indices by the year embedded in the label, or by
     consecutive chunks of four (quarterly) periods when no year is recognizable."""
     years = [re.search(r"\d{4}", str(lab)) for lab in labels]
-    groups: dict[str, list[int]] = {}
-    if all(y is not None for y in years):
-        for i, y in enumerate(years):
-            groups.setdefault(y.group(), []).append(i)
-    else:
-        for i in range(len(labels)):
-            groups.setdefault(f"year_{i // 4 + 1}", []).append(i)
-    return groups
+    if all(years):
+        return positions_by_key(y.group() for y in years)
+    return positions_by_key(f"year_{i // 4 + 1}" for i in range(len(labels)))
 
 
 def window_predictions(
@@ -352,11 +347,9 @@ def window_predictions(
     windows = list(zip(data.periods, data.periods[1:]))  # (training, traded) periods
     tradable = [i for i, (train_p, _) in enumerate(windows) if train_p.features.shape[0] >= k]
     # Windows of one shape are normalized and ranked together, as one stack.
-    groups: dict[tuple, list[int]] = {}
-    for i in tradable:
-        groups.setdefault(tuple(p.features.shape for p in windows[i]), []).append(i)
     stacks, feats = [], {}
-    for idx in groups.values():
+    for pos in positions_by_key(tuple(p.features.shape for p in windows[i]) for i in tradable).values():
+        idx = [tradable[j] for j in pos]
         train_feats, query_feats = (np.stack([windows[i][side].features for i in idx]) for side in (0, 1))
         if normalize:
             train_feats, stats_ = normalize_features(train_feats)
@@ -389,9 +382,7 @@ def _by_asset_count(predictions: Iterable[tuple[PanelPeriod, Array | None]]) -> 
     """Traded (period, predictions), and per asset count the positions and
     (B, n) predictions and next returns of its periods."""
     traded = [(period, preds) for period, preds in predictions if preds is not None]
-    groups: dict[int, list[int]] = {}
-    for i, (period, _) in enumerate(traded):
-        groups.setdefault(len(period.asset_ids), []).append(i)
+    groups = positions_by_key(len(period.asset_ids) for period, _ in traded)
     return traded, [(idx, np.array([traded[i][1] for i in idx]),
                      np.array([traded[i][0].next_returns for i in idx])) for idx in groups.values()]
 

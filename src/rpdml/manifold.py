@@ -102,12 +102,6 @@ class SpdMatrix:
     def dim(self) -> int:
         return self.mat.shape[-1]
 
-    def scaled(self, c: float) -> "SpdMatrix":
-        """c W for c > 0; acceptance criterion 2 checks scale invariance with it."""
-        if c <= 0:
-            raise InvariantViolationError("scale factor must be positive")
-        return SpdMatrix(self.mat * c)
-
     def __repr__(self):
         return f"SpdMatrix(dim={self.dim})"
 

@@ -36,13 +36,13 @@ xi_{t+1} >= 0.  By induction gamma stays 0; the projection keeps the bound.
 Dual and slack vectors are plain nonnegative ndarrays; nonnegativity is
 maintained by the updates themselves and recorded in the trace.
 
-``PairConstraints`` holds one window's pairs or many windows'; ``bounded(u,
-l)`` gives the ``BoundedPairs`` (rows, signs and bounds) that the constraint
-kernels take.  ``train_many`` fits many windows' problems as one: their
-product, B SPD matrices with the windows' constraints side by side, is again
-this saddle problem, and its steps separate by window.  The windows' pairs
-stay one stack from the draw to the ``BoundedPairs`` of each pair count,
-with a leading window axis that the kernels take (``_prepare``).
+``PairConstraints`` holds B windows' pairs; ``bounded(u, l)`` with (B,)
+bounds gives the ``BoundedPairs`` (rows, signs and bounds) that the
+constraint kernels take.  ``train_many`` fits many windows' problems as one:
+their product, B SPD matrices with the windows' constraints side by side, is
+again this saddle problem, and its steps separate by window.  The windows'
+pairs stay one stack from the draw to the ``BoundedPairs`` of each pair
+count, with a leading window axis that the kernels take (``_prepare``).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import MetricModel
+from .data import MetricModel, positions_by_key
 from .errors import (
     BoundsError,
     ConfigError,
@@ -100,35 +100,18 @@ class BoundedPairs:
     signs: Array
     bounds: Array
 
-    @property
-    def dim(self) -> int:
-        return self.diffs.shape[-1]
-
 
 class PairConstraints:
-    """Differences x_i - x_j of similar / dissimilar pairs of one window
-    (``PairConstraints(similar, dissimilar)``) or of B windows: read-only rows
-    ``diffs``, window after window and similar rows first, read-only
-    ``signs`` (+1 / -1) and the (B, 2) side ``counts``.  ``pcs[b]`` is window
-    b's, ``pcs[index_array]`` those windows'; ``n_similar``,
-    ``similar_diffs`` and ``dissimilar_diffs`` are the first window's."""
+    """Differences x_i - x_j of the similar / dissimilar pairs of B windows:
+    read-only rows ``diffs``, window after window and similar rows first,
+    read-only ``signs`` (+1 / -1) and the (B, 2) side ``counts``.  ``pcs[b]``
+    is window b's, ``pcs[index_array]`` those windows'."""
 
-    def __init__(self, similar_diffs: Array, dissimilar_diffs: Array):
-        sd, dd = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (similar_diffs, dissimilar_diffs))
-        if sd.shape[0] < 1 or dd.shape[0] < 1:
-            raise ConstraintBuildError("need at least one pair on each side")
-        if sd.shape[1] != dd.shape[1]:
-            raise DimensionMismatchError(f"feature dims differ: {sd.shape[1]} vs {dd.shape[1]}")
-        self._hold(np.vstack([sd, dd]), np.array([[len(sd), len(dd)]]))
-
-    def _hold(self, diffs: Array, counts: Array) -> "PairConstraints":
+    def __init__(self, diffs: Array, counts: Array):
         diffs.flags.writeable = False
-        n_s = self.n_similar = int(counts[0, 0])
-        self.diffs, self.counts, self.similar_diffs = diffs, counts, diffs[:n_s]
-        self.dissimilar_diffs = diffs[n_s:counts[0].sum()]
+        self.diffs, self.counts = diffs, counts
         self.signs = np.repeat([1.0, -1.0] * len(counts), counts.ravel())
         self.signs.flags.writeable = False
-        return self
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -137,19 +120,17 @@ class PairConstraints:
         b = np.atleast_1d(b)  # an index past the last window raises IndexError
         sizes = self.counts.sum(1)
         rows = np.arange(sizes[b].sum()) + np.repeat(sizes.cumsum()[b] - sizes[b].cumsum(), sizes[b])
-        return _pairs(self.diffs[rows], self.counts[b])
+        return PairConstraints(self.diffs[rows], self.counts[b])
 
-    def bounded(self, u, l) -> BoundedPairs:
-        """These pairs with bounds 0 < u < l, sharing the read-only rows; with
-        (B,) arrays u, l, B windows of one pair count, on a leading axis."""
+    def bounded(self, u: Array, l: Array) -> BoundedPairs:
+        """These pairs, B windows of one pair count, with (B,) bounds 0 < u < l
+        on a leading window axis, sharing the read-only rows."""
         if not np.all((0 < u) & (u < l)):  # nan fails
             raise ConfigError(f"bounds must satisfy 0 < u < l, got u={u}, l={l}")
-        x, signs, lead = self.diffs, self.signs, np.shape(u)
-        if lead:
-            x, signs, u, l = x.reshape(*lead, -1, x.shape[1]), signs.reshape(*lead, -1), u[:, None], l[:, None]
-        bounds = np.where(signs > 0, u, l)
+        signs = self.signs.reshape(len(u), -1)
+        bounds = np.where(signs > 0, u[:, None], l[:, None])
         bounds.flags.writeable = False
-        return BoundedPairs(x, signs, bounds)
+        return BoundedPairs(self.diffs.reshape(*signs.shape, -1), signs, bounds)
 
     def without_degenerate_rows(self) -> "PairConstraints":
         """Drop difference rows of norm at most ``DEGENERATE_ROW_TOL`` (duplicate
@@ -162,12 +143,7 @@ class PairConstraints:
             raise ConstraintBuildError("all pairs on one side are degenerate (zero difference)")
         for dropped in filter(None, (self.counts - kept).sum(1).tolist()):
             logger.warning("dropping %d degenerate zero-difference pair rows", dropped)
-        return _pairs(self.diffs[keep], kept)
-
-
-def _pairs(diffs: Array, counts: Array) -> PairConstraints:
-    """``PairConstraints`` of rows already laid out, and their side counts."""
-    return object.__new__(PairConstraints)._hold(diffs, counts)
+        return PairConstraints(self.diffs[keep], kept)
 
 
 @dataclass(frozen=True)
@@ -250,7 +226,7 @@ def build_pairs(features: Array, labels: Array, max_pairs: int, seed: int) -> Pa
     step = max(1, 8192 // rows.shape[1])  # gathers of at most 64 KB, not stack-sized
     for s in range(0, i.size, step):
         np.subtract(rows.take(i[s:s + step], 0), rows.take(j[s:s + step], 0), out=diffs[s:s + step])
-    return _pairs(diffs, np.array([ij.shape[1] for ij in pairs]).reshape(-1, 2))
+    return PairConstraints(diffs, np.array([ij.shape[1] for ij in pairs]).reshape(-1, 2))
 
 
 def compute_bounds(distances: Array, p_lo: float, p_hi: float) -> tuple[Array, Array]:
@@ -275,10 +251,9 @@ def eval_h(w: SpdMatrix, xi: Array, pairs: BoundedPairs) -> Array:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != pairs.signs.shape:
         raise DimensionMismatchError(f"slack shape {xi.shape}, expected {pairs.signs.shape}")
-    if pairs.dim != w.dim:
-        raise DimensionMismatchError(f"pair dim {pairs.dim} != metric dim {w.dim}")
-    b = pairs.bounds
-    x = pairs.diffs
+    b, x = pairs.bounds, pairs.diffs
+    if x.shape[-1] != w.dim:
+        raise DimensionMismatchError(f"pair dim {x.shape[-1]} != metric dim {w.dim}")
     return pairs.signs * (np.einsum("...ij,...ij->...i", x @ w.mat, x) - b) - b * xi
 
 
@@ -386,14 +361,6 @@ def _reference(features: Array, config: RpdmlConfig) -> tuple[Array, Array, floa
     return w0.mat, cov.mat, spd_logdet(w0)
 
 
-def _groups(keys: list) -> list[list[int]]:
-    """Positions of equal keys, grouped in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
 def _prepare(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> list[tuple]:
     """By pair count m, a list of (window indices, their (B, m, d) bounded
     pairs, (B, d, d) W0 and W0^-1, and (B,) log det W0 and bounds u and l:
@@ -401,16 +368,16 @@ def _prepare(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> lis
     a ``build_pairs`` call, and those of one m a gather (none if that is all),
     a batched distance product and a ``compute_bounds`` call."""
     windows = [(np.atleast_2d(np.asarray(f, dtype=float)), np.asarray(y)) for f, y in windows]
-    shapes = _groups([(f.shape, y.shape) for f, y in windows])
+    shapes = positions_by_key((f.shape, y.shape) for f, y in windows).values()
     built = [build_pairs(*map(np.array, zip(*(windows[i] for i in idx))), config.max_pairs,
                          config.seed).without_degenerate_rows() for idx in shapes]
     if not built:
         return []
-    pcs = built[0] if len(built) == 1 else _pairs(
+    pcs = built[0] if len(built) == 1 else PairConstraints(
         *(np.concatenate([getattr(pc, a) for pc in built]) for a in ("diffs", "counts")))
     order = [i for idx in shapes for i in idx]  # the windows of pcs
-    groups = []
-    for sel in _groups(pcs.counts.sum(1).tolist()):
+    prepared = []
+    for sel in positions_by_key(pcs.counts.sum(1).tolist()).values():
         idx = [order[b] for b in sel]
         w0, w0_inv, w0_logdet = map(np.array, zip(*(_reference(windows[i][0], config) for i in idx)))
         pairs = pcs if len(sel) == len(pcs) else pcs[sel]
@@ -418,8 +385,8 @@ def _prepare(windows: Sequence[tuple[Array, Array]], config: RpdmlConfig) -> lis
         # x @ I is x but for zeros' signs, which no kept row's distance shows.
         xw = x if config.w0 == "identity" else x @ w0
         u, l = compute_bounds(np.einsum("...ij,...ij->...i", xw, x), config.percentile_lo, config.percentile_hi)
-        groups.append((idx, pairs.bounded(u, l), SpdMatrix._trusted(w0), w0_inv, w0_logdet, u, l))
-    return groups
+        prepared.append((idx, pairs.bounded(u, l), SpdMatrix._trusted(w0), w0_inv, w0_logdet, u, l))
+    return prepared
 
 
 def _run(pairs: BoundedPairs, w0: SpdMatrix, w0_inv: Array,

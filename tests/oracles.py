@@ -1,7 +1,8 @@
 """Oracles: the W subproblem, for checking ``metric.inner_solve_w``; the
 pair enumeration that ``metric.build_pairs`` reproduces without enumerating;
-the per-window stacking of bounded pairs; and the per-period rank IC,
-portfolio and drawdown loops that ``evaluation`` runs once per stack.
+one window's pairs from its two sides, and their per-window stacking; and
+the per-period rank IC, portfolio and drawdown loops that ``evaluation``
+runs once per stack.
 
 The subproblem at prox anchor W_t, dual lam and step eta_t is
 
@@ -80,9 +81,29 @@ def build_pairs(features, labels, max_pairs, seed):
         if sim_idx.size == 0:
             raise ConstraintBuildError("no same-label pair exists (all classes are singletons)")
         sim_idx, dis_idx = pick(sim_idx, 0), pick(np.flatnonzero(~window_same), 1)
-        out.append(PairConstraints(window[iu[sim_idx]] - window[ju[sim_idx]],
-                                   window[iu[dis_idx]] - window[ju[dis_idx]]))
+        out.append(window_pairs(window[iu[sim_idx]] - window[ju[sim_idx]],
+                                window[iu[dis_idx]] - window[ju[dis_idx]]))
     return out
+
+
+def window_pairs(similar, dissimilar):
+    """One window's ``PairConstraints`` from its similar and its dissimilar
+    difference rows, similar rows first."""
+    sd, dd = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (similar, dissimilar))
+    return PairConstraints(np.vstack([sd, dd]), np.array([[len(sd), len(dd)]]))
+
+
+def bounded_window(pc, u, l):
+    """One window's pairs under scalar bounds u, l, as ``metric.train`` runs
+    them: its ``BoundedPairs`` without the leading window axis."""
+    pairs = pc.bounded(np.array([u]), np.array([l]))
+    return BoundedPairs(pairs.diffs[0], pairs.signs[0], pairs.bounds[0])
+
+
+def sides(pc):
+    """Window 0's similar and dissimilar difference rows."""
+    n_s, n_d = pc.counts[0].tolist()
+    return pc.diffs[:n_s], pc.diffs[n_s:n_s + n_d]
 
 
 def stack_pairs(windows):

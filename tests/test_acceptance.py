@@ -34,10 +34,10 @@ from rpdml.evaluation import (
     window_predictions,
 )
 from rpdml.manifold import EPS_PD, SpdMatrix, logdet_divergence, retract
-from rpdml.metric import PairConstraints, RpdmlConfig, train
+from rpdml.metric import RpdmlConfig, train
 from rpdml.solver import prefix_bounds
 
-from oracles import inner_gradient, inner_objective
+from oracles import bounded_window, inner_gradient, inner_objective, window_pairs
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -125,7 +125,7 @@ def test_criterion_1_gradient_oracle():
     for idx in range(20):
         n = 3 if idx < 10 else 5
         w, w0, w_t = rand_spd(n, rng), rand_spd(n, rng), rand_spd(n, rng)
-        pc = PairConstraints(rng.normal(size=(4, n)), rng.normal(size=(5, n))).bounded(1.0, 3.0)
+        pc = bounded_window(window_pairs(rng.normal(size=(4, n)), rng.normal(size=(5, n))), 1.0, 3.0)
         lam = rng.uniform(0.0, 2.0, 9)
         grad = inner_gradient(w.mat, w_t, lam, w0, 0.3, pc)
         fd = np.zeros((n, n))
@@ -163,7 +163,7 @@ def test_criterion_2_manifold_invariants():
         d = logdet_divergence(w, w0)
         min_div = min(min_div, d)
         for c in (0.1, 1.0, 10.0):
-            dev = abs(logdet_divergence(w.scaled(c), w0.scaled(c)) - d)
+            dev = abs(logdet_divergence(SpdMatrix(w.mat * c), SpdMatrix(w0.mat * c)) - d)
             max_scale_dev = max(max_scale_dev, dev)
     elapsed = time.perf_counter() - t0
     ok = (min_eig >= EPS_PD and max_asym <= 1e-10 and min_div >= 0.0

@@ -246,6 +246,34 @@ class TestReadmeTrainPin:
         assert math.isclose(float(np.linalg.norm(w)), self.W_FROBENIUS, rel_tol=1e-9)
 
 
+class TestInverseCovarianceTrainPin:
+    """The README desk ``train`` of ``TestReadmeTrainPin`` with ``--w0
+    inverse_covariance``: the one CLI path through the per-window ``x @ W0``
+    product of the pair distances.  f at t=0 is round-off near 0 (d2(W0, W0)),
+    so only its violation is pinned there."""
+
+    H_VIOLATION_0 = 7086.213315538216
+    PINNED = {19: (69.15910320089662, 7.386959761899722),
+              199: (39.19798785486494, 5.111767604294657)}
+    W_FROBENIUS = 6.749795900126767
+
+    def test_trace_and_model_match_pinned_values(self, tmp_path):
+        data, outdir = tmp_path / "labeled.csv", tmp_path / "train1"
+        assert run_cli("gen-data", "--seed", "7", "--out", str(data), "--samples", "200",
+                       "--dim", "20", "--informative-dims", "4", "--noise-scale", "3") == 0
+        assert run_cli("train", "--seed", "7", "--data", str(data), "--outdir", str(outdir),
+                       "--train-frac", "0.5", "--w0", "inverse_covariance") == 0
+        records = [json.loads(line) for line in (outdir / "trace.jsonl").read_text().splitlines()]
+        assert len(records) == 200
+        assert math.isclose(records[0]["h_violation"], self.H_VIOLATION_0, rel_tol=1e-9)
+        for t, (f, h_violation) in self.PINNED.items():
+            assert records[t]["t"] == t
+            assert math.isclose(records[t]["f"], f, rel_tol=1e-9), t
+            assert math.isclose(records[t]["h_violation"], h_violation, rel_tol=1e-9), t
+        w = np.array(json.loads((outdir / "model.json").read_text())["w"])
+        assert math.isclose(float(np.linalg.norm(w)), self.W_FROBENIUS, rel_tol=1e-9)
+
+
 class TestBacktest:
     def test_backtest_writes_result(self, panel_csv, tmp_path):
         outdir = tmp_path / "bt"

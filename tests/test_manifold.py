@@ -99,7 +99,7 @@ class TestLogdetDivergence:
         rng = np.random.default_rng(1)
         w, w0 = rand_spd(3, rng), rand_spd(3, rng)
         base = logdet_divergence(w, w0)
-        scaled = logdet_divergence(w.scaled(3.7), w0.scaled(3.7))
+        scaled = logdet_divergence(SpdMatrix(w.mat * 3.7), SpdMatrix(w0.mat * 3.7))
         assert scaled == pytest.approx(base, abs=1e-10)
 
     def test_nonnegative_and_zero_iff_equal(self):

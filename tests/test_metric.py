@@ -29,7 +29,6 @@ from rpdml.metric import (
     W0_MODES,
     BoundedPairs,
     MetricModel,
-    PairConstraints,
     RpdmlConfig,
     build_pairs,
     compute_bounds,
@@ -46,7 +45,7 @@ from rpdml.metric import (
 from rpdml.solver import SaddleProblem, SolverConfig, dual_ascent_step, positive_part, run
 
 from oracles import build_pairs as enumerated_pairs
-from oracles import inner_gradient, inner_objective, stack_pairs
+from oracles import bounded_window, inner_gradient, inner_objective, sides, stack_pairs, window_pairs
 
 
 def rand_spd(n, rng, lo=0.3, hi=3.0):
@@ -66,30 +65,30 @@ class TestBuildPairs:
     def test_exhaustive_enumeration(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         pc = build_pairs(feats[None], np.array(["a", "a", "b"])[None], max_pairs=100, seed=0)[0]
-        assert pc.n_similar == 1 and pc.dissimilar_diffs.shape[0] == 2
-        assert np.array_equal(pc.similar_diffs, [[-1.0, 0.0]])  # x0 - x1
-        assert np.array_equal(pc.dissimilar_diffs, [[0.0, -2.0], [1.0, -2.0]])
+        assert pc.counts.tolist() == [[1, 2]]
+        assert np.array_equal(sides(pc)[0], [[-1.0, 0.0]])  # x0 - x1
+        assert np.array_equal(sides(pc)[1], [[0.0, -2.0], [1.0, -2.0]])
 
     def test_duplicate_rows_give_zero_row(self):
         feats = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 3.0]])
         pc = build_pairs(feats[None], np.array([0, 0, 1])[None], max_pairs=10, seed=0)[0]
-        assert np.array_equal(pc.similar_diffs, [[0.0, 0.0]])
+        assert np.array_equal(sides(pc)[0], [[0.0, 0.0]])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         feats, labels = blob_data(rng, n=40)
         a = build_pairs(feats[None], labels[None], max_pairs=50, seed=123)[0]
         b = build_pairs(feats[None], labels[None], max_pairs=50, seed=123)[0]
-        assert np.array_equal(a.similar_diffs, b.similar_diffs)
-        assert np.array_equal(a.dissimilar_diffs, b.dissimilar_diffs)
+        assert np.array_equal(sides(a)[0], sides(b)[0])
+        assert np.array_equal(sides(a)[1], sides(b)[1])
         c = build_pairs(feats[None], labels[None], max_pairs=50, seed=124)[0]
-        assert not np.array_equal(a.similar_diffs, c.similar_diffs)
+        assert not np.array_equal(sides(a)[0], sides(c)[0])
 
     def test_cap_is_respected(self):
         rng = np.random.default_rng(12)
         feats, labels = blob_data(rng, n=40)
         pc = build_pairs(feats[None], labels[None], max_pairs=25, seed=0)[0]
-        assert pc.n_similar == 25 and pc.dissimilar_diffs.shape[0] == 25
+        assert pc.counts.tolist() == [[25, 25]]
 
     def test_errors(self):
         with pytest.raises(ConstraintBuildError):
@@ -103,10 +102,10 @@ class TestBuildPairs:
             build_pairs(np.ones((3, 2)), np.array([0, 0, 1]), 10, 0)
 
     def test_degenerate_row_dropping(self):
-        pc = PairConstraints(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 2.0]]))
+        pc = window_pairs(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 2.0]]))
         cleaned = pc.without_degenerate_rows()
-        assert cleaned.n_similar == 1
-        assert np.array_equal(cleaned.similar_diffs, [[1.0, 0.0]])
+        assert cleaned.counts.tolist() == [[1, 1]]
+        assert np.array_equal(sides(cleaned)[0], [[1.0, 0.0]])
 
 
 def side_counts(labels):
@@ -143,7 +142,7 @@ class TestBuildPairsUnranking:
         got = build_pairs(features, labels, max_pairs, seed)
         assert len(got) == n_windows
         for g, w in zip(got, want):
-            assert g.n_similar == w.n_similar
+            assert g.counts.tolist() == w.counts.tolist()
             assert g.diffs.tobytes() == w.diffs.tobytes()
 
     @pytest.mark.parametrize("labels", [["b", "a", "b", "c", "a"], [2.5, -1.0, 2.5, 2.5, 0.0]])
@@ -152,7 +151,7 @@ class TestBuildPairsUnranking:
         for max_pairs in (1, 2, 10):
             got = build_pairs(features, np.array([labels]), max_pairs, 3)[0]
             want = enumerated_pairs(features, np.array([labels]), max_pairs, 3)[0]
-            assert got.diffs.tobytes() == want.diffs.tobytes() and got.n_similar == want.n_similar
+            assert got.diffs.tobytes() == want.diffs.tobytes() and got.counts.tolist() == want.counts.tolist()
 
     def test_peak_memory_is_linear_in_rows(self):
         # The triangle of 8000 rows alone would take ~1 GiB of indices and mask.
@@ -164,7 +163,7 @@ class TestBuildPairsUnranking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pc.n_similar == 200 and pc.dissimilar_diffs.shape[0] == 200
+        assert pc.counts.tolist() == [[200, 200]]
         assert peak < 8 * 2**20
 
 
@@ -202,48 +201,49 @@ class TestComputeBounds:
 
 class TestPairConstraints:
     def test_bound_validation(self):
-        pc = PairConstraints(np.ones((1, 2)), np.ones((1, 2)))
+        pc = window_pairs(np.ones((1, 2)), np.ones((1, 2)))
         for u, l in ((2.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (1.0, float("nan"))):
             with pytest.raises(ConfigError, match="0 < u < l"):
-                pc.bounded(u, l)
+                pc.bounded(np.array([u]), np.array([l]))
 
     def test_bound_vector_layout(self):
-        pc = PairConstraints(np.ones((2, 3)), np.ones((3, 3)))
-        assert np.array_equal(pc.bounded(1.0, 4.0).bounds, [1.0, 1.0, 4.0, 4.0, 4.0])
+        pc = window_pairs(np.ones((2, 3)), np.ones((3, 3)))
+        assert np.array_equal(pc.bounded(np.array([1.0]), np.array([4.0])).bounds, [[1.0, 1.0, 4.0, 4.0, 4.0]])
 
     def test_with_bounds_shares_the_stacked_rows(self):
-        # bounded shares the read-only rows and signs and adds read-only bounds;
-        # the unbounded pairs are left as they were.
-        pc = PairConstraints(np.ones((2, 3)), 2 * np.ones((3, 3)))
-        pairs = pc.bounded(1.0, 4.0)
-        assert pairs.diffs is pc.diffs and pairs.signs is pc.signs
+        # bounded shares the read-only rows and signs (as views on a leading
+        # window axis) and adds read-only bounds; the unbounded pairs are left
+        # as they were.
+        pc = window_pairs(np.ones((2, 3)), 2 * np.ones((3, 3)))
+        pairs = pc.bounded(np.array([1.0]), np.array([4.0]))
+        assert pairs.diffs.base is pc.diffs and pairs.signs.base is pc.signs
         assert not hasattr(pc, "bounds")
-        assert np.array_equal(pairs.bounds, [1.0, 1.0, 4.0, 4.0, 4.0])
+        assert np.array_equal(pairs.bounds, [[1.0, 1.0, 4.0, 4.0, 4.0]])
         assert not pairs.bounds.flags.writeable
         for u, l in ((2.0, 1.0), (-1.0, 1.0)):
             with pytest.raises(ConfigError):
-                pc.bounded(u, l)
+                pc.bounded(np.array([u]), np.array([l]))
 
 
 class TestEvalH:
     def test_similar_boundary_case(self):
-        pc = PairConstraints([[1.0, 0.0]], [[9.0, 9.0]]).bounded(1.0, 200.0)
+        pc = bounded_window(window_pairs([[1.0, 0.0]], [[9.0, 9.0]]), 1.0, 200.0)
         h = eval_h(SpdMatrix.identity(2), np.zeros(2), pc)
         assert h[0] == pytest.approx(0.0, abs=1e-12)  # 1 - 1
 
     def test_dissimilar_hand_value(self):
-        pc = PairConstraints([[0.1, 0.0]], [[2.0, 0.0]]).bounded(0.5, 1.0)
+        pc = bounded_window(window_pairs([[0.1, 0.0]], [[2.0, 0.0]]), 0.5, 1.0)
         h = eval_h(SpdMatrix.identity(2), np.zeros(2), pc)
         assert h[1] == pytest.approx(-3.0, abs=1e-12)  # -4 + 1
 
     def test_slack_decreases_similar_entry(self):
-        pc = PairConstraints([[1.0, 0.0]], [[2.0, 0.0]]).bounded(1.0, 3.0)
+        pc = bounded_window(window_pairs([[1.0, 0.0]], [[2.0, 0.0]]), 1.0, 3.0)
         h0 = eval_h(SpdMatrix.identity(2), np.array([0.0, 0.0]), pc)
         h1 = eval_h(SpdMatrix.identity(2), np.array([0.5, 0.0]), pc)
         assert h1[0] < h0[0]
 
     def test_dimension_mismatch(self):
-        pc = PairConstraints([[1.0, 0.0]], [[2.0, 0.0]]).bounded(1.0, 3.0)
+        pc = bounded_window(window_pairs([[1.0, 0.0]], [[2.0, 0.0]]), 1.0, 3.0)
         with pytest.raises(DimensionMismatchError):
             eval_h(SpdMatrix.identity(3), np.zeros(2), pc)
 
@@ -271,16 +271,16 @@ class TestStackedEvalH:
 
 class TestGradHContraction:
     def test_zero_dual(self):
-        pc = PairConstraints([[1.0, 0.0]], [[0.0, 1.0]]).bounded(1.0, 2.0)
+        pc = bounded_window(window_pairs([[1.0, 0.0]], [[0.0, 1.0]]), 1.0, 2.0)
         assert np.array_equal(grad_h_contraction(np.zeros(2), pc), np.zeros((2, 2)))
 
     def test_single_similar_pair(self):
-        pc = PairConstraints([[1.0, 0.0]], [[5.0, 5.0]]).bounded(1.0, 200.0)
+        pc = bounded_window(window_pairs([[1.0, 0.0]], [[5.0, 5.0]]), 1.0, 200.0)
         out = grad_h_contraction(np.array([2.0, 0.0]), pc)
         assert np.array_equal(out, [[2.0, 0.0], [0.0, 0.0]])
 
     def test_single_dissimilar_pair(self):
-        pc = PairConstraints([[5.0, 5.0]], [[0.0, 1.0]]).bounded(1.0, 200.0)
+        pc = bounded_window(window_pairs([[5.0, 5.0]], [[0.0, 1.0]]), 1.0, 200.0)
         out = grad_h_contraction(np.array([0.0, 3.0]), pc)
         assert np.array_equal(out, [[0.0, 0.0], [0.0, -3.0]])
 
@@ -315,7 +315,7 @@ class TestStackedConstraintLayer:
         sd = row_scale * rng.normal(size=(n_s, n))
         dd = row_scale * rng.normal(size=(n_d, n))
         l = u * gap
-        pc = PairConstraints(sd, dd).bounded(u, l)
+        pc = bounded_window(window_pairs(sd, dd), u, l)
         w = rand_spd(n, rng, lo=0.05, hi=20.0)
         m = n_s + n_d
         xi = rng.uniform(0.0, 2.0, m) * rng.integers(0, 2, m)
@@ -332,13 +332,9 @@ class TestStackedConstraintLayer:
     def test_dropping_rows_keeps_rows_signs_bounds_aligned(self, stacked):
         sd = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0]]
         dd = [[3.0, 0.0], [0.0, 0.0], [0.0, 4.0]]
-        pc = PairConstraints(sd, dd).without_degenerate_rows()
-        assert (pc.n_similar, pc.dissimilar_diffs.shape[0], pc.diffs.shape[0]) == (2, 2, 4)
-        assert np.array_equal(pc.similar_diffs, pc.diffs[:2])
-        assert np.array_equal(pc.dissimilar_diffs, pc.diffs[2:])
-        assert np.shares_memory(pc.similar_diffs, pc.diffs)
-        assert np.shares_memory(pc.dissimilar_diffs, pc.diffs)
-        pairs, w = pc.bounded(1.0, 5.0), SpdMatrix.identity(2)
+        pc = window_pairs(sd, dd).without_degenerate_rows()
+        assert (pc.counts.tolist(), pc.diffs.shape[0]) == ([[2, 2]], 4)
+        pairs, w = bounded_window(pc, 1.0, 5.0), SpdMatrix.identity(2)
         if stacked:  # two copies of the window side by side
             pairs = stack_pairs([pairs, pairs])
             w = SpdMatrix._trusted(np.stack([w.mat, w.mat]))
@@ -352,11 +348,11 @@ class TestStackedConstraintLayer:
             assert np.array_equal(arr, np.broadcast_to(row, lead + np.shape(row)))
 
     def test_arrays_are_read_only_and_bounds_cached(self):
-        pc = PairConstraints(np.ones((2, 3)), np.ones((1, 3)))
-        pairs = pc.bounded(1.0, 2.0)
-        stack = stack_pairs([pairs, pc.bounded(0.5, 3.0)])
+        pc = window_pairs(np.ones((2, 3)), np.ones((1, 3)))
+        pairs = bounded_window(pc, 1.0, 2.0)
+        stack = stack_pairs([pairs, bounded_window(pc, 0.5, 3.0)])
         assert np.array_equal(stack.bounds, [[1.0, 1.0, 2.0], [0.5, 0.5, 3.0]])
-        for arr in (pc.diffs, pc.signs, pc.similar_diffs, pc.dissimilar_diffs,
+        for arr in (pc.diffs, pc.signs, pairs.diffs, pairs.signs,
                     pairs.bounds, stack.diffs, stack.signs, stack.bounds):
             with pytest.raises(ValueError):
                 arr[0] = 7.0
@@ -367,8 +363,8 @@ class TestInnerGradient:
     def test_matches_finite_differences(self, n):
         rng = np.random.default_rng(n * 10)
         w, w0, w_t = rand_spd(n, rng), rand_spd(n, rng), rand_spd(n, rng)
-        pc = PairConstraints(
-            rng.normal(size=(4, n)), rng.normal(size=(5, n))).bounded(1.0, 3.0)
+        pc = bounded_window(window_pairs(
+            rng.normal(size=(4, n)), rng.normal(size=(5, n))), 1.0, 3.0)
         lam = rng.uniform(0.0, 2.0, 9)
         grad = inner_gradient(w.mat, w_t, lam, w0, 0.3, pc)
         h = 1e-5
@@ -389,7 +385,7 @@ class TestInnerSolveW:
     def test_stationary_at_reference(self):
         rng = np.random.default_rng(20)
         w0 = rand_spd(3, rng)
-        pc = PairConstraints(rng.normal(size=(2, 3)), rng.normal(size=(2, 3))).bounded(1.0, 2.0)
+        pc = bounded_window(window_pairs(rng.normal(size=(2, 3)), rng.normal(size=(2, 3))), 1.0, 2.0)
         w0_inv = spd_inverse(w0).mat
         out, _, _ = inner_solve_w(w0_inv, np.zeros(4), w0_inv, 0.5, pc)
         assert np.allclose(out.mat, w0.mat, atol=1e-12)
@@ -398,8 +394,8 @@ class TestInnerSolveW:
         rng = np.random.default_rng(22)
         for _ in range(10):
             w0, w_t = rand_spd(3, rng), rand_spd(3, rng)
-            pc = PairConstraints(
-                rng.normal(size=(3, 3)), rng.normal(size=(3, 3))).bounded(1.0, 3.0)
+            pc = bounded_window(window_pairs(
+                rng.normal(size=(3, 3)), rng.normal(size=(3, 3))), 1.0, 3.0)
             lam = rng.uniform(0.0, 0.1, 6)
             eta = 0.2
             out, _, _ = inner_solve_w(spd_inverse(w_t).mat, lam, spd_inverse(w0).mat, eta, pc)
@@ -410,7 +406,7 @@ class TestInnerSolveW:
     def test_output_is_spd(self):
         rng = np.random.default_rng(23)
         w0, w_t = rand_spd(3, rng), rand_spd(3, rng)
-        pc = PairConstraints(rng.normal(size=(3, 3)), rng.normal(size=(3, 3))).bounded(1.0, 3.0)
+        pc = bounded_window(window_pairs(rng.normal(size=(3, 3)), rng.normal(size=(3, 3))), 1.0, 3.0)
         out, _, _ = inner_solve_w(spd_inverse(w_t).mat, rng.uniform(0, 0.05, 6),
                                   spd_inverse(w0).mat, 0.3, pc)
         assert np.min(np.linalg.eigvalsh(out.mat)) >= EPS_PD - 1e-12
@@ -424,8 +420,8 @@ class TestInnerSolveW:
         checked = 0
         for _ in range(5):
             w0, w_t = rand_spd(4, rng), rand_spd(4, rng)
-            pc = PairConstraints(
-                rng.normal(size=(3, 4)), rng.normal(size=(3, 4))).bounded(1.0, 3.0)
+            pc = bounded_window(window_pairs(
+                rng.normal(size=(3, 4)), rng.normal(size=(3, 4))), 1.0, 3.0)
             lam = rng.uniform(0.0, 0.05, 6)
             eta = 0.4
             m_lin = (0.5 * np.linalg.inv(w0.mat)
@@ -444,7 +440,7 @@ class TestInnerSolveW:
         # A heavily weighted dissimilar pair pulls M = I/2 + I/(2 eta) - 10 e2 e2.T
         # below zero along e2: J decreases without bound along that ray.
         eye = np.eye(2)
-        pc = PairConstraints([[1.0, 0.0]], [[0.0, 1.0]]).bounded(1.0, 2.0)
+        pc = bounded_window(window_pairs([[1.0, 0.0]], [[0.0, 1.0]]), 1.0, 2.0)
         with pytest.raises(InnerSolveError, match="unbounded below"):
             inner_solve_w(eye, np.array([0.0, 10.0]), eye, 0.5, pc)
 
@@ -452,7 +448,7 @@ class TestInnerSolveW:
         # W*^-1 = M / c = diag(1e10 + 0.5, 1.5) / 1.5: its trace exceeds
         # 1 / EPS_PD, so lambda_min(W*) >= 1 / tr(W*^-1) no longer keeps W*
         # on the floor.  The step is refused, not clipped.
-        pc = PairConstraints([[1.0, 0.0]], [[0.0, 1.0]]).bounded(1.0, 2.0)
+        pc = bounded_window(window_pairs([[1.0, 0.0]], [[0.0, 1.0]]), 1.0, 2.0)
         with pytest.raises(InnerSolveError, match="floor"):
             inner_solve_w(np.diag([1e10, 1.0]), np.zeros(2), np.eye(2), 0.5, pc)
 
@@ -460,7 +456,7 @@ class TestInnerSolveW:
         # W0^-1 = diag(1.5e8, 1) pulls each W*^-1 = M / c toward it: its trace
         # is 7.5e7 + 1 at t=0 and passes 1 / EPS_PD at t=1.  The rows keep
         # W[1, 1] = 1 feasible (h = [-1, -1]), so the dual stays 0.
-        pc = PairConstraints([[0.0, 1.0]], [[0.0, 2.0]]).bounded(2.0, 3.0)
+        pc = bounded_window(window_pairs([[0.0, 1.0]], [[0.0, 2.0]]), 2.0, 3.0)
         w0_inv, w_inv = np.diag([1.5e8, 1.0]), np.eye(2)
         iterates = []
 
@@ -488,7 +484,7 @@ class TestInnerSolveW:
     def test_closed_form_is_stationary_or_raises(self, n, seed, lam_scale, eta):
         rng = np.random.default_rng(seed)
         w0, w_t = rand_spd(n, rng), rand_spd(n, rng)
-        pc = PairConstraints(rng.normal(size=(3, n)), rng.normal(size=(3, n))).bounded(1.0, 3.0)
+        pc = bounded_window(window_pairs(rng.normal(size=(3, n)), rng.normal(size=(3, n))), 1.0, 3.0)
         lam = rng.uniform(0.0, lam_scale, 6)
         m_lin = (0.5 * np.linalg.inv(w0.mat) + grad_h_contraction(lam, pc)
                  + np.linalg.inv(w_t.mat) / (2.0 * eta))
@@ -511,7 +507,7 @@ class TestInnerSolveW:
 
 class TestUpdateSlack:
     def _pc(self):
-        return PairConstraints([[1.0, 0.0]], [[2.0, 0.0]]).bounded(1.0, 3.0)
+        return bounded_window(window_pairs([[1.0, 0.0]], [[2.0, 0.0]]), 1.0, 3.0)
 
     def test_all_zero_fixed_point(self):
         out = update_slack(np.zeros(2), np.zeros(2), 0.5, 1.0, self._pc())
@@ -622,7 +618,7 @@ class TestTrain:
         rng = np.random.default_rng(45)
         feats, labels = blob_data(rng, n=50)
         pc = build_pairs(feats[None], labels[None], 200, 0)[0]
-        assert pc.n_similar >= 20 and pc.dissimilar_diffs.shape[0] >= 20
+        assert pc.counts.min() >= 20
         model = train(feats, labels, RpdmlConfig(iters=1, seed=0))
         assert model.trace.initial_violation > 0.0
 
@@ -636,7 +632,7 @@ class TestTrain:
         model = train(feats, labels, cfg)
         assert len(model.trace) == 20
         pc = build_pairs(feats[None], labels[None], cfg.max_pairs, cfg.seed)[0]
-        pc = pc.without_degenerate_rows().bounded(model.u, model.l)
+        pc = bounded_window(pc.without_degenerate_rows(), model.u, model.l)
         m = pc.signs.size
         w0_inv = spd_inverse(model.w0).mat
         w_t, lam = model.w0, np.zeros(m)
@@ -747,12 +743,11 @@ class TestTrainMany:
     def test_one_row_count_with_different_splits(self):
         windows = self._tied_windows()
         alone = [build_pairs(f[None], y[None], 10, 5)[0] for f, y in windows]
-        assert [pc.n_similar for pc in alone] == [10, 10, 10, 10]
-        assert [pc.dissimilar_diffs.shape[0] for pc in alone] == [10, 8, 10, 8]
+        assert [pc.counts[0].tolist() for pc in alone] == [[10, 10], [10, 8], [10, 10], [10, 8]]
         stacked = build_pairs(np.stack([f for f, _ in windows]), np.stack([y for _, y in windows]), 10, 5)
         for got, want in zip(stacked, alone):
             assert got.diffs.tobytes() == want.diffs.tobytes()
-            assert got.n_similar == want.n_similar
+            assert got.counts.tolist() == want.counts.tolist()
         config = RpdmlConfig(iters=15, max_pairs=10, seed=5)
         for (features, labels), w in zip(windows, train_many(windows, config)):
             assert w.mat.tobytes() == train(features, labels, config).w.mat.tobytes()
@@ -766,7 +761,7 @@ class TestTrainMany:
         second = build_pairs(features, labels, 10, 2)
         for (f, y), a, b in zip(windows, first, second):
             assert b.diffs.tobytes() == build_pairs(f[None], y[None], 10, 2)[0].diffs.tobytes()
-            assert not np.array_equal(a.similar_diffs, b.similar_diffs)
+            assert not np.array_equal(sides(a)[0], sides(b)[0])
         again = build_pairs(features, labels, 10, 1)
         assert all(a.diffs.tobytes() == c.diffs.tobytes() for a, c in zip(first, again))
 
@@ -850,7 +845,7 @@ class TestStackedPairSetUp:
                 ref = (inverse_covariance_metric(features) if w0 == "inverse_covariance"
                        else SpdMatrix.identity(dim))
                 [u_i], [l_i] = compute_bounds(rowwise_quadratic(ref.mat, pc.diffs)[None], 5, 95)
-                want = pc.bounded(u_i, l_i)
+                want = bounded_window(pc, u_i, l_i)
                 for name in ("diffs", "signs", "bounds"):
                     assert getattr(pairs, name)[j].tobytes() == getattr(want, name).tobytes()
                 assert w0s.mat[j].tobytes() == ref.mat.tobytes()
@@ -870,7 +865,7 @@ class TestStackedPairSetUp:
         features, labels = rng.normal(size=(3, 20, 700)), rng.integers(0, 3, size=(3, 20))
         got = build_pairs(features, labels, 50, 4)
         for g, w in zip(got, enumerated_pairs(features, labels, 50, 4)):
-            assert g.diffs.tobytes() == w.diffs.tobytes() and g.n_similar == w.n_similar
+            assert g.diffs.tobytes() == w.diffs.tobytes() and g.counts.tolist() == w.counts.tolist()
 
     def test_indexing_a_stack_gives_each_window(self):
         rng = np.random.default_rng(3)
@@ -902,7 +897,7 @@ class TestSlackMultiplierIsZero:
 
         # train's set-up: the same pairs, bounds and W0^-1.
         pc = build_pairs(feats[None], ds.labels[None], cfg.max_pairs, cfg.seed)[0]
-        pc = pc.without_degenerate_rows().bounded(model.u, model.l)
+        pc = bounded_window(pc.without_degenerate_rows(), model.u, model.l)
         m = pc.signs.size
         if w0 == "identity":
             w0_inv = spd_inverse(model.w0).mat

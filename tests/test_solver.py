@@ -35,6 +35,8 @@ from rpdml.solver import (
     step_sum_bounds,
 )
 
+from oracles import bounded_window
+
 
 def grid_oracle(resolution=1e-4, hi=3.0):
     # Brute-force minimum of (x-2)^2 over the feasible grid x <= 1.
@@ -365,7 +367,7 @@ class TestPrefixBounds:
         records, points = model.trace.records, train_iterates
         x0 = (model.w0, np.zeros(points[0][1].size))
         pc = build_pairs(feats[None], ds.labels[None], cfg.max_pairs, cfg.seed)[0]
-        pc = pc.without_degenerate_rows().bounded(model.u, model.l)
+        pc = bounded_window(pc.without_degenerate_rows(), model.u, model.l)
 
         def distance_sq(a, b):
             # LogDet divergence of W plus the squared slack distance.

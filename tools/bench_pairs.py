@@ -30,7 +30,10 @@ W0 and the stacked start), the whole fit (``train_many``), the ranking
 (``rolling_ic`` and ``backtest_from_predictions`` of the ranked
 predictions, top 10).  Each stage is timed in its own fresh process per
 side and round (``LAYER_ROUNDS`` rounds), so that no stage inherits the
-allocator state that another stage left.  It also
+allocator state that another stage left.  The ranking and the scoring need
+fitted metrics: each side fits the panel once, in a process of its own, and
+hands the (11, d, d) stack to those stages in a temporary ``.npy`` file, so
+that no fit runs in the process of a stage that does not time it.  It also
 adds a scale table: ``build_pairs`` (``max_pairs`` 200) and a whole ``train``
 (10 iterations) on normalized ``gen-data`` labeled data with d=20 and 3
 classes, their untraced times and tracemalloc peaks at each n of
@@ -51,6 +54,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 END_TO_END = ("setup_s", "op_s", "peak_rss_mb")
@@ -65,12 +69,15 @@ SCALE_ROWS, PARENT_MAX_ROWS, SCALE_REPS = (1000, 2000, 4000, 8000, 32000), 8000,
 
 #: Times one of the backtest's stages, argv[2], in the tree on PYTHONPATH;
 #: prints one JSON line of the stage's (min, median) milliseconds over
-#: argv[1] timed calls.
+#: argv[1] timed calls.  The ranking and scoring stages read the fitted
+#: metrics from the .npy file argv[3]; stage "fit" writes that file and times
+#: nothing.
 LAYERS_SNIPPET = r"""
 import dataclasses, json, statistics, sys, time
 import numpy as np
 from rpdml import data, evaluation, metric
-reps, stage = int(sys.argv[1]), sys.argv[2]
+from rpdml.manifold import SpdMatrix
+reps, stage, fitted_path = int(sys.argv[1]), sys.argv[2], sys.argv[3]
 panel = data.generate_synthetic_panel(data.SyntheticSpec(seed=3, dim=12, informative_dims=3),
                                       periods=12, assets_per_period=40)
 config = metric.RpdmlConfig(iters=10, seed=3)
@@ -79,9 +86,14 @@ for train_p in panel.periods[:-1]:
     feats, _ = data.normalize_features(train_p.features)
     rets = train_p.next_returns
     windows.append((feats, (rets > np.median(rets)).astype(int)))
+if stage == "fit":
+    np.save(fitted_path, np.stack([w.mat for w in metric.train_many(windows, config)]))
+    sys.exit()
 set_up = dataclasses.replace(config, iters=0)
-fitted = metric.train_many(windows, config)
-preds = list(evaluation.window_predictions(panel, lambda w: fitted, k=10))
+if stage in ("rank_11_windows", "score_11_windows"):
+    fitted = [SpdMatrix(mat) for mat in np.load(fitted_path)]
+if stage == "score_11_windows":
+    preds = list(evaluation.window_predictions(panel, lambda w: fitted, k=10))
 fn = {
     "set_up_11_windows": lambda: metric.train_many(windows, set_up),
     "train_many_11_windows": lambda: metric.train_many(windows, config),
@@ -237,17 +249,27 @@ def traced(trees: dict, workload: str, seconds: float) -> dict:
 
 def layers(trees: dict) -> dict:
     per_side: dict[str, dict] = {side: {stage: [] for stage in LAYER_STAGES} for side in SIDES}
-    for number in range(LAYER_ROUNDS):
-        for stage in LAYER_STAGES:
-            for side in (SIDES if number % 2 == 0 else SIDES[::-1]):
-                env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                           PYTHONPATH=str(trees[side] / "src"))
-                proc = subprocess.run([sys.executable, "-c", LAYERS_SNIPPET, str(LAYER_REPS), stage],
-                                      env=env, stdout=subprocess.PIPE, text=True, check=True)
-                per_side[side][stage].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    envs = {side: dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                       PYTHONPATH=str(trees[side] / "src")) for side in SIDES}
+    with tempfile.TemporaryDirectory() as tmp:
+        fitted = {side: str(Path(tmp) / f"{side}.npy") for side in SIDES}
+
+        def stage_run(side: str, stage: str) -> str:
+            argv = [sys.executable, "-c", LAYERS_SNIPPET, str(LAYER_REPS), stage, fitted[side]]
+            return subprocess.run(argv, env=envs[side], stdout=subprocess.PIPE, text=True,
+                                  check=True).stdout
+
+        for side in SIDES:
+            stage_run(side, "fit")
+        for number in range(LAYER_ROUNDS):
+            for stage in LAYER_STAGES:
+                for side in (SIDES if number % 2 == 0 else SIDES[::-1]):
+                    line = stage_run(side, stage).strip().splitlines()[-1]
+                    per_side[side][stage].append(json.loads(line))
     out = {"what": f"{LAYER_REPS} timed calls after one warm-up, in one fresh process per side, "
                    f"stage and round (no stage runs after another in one process), "
-                   f"{LAYER_ROUNDS} rounds alternating which side runs first; "
+                   f"{LAYER_ROUNDS} rounds alternating which side runs first; the ranking and "
+                   "scoring stages load the metrics that one earlier process per side fitted; "
                    "[min, median] ms of each round, BLAS 1 thread"}
     for stage in LAYER_STAGES:
         medians = {side: statistics.median(r[1] for r in per_side[side][stage]) for side in SIDES}
