@@ -314,11 +314,12 @@ def rolling_max_drawdown(cumulative_values: Array, window: int = 4) -> Array:
 
 
 def _annual_groups(labels: Sequence[str]) -> dict[str, list[int]]:
-    """Group period indices by the year embedded in the label, or by
-    consecutive chunks of four (quarterly) periods when no year is recognizable."""
+    """Group period indices by the year embedded in the label (a label
+    without one is its own group), or by consecutive chunks of four
+    (quarterly) periods when no year is recognizable."""
     years = [re.search(r"\d{4}", str(lab)) for lab in labels]
-    if all(years):
-        return positions_by_key(y.group() for y in years)
+    if any(years):
+        return positions_by_key(y.group() if y else str(lab) for y, lab in zip(years, labels))
     return positions_by_key(f"year_{i // 4 + 1}" for i in range(len(labels)))
 
 

@@ -394,31 +394,29 @@ def _run(pairs: BoundedPairs, w0: SpdMatrix, w0_inv: Array,
     """``solver.run`` on the saddle problem of the module docstring from
     (W0, 0), with ``inner_solve_w`` and ``update_slack`` as the proximal
     primal step; for one window, or for a stack of windows (each array with
-    a leading window axis), whose objective is the sum of theirs."""
+    a leading window axis), whose objective is the sum of theirs.  A point
+    is (W, xi, W^-1, log det W): each step's inverse and log-determinant
+    ride with its W, so the objective holds at any point."""
     n = w0.dim
-    # W^-1 and log det W of the latest iterate (x0 or the last solve's),
-    # carried into the objective and the next solve.
-    w_inv, w_logdet = w0_inv, w0_logdet
 
     def objective(x) -> float:
-        w, xi = x
+        w, xi, _, w_logdet = x
         d2 = np.einsum("...ij,...ji->...", w.mat, w0_inv) - (w_logdet - w0_logdet) - n
         # xi @ xi of each window, by the BLAS dot that one window's xi @ xi makes.
         slack_sq = (xi[..., None, :] @ xi[..., None])[..., 0, 0]
         return float((0.5 * d2 + 0.5 * config.c1 * slack_sq).sum())
 
     def inner_minimizer(x, lam: Array, eta: float):
-        nonlocal w_inv, w_logdet
-        w, w_inv, w_logdet = inner_solve_w(w_inv, lam, w0_inv, eta, pairs)
-        return w, update_slack(x[1], lam, eta, config.c1, pairs)
+        w, w_inv, w_logdet = inner_solve_w(x[2], lam, w0_inv, eta, pairs)
+        return w, update_slack(x[1], lam, eta, config.c1, pairs), w_inv, w_logdet
 
     def record_extras(x, lam: Array) -> dict:
         # The slack multiplier is identically 0 (module docstring); its keys stay.
         return {"slack_norm": float(np.linalg.norm(x[1])), "gamma_norm": 0.0,
                 "slack_min": float(x[1].min()), "gamma_min": 0.0}
 
-    problem = SaddleProblem(objective, lambda x: eval_h(*x, pairs), inner_minimizer, record_extras)
-    return run(problem, (w0, np.zeros(pairs.signs.shape)), config.solver)
+    problem = SaddleProblem(objective, lambda x: eval_h(x[0], x[1], pairs), inner_minimizer, record_extras)
+    return run(problem, (w0, np.zeros(pairs.signs.shape), w0_inv, w0_logdet), config.solver)
 
 
 def train(features: Array, labels: Array, config: RpdmlConfig) -> MetricModel:

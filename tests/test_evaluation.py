@@ -819,20 +819,22 @@ class TestRollingBacktest:
         for year, rs in grouped.items():
             assert result.annual_returns[year] == pytest.approx(np.prod(1.0 + np.asarray(rs)) - 1.0)
 
-    @pytest.mark.parametrize("labels", [
-        [f"p{i:02d}" for i in range(10)],  # no label holds a year
-        [f"{2017 + i // 4}Q{i % 4 + 1}" for i in range(9)] + ["last"],  # one traded label has none
-    ])
-    def test_annual_grouping_falls_back_to_chunks_of_four(self, labels):
-        # Without a 4-digit year in every traded label, the traded periods are
-        # grouped in chunks of four, in order: 9 periods give 4, 4 and 1.
+    @pytest.mark.parametrize("labels, sizes", [
+        # No label holds a year: the 9 traded periods go in chunks of four, in order.
+        ([f"p{i:02d}" for i in range(10)], {"year_1": 4, "year_2": 4, "year_3": 1}),
+        # One traded label has none: it is a group of its own, the others go by year.
+        ([f"{2017 + i // 4}Q{i % 4 + 1}" for i in range(9)] + ["last"],
+         {"2017": 3, "2018": 4, "2019": 1, "last": 1}),
+    ], ids=["labels0", "labels1"])
+    def test_annual_grouping_falls_back_to_chunks_of_four(self, labels, sizes):
         rng = np.random.default_rng(10)
         panel = make_panel([(lab, rng.normal(size=(4, 2)), rng.uniform(-0.1, 0.2, 4)) for lab in labels])
         result = run_backtest(panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=2, top_n=1)
         assert result.period_labels == labels[1:]
-        assert list(result.annual_returns) == ["year_1", "year_2", "year_3"]
-        for year, chunk in zip(result.annual_returns, (slice(0, 4), slice(4, 8), slice(8, 9))):
-            want = float(np.prod(1.0 + result.period_returns[chunk]) - 1.0)
+        assert list(result.annual_returns) == list(sizes)
+        bounds = np.cumsum([0, *sizes.values()])
+        for year, start, stop in zip(sizes, bounds[:-1], bounds[1:]):
+            want = float(np.prod(1.0 + result.period_returns[start:stop]) - 1.0)
             assert result.annual_returns[year] == want
 
     def test_provider_is_called_once_with_every_tradable_window(self):

@@ -643,6 +643,29 @@ class TestTrain:
             lam = dual_ascent_step(lam, eval_h(w_run, xi_run, pc), rec.eta, cfg.c2)
             w_t = w_run
 
+    def test_objective_holds_at_any_point(self, monkeypatch):
+        # A point carries its own W^-1 and log det W, so f is right at x0
+        # after the run has moved on, and at the last iterate.
+        runs = []
+
+        def keep_problem(problem, x0, config):
+            runs.append((problem, x0))
+            return run(problem, x0, config)
+
+        monkeypatch.setattr(metric_module, "run", keep_problem)
+        rng = np.random.default_rng(49)
+        feats, labels = blob_data(rng, n=40)
+        cfg = RpdmlConfig(iters=10, seed=4, w0="inverse_covariance")
+        model = train(feats, labels, cfg)
+        [(problem, x0)] = runs
+        assert problem.objective(x0) == pytest.approx(0.0, abs=1e-9)
+        w, xi = model.w.mat, model.trace.final_point[1]
+        w0_inv = np.linalg.inv(model.w0.mat)
+        d2 = np.trace(w @ w0_inv) - np.linalg.slogdet(w @ w0_inv)[1] - w.shape[0]
+        want = 0.5 * d2 + 0.5 * cfg.c1 * xi @ xi
+        assert problem.objective(model.trace.final_point) == pytest.approx(want, rel=1e-9)
+        assert problem.objective(model.trace.final_point) == model.trace.records[-1].objective
+
     def test_inverse_covariance_reference(self):
         rng = np.random.default_rng(46)
         feats, labels = blob_data(rng, n=40)

@@ -7,7 +7,7 @@ and one of the change):
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE \\
         --workload backtest-panel:10 --workload train-desk:6 \\
         --workload eval-large:6 --workload backtest-panel:3:11 \\
-        --traced --layers --out BENCH_<pr>.json
+        --traced --out BENCH_<pr>.json
 
 Each ``--workload NAME:PAIRS[:SEED]`` runs each tree's
 ``perfbench/run.py --trace 0`` PAIRS times, one pair at a time: the parent
@@ -20,26 +20,11 @@ attempted ops and the host record of the runs.
 
 ``--traced`` adds one ``--trace 1`` run per side and workload, with the
 change-minus-parent shift of every per-layer metric and each side's spans
-per op of every traced function.  ``--layers`` adds
-in-process timings of the backtest's four stages on the README panel
-(``gen-data --seed 3 --kind panel --dim 12 --informative-dims 3 --periods
-12 --assets 40``, 10 iterations), each through a public entry point: the
-set-up of the 11 windows (``train_many`` with 0 iterations: pairs, bounds,
-W0 and the stacked start), the whole fit (``train_many``), the ranking
-(``window_predictions`` with the fitted metrics) and the scoring
-(``rolling_ic`` and ``backtest_from_predictions`` of the ranked
-predictions, top 10).  Each stage is timed in its own fresh process per
-side and round (``LAYER_ROUNDS`` rounds), so that no stage inherits the
-allocator state that another stage left.  The ranking and the scoring need
-fitted metrics: each side fits the panel once, in a process of its own, and
-hands the (11, d, d) stack to those stages in a temporary ``.npy`` file, so
-that no fit runs in the process of a stage that does not time it.  It also
-adds a scale table: ``build_pairs`` (``max_pairs`` 200) and a whole ``train``
-(10 iterations) on normalized ``gen-data`` labeled data with d=20 and 3
-classes, their untraced times and tracemalloc peaks at each n of
-``SCALE_ROWS``, in one fresh process per side and n.  The parent runs only up
-to ``PARENT_MAX_ROWS`` rows: a tree that enumerates the upper triangle of
-pairs needs about 16 GiB for it at n=32000.
+per op of every traced function.  Those are the BENCH file's per-layer
+numbers: the self times of ``metric.pairs``, ``metric.constraints``,
+``evaluation.window``, ``evaluation.spearman`` and ``evaluation.portfolio``
+come from perfbench's own tracer, so this script runs nothing but each
+tree's ``perfbench/run.py`` and pins no interface of the package.
 
 The exit code is 1 when any run fails or does not report
 ``"correct": true`` with ``"failed": 0``, else 0.
@@ -50,94 +35,15 @@ from __future__ import annotations
 import argparse
 import collections
 import json
-import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 END_TO_END = ("setup_s", "op_s", "peak_rss_mb")
 HOST_KEYS = ("nproc", "cpus_usable", "python", "numpy", "scipy", "blas", "blas_threads",
              "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 SIDES = ("parent", "change")
-#: Rounds of fresh processes per side and stage, and timed calls in each, of ``--layers``.
-LAYER_ROUNDS, LAYER_REPS = 5, 30
-#: Row counts of the ``--layers`` scale table, the largest the parent runs,
-#: and the timed calls per size.
-SCALE_ROWS, PARENT_MAX_ROWS, SCALE_REPS = (1000, 2000, 4000, 8000, 32000), 8000, 3
-
-#: Times one of the backtest's stages, argv[2], in the tree on PYTHONPATH;
-#: prints one JSON line of the stage's (min, median) milliseconds over
-#: argv[1] timed calls.  The ranking and scoring stages read the fitted
-#: metrics from the .npy file argv[3]; stage "fit" writes that file and times
-#: nothing.
-LAYERS_SNIPPET = r"""
-import dataclasses, json, statistics, sys, time
-import numpy as np
-from rpdml import data, evaluation, metric
-from rpdml.manifold import SpdMatrix
-reps, stage, fitted_path = int(sys.argv[1]), sys.argv[2], sys.argv[3]
-panel = data.generate_synthetic_panel(data.SyntheticSpec(seed=3, dim=12, informative_dims=3),
-                                      periods=12, assets_per_period=40)
-config = metric.RpdmlConfig(iters=10, seed=3)
-windows = []
-for train_p in panel.periods[:-1]:
-    feats, _ = data.normalize_features(train_p.features)
-    rets = train_p.next_returns
-    windows.append((feats, (rets > np.median(rets)).astype(int)))
-if stage == "fit":
-    np.save(fitted_path, np.stack([w.mat for w in metric.train_many(windows, config)]))
-    sys.exit()
-set_up = dataclasses.replace(config, iters=0)
-if stage in ("rank_11_windows", "score_11_windows"):
-    fitted = [SpdMatrix(mat) for mat in np.load(fitted_path)]
-if stage == "score_11_windows":
-    preds = list(evaluation.window_predictions(panel, lambda w: fitted, k=10))
-fn = {
-    "set_up_11_windows": lambda: metric.train_many(windows, set_up),
-    "train_many_11_windows": lambda: metric.train_many(windows, config),
-    "rank_11_windows": lambda: list(evaluation.window_predictions(panel, lambda w: fitted, k=10)),
-    "score_11_windows": lambda: (evaluation.rolling_ic(preds),
-                                 evaluation.backtest_from_predictions(preds, 10)),
-}[stage]
-fn()
-times = []
-for _ in range(reps):
-    start = time.perf_counter()
-    fn()
-    times.append((time.perf_counter() - start) * 1e3)
-print(json.dumps([round(min(times), 4), round(statistics.median(times), 4)]))
-"""
-#: The stages of ``LAYERS_SNIPPET``, each timed in its own fresh process.
-LAYER_STAGES = ("set_up_11_windows", "train_many_11_windows", "rank_11_windows", "score_11_windows")
-
-#: Times ``build_pairs`` and ``train`` at argv[1] rows in the tree on PYTHONPATH;
-#: prints one JSON line of (min, median) milliseconds and tracemalloc peak MiB.
-SCALE_SNIPPET = r"""
-import json, statistics, sys, time, tracemalloc
-from rpdml import data, metric
-n, reps = int(sys.argv[1]), int(sys.argv[2])
-ds = data.generate_synthetic(data.SyntheticSpec(classes=3, samples=n, dim=20, seed=7))
-features, labels = data.normalize_features(ds.features)[0], ds.labels
-config = metric.RpdmlConfig(iters=10, seed=7)
-steps = {"build_pairs": lambda: metric.build_pairs(features[None], labels[None], 200, 7),
-         "train_10_iters": lambda: metric.train(features, labels, config)}
-out = {"n": n}
-for name, fn in steps.items():
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - start) * 1e3)
-    tracemalloc.start()
-    fn()
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    out[name] = {"ms": [round(min(times), 3), round(statistics.median(times), 3)],
-                 "peak_mib": round(peak / 2**20, 3)}
-print(json.dumps(out))
-"""
 
 
 def parse_args(argv=None):
@@ -148,7 +54,6 @@ def parse_args(argv=None):
                    help="a perfbench workload, its number of pairs and optionally its seed")
     p.add_argument("--seconds", type=float, default=24.0, help="perfbench --seconds of every run")
     p.add_argument("--traced", action="store_true", help="add one traced run per side and workload")
-    p.add_argument("--layers", action="store_true", help="add in-process stage timings")
     p.add_argument("--out", type=Path, help="write the JSON here (default: stdout)")
     return p.parse_args(argv)
 
@@ -247,63 +152,12 @@ def traced(trees: dict, workload: str, seconds: float) -> dict:
             "spans_per_op": {side: spans_per_op(trees[side], workload) for side in SIDES}}
 
 
-def layers(trees: dict) -> dict:
-    per_side: dict[str, dict] = {side: {stage: [] for stage in LAYER_STAGES} for side in SIDES}
-    envs = {side: dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                       PYTHONPATH=str(trees[side] / "src")) for side in SIDES}
-    with tempfile.TemporaryDirectory() as tmp:
-        fitted = {side: str(Path(tmp) / f"{side}.npy") for side in SIDES}
-
-        def stage_run(side: str, stage: str) -> str:
-            argv = [sys.executable, "-c", LAYERS_SNIPPET, str(LAYER_REPS), stage, fitted[side]]
-            return subprocess.run(argv, env=envs[side], stdout=subprocess.PIPE, text=True,
-                                  check=True).stdout
-
-        for side in SIDES:
-            stage_run(side, "fit")
-        for number in range(LAYER_ROUNDS):
-            for stage in LAYER_STAGES:
-                for side in (SIDES if number % 2 == 0 else SIDES[::-1]):
-                    line = stage_run(side, stage).strip().splitlines()[-1]
-                    per_side[side][stage].append(json.loads(line))
-    out = {"what": f"{LAYER_REPS} timed calls after one warm-up, in one fresh process per side, "
-                   f"stage and round (no stage runs after another in one process), "
-                   f"{LAYER_ROUNDS} rounds alternating which side runs first; the ranking and "
-                   "scoring stages load the metrics that one earlier process per side fitted; "
-                   "[min, median] ms of each round, BLAS 1 thread"}
-    for stage in LAYER_STAGES:
-        medians = {side: statistics.median(r[1] for r in per_side[side][stage]) for side in SIDES}
-        out[stage] = {**{side: per_side[side][stage] for side in SIDES},
-                      "change_over_parent_median": round(medians["change"] / medians["parent"], 3)}
-    out["scale"] = scale(trees)
-    return out
-
-
-def scale(trees: dict) -> dict:
-    out = {"what": f"build_pairs (max_pairs 200) and train (10 iterations) on normalized gen-data labeled data, "
-                   f"d=20, 3 classes: [min, median] ms of {SCALE_REPS} untraced calls and the "
-                   "tracemalloc peak (MiB) of one more, one fresh process per side and n, BLAS 1 thread; "
-                   f"the parent is not run above n={PARENT_MAX_ROWS} (its pair triangle needs about "
-                   "16 GiB at n=32000)"}
-    for side in SIDES:
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=str(trees[side] / "src"))
-        rows = [n for n in SCALE_ROWS if side == "change" or n <= PARENT_MAX_ROWS]
-        out[side] = [json.loads(subprocess.run(
-            [sys.executable, "-c", SCALE_SNIPPET, str(n), str(SCALE_REPS)], env=env,
-            stdout=subprocess.PIPE, text=True, check=True).stdout.strip().splitlines()[-1]) for n in rows]
-        for n in SCALE_ROWS[len(rows):]:
-            print(f"scale: parent not run at n={n} (above {PARENT_MAX_ROWS} rows)", file=sys.stderr)
-    return out
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     # Trees by directory name only: where they sit is the host's business.
     settings = {"parent": trees["parent"].name, "change": trees["change"].name,
-                "workloads": args.workload, "seconds": args.seconds, "traced": args.traced,
-                "layers": args.layers}
+                "workloads": args.workload, "seconds": args.seconds, "traced": args.traced}
     report: dict = {"settings": settings,
                     "order": "pairs alternate which side runs first: odd pairs parent first, "
                              "even pairs change first",
@@ -320,8 +174,6 @@ def main(argv=None) -> int:
         for name in dict.fromkeys(spec.split(":")[0] for spec in args.workload):
             report["traced"][name] = traced(trees, name, args.seconds)
             correct &= report["traced"][name]["all_correct"]
-    if args.layers:
-        report["inprocess_layers"] = layers(trees)
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
