@@ -181,6 +181,10 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _write_jsonl(path: Path, rows) -> None:
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -251,11 +255,11 @@ def cmd_train(args) -> int:
     except DivergedError as exc:
         # A failed run still records what ran and how far it got.
         _write_snapshot(outdir, "train", args.seed, opts)
-        exc.trace.write_jsonl(outdir / "trace.jsonl")
+        _write_jsonl(outdir / "trace.jsonl", (r.to_dict() for r in exc.trace.records))
         raise
     _write_snapshot(outdir, "train", args.seed, opts)
     model.save(outdir / "model.json")
-    model.trace.write_jsonl(outdir / "trace.jsonl")
+    _write_jsonl(outdir / "trace.jsonl", (r.to_dict() for r in model.trace.records))
     last = model.trace.records[-1] if model.trace.records else None
     print(f"trained metric dim={model.w.dim} iters={len(model.trace)}")
     if last is not None:
@@ -290,7 +294,7 @@ def cmd_eval(args) -> int:
         xtr, stats = normalize_features(xtr)
         xte = stats.apply(xte)
     w, = provider([(xtr, ttr)])
-    k = int(opts["k"])
+    k = opts["k"]
     # One ranking serves both the accuracy and the IC.
     neighbors = knn_neighbors(w, xtr, xte, k)
     acc = knn_accuracy(ytr, neighbors, yte)
@@ -343,10 +347,9 @@ def make_metric_provider(name: str, opts: dict, seed: int):
 
     def provider(windows):
         # Two groups per window: assets above / below its median return, np.median's value (the
-        # mean of the one or two middle sorted returns), from one sort per window length.
-        mid = {n: iter(np.sort([r for _, r in windows if len(r) == n])[:, (n - 1) // 2:n // 2 + 1]
-                       .mean(axis=1)) for n in {len(r) for _, r in windows}}
-        return train_many([(f, (r > next(mid[len(r)])).astype(int)) for f, r in windows], config)
+        # mean of the one or two middle sorted returns) from the window's own sort.
+        return train_many([(f, (r > np.sort(r)[(len(r) - 1) // 2:len(r) // 2 + 1].mean()).astype(int))
+                           for f, r in windows], config)
     return provider
 
 
@@ -357,11 +360,11 @@ def cmd_backtest(args) -> int:
     _check_inputs(args.data)
     outdir = _resolve_outdir(args)
     panel = read_panel_csv(args.data)
-    k, top_n = int(opts["k"]), int(opts["top_n"])
+    k, top_n = opts["k"], opts["top_n"]
     # One pass fits each window's metric once; the portfolio and the IC
     # series both come from the same predictions.
-    preds = list(window_predictions(panel, provider, k=k, normalize=opts["normalize"]))
-    result = backtest_from_predictions(preds, top_n, mdd_window=int(opts["mdd_window"]))
+    preds = window_predictions(panel, provider, k=k, normalize=opts["normalize"])
+    result = backtest_from_predictions(preds, top_n, mdd_window=opts["mdd_window"])
     ics = rolling_ic(preds)
     summary = ic_summary(ics)
     undefined = [label for label, ic in ics if ic is None]
@@ -401,13 +404,13 @@ def cmd_bench_convergence(args) -> int:
     if not opts["x0"] > 0:
         raise ConfigError(f"--x0 must be positive, got {opts['x0']} (the toy lives on x > 0)")
     outdir = _resolve_outdir(args)
-    T = int(opts["T"])
+    T = opts["T"]
     lower, upper = step_sum_bounds(T)  # rejects T < 1 before anything is written
     trace, d0_sq = benchmarks.run_toy(T, alpha=opts["alpha"], eta0=opts["eta0"], x0=opts["x0"])
     f_star = benchmarks.TOY_OPTIMUM
     rows = benchmarks.convergence_rows(trace, d0_sq, f_star, opts["alpha"])
     _write_snapshot(outdir, "bench-convergence", None, opts)
-    trace.write_jsonl(outdir / "trace.jsonl", rows=rows)
+    _write_jsonl(outdir / "trace.jsonl", rows)
     # The envelope is for the unit schedule 1/sqrt(t+1); check the run's own steps.
     etas = np.array([r.eta for r in trace.records]) / opts["eta0"]
     sums_ok = bool(etas.sum() >= lower and (etas ** 2).sum() <= upper)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -328,8 +328,8 @@ def window_predictions(
     metric_source: MetricProvider,
     k: int,
     normalize: bool = True,
-):
-    """Yield (period, predictions) for every tradable period.
+) -> list[tuple[PanelPeriod, Array | None]]:
+    """The list of (period, predictions) of every period after the first, in order.
 
     Training features are normalized with statistics fit on the training
     window only; the same statistics transform the prediction window.  The
@@ -340,8 +340,8 @@ def window_predictions(
     by the period it trades, with its own message.  Windows of one shape
     (training rows, traded rows, dimension) are normalized and ranked as one
     stack, each window as alone: one ``normalize_features`` and one
-    ``knn_neighbors`` call per shape, all before the first period is yielded.
-    A panel with fewer than two periods has no window and is rejected.
+    ``knn_neighbors`` call per shape.  A panel with fewer than two periods
+    has no window and is rejected.
     """
     if len(data.periods) < 2:
         raise ConfigError("need at least two periods")
@@ -375,11 +375,11 @@ def window_predictions(
     for idx, train_feats, query_feats in stacks:
         mats = SpdMatrix._trusted(np.stack([metric_of[i].mat for i in idx]))
         neighbors.update(zip(idx, knn_neighbors(mats, train_feats, query_feats, k)))
-    for i, (train_p, cur_p) in enumerate(windows):
-        yield cur_p, knn_predict(train_p.next_returns, neighbors[i]) if i in neighbors else None
+    return [(cur_p, knn_predict(train_p.next_returns, neighbors[i]) if i in neighbors else None)
+            for i, (train_p, cur_p) in enumerate(windows)]
 
 
-def _by_asset_count(predictions: Iterable[tuple[PanelPeriod, Array | None]]) -> tuple[list, list]:
+def _by_asset_count(predictions: Sequence[tuple[PanelPeriod, Array | None]]) -> tuple[list, list]:
     """Traded (period, predictions), and per asset count the positions and
     (B, n) predictions and next returns of its periods."""
     traded = [(period, preds) for period, preds in predictions if preds is not None]
@@ -393,13 +393,12 @@ def backtest_from_predictions(
     top_n: int,
     mdd_window: int = 4,
 ) -> PortfolioResult:
-    """Form equal-weight top-N portfolios from per-period predictions.
+    """Form equal-weight top-N portfolios from a sequence of per-period predictions.
 
     Prediction ties break toward the smaller asset id (-0.0 ties 0.0).
     Periods whose predictions are missing are recorded as skipped.  Periods
     of one asset count are ranked by one ``lexsort``.
     """
-    predictions = list(predictions)
     skipped = [period.label for period, preds in predictions if preds is None]
     traded, stacks = _by_asset_count(predictions)
     for period, _ in traded:  # the first period too small for top_n
@@ -427,11 +426,11 @@ def backtest_from_predictions(
 
 
 def rolling_ic(
-    predictions: Iterable[tuple[PanelPeriod, Array | None]],
+    predictions: Sequence[tuple[PanelPeriod, Array | None]],
 ) -> list[tuple[str, float | None]]:
     """Per-period rank correlation between predictions and realizations.
 
-    Takes the ``window_predictions`` output, as ``backtest_from_predictions``
+    Takes the ``window_predictions`` sequence, as ``backtest_from_predictions``
     does; skipped periods are left out.  A period whose IC is undefined
     (constant predictions or realizations) is kept with the value None.
     Periods of one asset count share one ``spearman_ic`` call.

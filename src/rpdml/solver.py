@@ -22,10 +22,8 @@ bound for every prefix of the run.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -138,12 +136,6 @@ class RunTrace:
 
     def __len__(self):
         return len(self.records)
-
-    def write_jsonl(self, path: str | Path, rows: list[dict] | None = None) -> None:
-        rows = [r.to_dict() for r in self.records] if rows is None else rows
-        with open(path, "w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
 
 
 def best_iterate_key(rec: IterationRecord, i: int) -> tuple:

@@ -598,6 +598,22 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
 
+    def test_empty_test_split_leaves_no_outdir(self, labeled_csv, tmp_path, capsys):
+        outdir = tmp_path / "e"
+        assert run_cli("eval", "--seed", "7", "--data", str(labeled_csv), "--outdir", str(outdir),
+                       "--metric", "euclidean", "--train-frac", "1") == 1
+        assert "error: test split too small; lower --train-frac" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_train_without_an_output_dir_creates_nothing(
+            self, labeled_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("RPDML_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli("train", "--seed", "7", "--data", str(labeled_csv)) == 1
+        assert "error: --outdir is required (or set RPDML_OUTPUT_DIR)" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 def _tree(root: Path) -> dict:
     """Every file under ``root``: relative path -> bytes."""

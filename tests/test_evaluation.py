@@ -340,6 +340,13 @@ class TestKnnNeighbors:
         with pytest.raises(DimensionMismatchError):
             knn_neighbors(w, np.ones((3, 3)), np.ones((1, 3)), 1)
 
+    def test_metric_stack_without_cholesky_factor_is_a_numeric_error(self):
+        # A trusted stack skips SpdMatrix's check; the factorization rejects
+        # the indefinite second window.
+        mats = SpdMatrix._trusted(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+        with pytest.raises(NumericError, match="metric has no Cholesky factor"):
+            knn_neighbors(mats, np.ones((2, 4, 2)), np.ones((2, 3, 2)), 2)
+
 
 def per_query_neighbors(w, feats, queries, k):
     """The per-query ranking that ``knn_neighbors`` did before its blocked
@@ -705,6 +712,10 @@ class TestMaxDrawdown:
             max_drawdown(np.array([]))
         with pytest.raises(ConfigError):
             max_drawdown(np.array([1.0, -1.0]))
+
+    def test_rolling_window_below_one_is_rejected(self):
+        with pytest.raises(ConfigError, match="window must be >= 1"):
+            rolling_max_drawdown(np.array([1.0, 1.1]), 0)
 
 
 def median_labels(returns):
@@ -1080,6 +1091,19 @@ class TestRollingIC:
         assert len(ics) == 2
         for _, ic in ics:
             assert ic == pytest.approx(1.0)
+
+    def test_one_prediction_list_serves_the_portfolio_and_the_ic(self):
+        # ``rpdml backtest`` hands one window_predictions result to both
+        # scorers; the second must see the same periods as the first.
+        rng = np.random.default_rng(12)
+        sizes = [6, 2, 6, 6, 6]  # p1 has 2 < k training rows: the window trading p2 is skipped
+        panel = make_panel([(f"p{i}", rng.normal(size=(n, 2)), rng.uniform(-0.1, 0.2, n))
+                            for i, n in enumerate(sizes)])
+        preds = window_predictions(panel, lambda windows: [euclidean_metric(f) for f, _ in windows], k=3)
+        result = backtest_from_predictions(preds, top_n=2)
+        ics = rolling_ic(preds)
+        assert result.skipped_periods == ["p2"]
+        assert [label for label, _ in ics] == result.period_labels == ["p1", "p3", "p4"]
 
     def test_summary(self):
         s = ic_summary([("a", 0.5), ("b", 0.7)])

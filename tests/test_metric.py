@@ -180,6 +180,10 @@ class TestComputeBounds:
         with pytest.raises(BoundsError):
             compute_bounds(np.array([[3.0]]), 5, 95)
 
+    def test_empty_sample_error(self):
+        with pytest.raises(BoundsError, match="distance sample is empty"):
+            compute_bounds(np.empty((1, 0)), 5, 95)
+
     def test_bad_percentiles(self):
         with pytest.raises(ConfigError):
             compute_bounds(np.arange(10.0)[None], 95, 5)
@@ -200,6 +204,13 @@ class TestComputeBounds:
 
 
 class TestPairConstraints:
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_side_of_only_zero_rows_is_rejected(self, side):
+        rows = [np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 0.0]])]
+        pc = window_pairs(*(rows if side == 0 else rows[::-1]))
+        with pytest.raises(ConstraintBuildError, match="all pairs on one side are degenerate"):
+            pc.without_degenerate_rows()
+
     def test_bound_validation(self):
         pc = window_pairs(np.ones((1, 2)), np.ones((1, 2)))
         for u, l in ((2.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (1.0, float("nan"))):

@@ -227,6 +227,31 @@ class TestRun:
         partial = exc_info.value.trace
         assert partial is not None and 0 < len(partial) < 50
 
+    @pytest.mark.parametrize("poisoned, fails_at, value", [
+        ("objective", 2, math.nan),
+        ("constraints", 1, math.inf),
+    ])
+    def test_non_finite_iterate_raises_with_the_finite_prefix(self, poisoned, fails_at, value):
+        # Each function is called at x0 first, then once per iterate: x0 and
+        # the iterates of steps 0 .. fails_at - 1 keep their finite values.
+        problem = scalar_toy_problem()
+        calls = []
+
+        def poison(x):
+            calls.append(x)
+            good = getattr(problem, poisoned)(x)
+            return good if len(calls) <= fails_at + 1 else good * value
+
+        cfg = SolverConfig(alpha=0.01, eta0=1.0, iters=10)
+        with pytest.raises(DivergedError,
+                           match=f"^non-finite objective/constraints at t={fails_at}$") as exc_info:
+            run(dataclasses.replace(problem, **{poisoned: poison}), 0.5, cfg)
+        partial = exc_info.value.trace
+        finite = run(problem, 0.5, dataclasses.replace(cfg, iters=fails_at))
+        assert [r.t for r in partial.records] == list(range(fails_at))
+        assert partial.records == finite.records
+        assert partial.final_point == finite.final_point
+
     def test_constraints_that_change_length_are_rejected(self):
         # The dual is sized from h(x0); a later h of another length is a bug
         # of the problem, not a point to record.
@@ -248,6 +273,10 @@ class TestBestIndexSelection:
         assert feasible, "toy run should visit the feasible side"
         assert best.violation <= 1e-8
         assert best.objective == min(r.objective for r in feasible)
+
+    def test_empty_trace_has_no_best_index(self):
+        with pytest.raises(ConfigError, match="empty trace"):
+            select_best_index([])
 
     def test_falls_back_to_least_violating(self):
         trace, _ = run_toy(2)  # both early iterates sit on the infeasible side
