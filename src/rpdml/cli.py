@@ -6,9 +6,11 @@ Subcommands: ``gen-data`` (synthetic datasets), ``train`` (metric learning),
 benchmark with per-iteration bound checks), ``export-plots`` (CSV series
 from run artifacts).
 
-Every command is a pure function of its inputs, flags, and seed: re-running
-reproduces byte-identical outputs.  Options may also come from a config file
-of ``key = value`` lines (``--config``); explicit flags win.  The
+Every command is a deterministic function of its inputs, flags, and seed:
+re-running at one BLAS thread count reproduces byte-identical outputs, and at
+desk scale so do 1, 2 and 4 OpenBLAS threads (a d=60, m=2000 ``train``'s W
+moves by ~5e-16 relative).  Options may also come from a config file of
+``key = value`` lines (``--config``); explicit flags win.  The
 ``RPDML_OUTPUT_DIR`` environment variable, when set, overrides the output
 directory.
 """

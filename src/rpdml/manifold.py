@@ -6,15 +6,12 @@ used throughout the package is the LogDet divergence
 
     d2(W, W0) = tr(W @ inv(W0)) - logdet(W @ inv(W0)) - n,
 
-which is scale invariant and vanishes exactly at W == W0.  The inverse and
-the retraction ("eigendecompose, clip the spectrum, reconstruct") go through
-one eigen pair: :func:`eigendecompose` (``eigh`` of the symmetric part,
-eigenvalues ascending) and :func:`from_spectrum`, which rebuilds
-V diag(f(vals)) V^T.  The rebuild does not depend on the signs of the
-eigenvector columns, so no sign convention is imposed.  Two checks need
-eigenvalues only and call ``eigvalsh`` directly: the eigenvalue floor of
-``SpdMatrix`` validation and :func:`spd_logdet`.  The closed-form W step of
-``metric.inner_solve_w`` needs no spectrum: it takes one Cholesky factor.
+which is scale invariant and vanishes exactly at W == W0.  Every inverse and
+log-determinant of an SPD matrix, of the divergence and of the W step of
+``metric.inner_solve_w`` too, comes from one Cholesky factor W = L L^T
+(:func:`inverse_logdet`).  The spectrum serves only the retraction
+(:func:`eigendecompose`, the one ``eigh``: clip the eigenvalues, rebuild) and
+the eigenvalue floor of ``SpdMatrix`` validation (``eigvalsh``).
 """
 
 from __future__ import annotations
@@ -41,6 +38,15 @@ def sym(a: Array) -> Array:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
+def _check_symmetric(a: Array, message: str) -> None:
+    """Raise ``message``, formatted with the residual max|a - a^T| of a square
+    matrix and its bound _SYM_TOL max(1, max|a|), if the residual exceeds it."""
+    asym = float(np.max(np.abs(a - a.T), initial=0.0))
+    tol = _SYM_TOL * max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    if asym > tol:
+        raise InvariantViolationError(message.format(asym, tol))
+
+
 def _check_square(a: Array, name: str = "matrix") -> Array:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -50,12 +56,9 @@ def _check_square(a: Array, name: str = "matrix") -> Array:
 
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
-    """Immutable symmetric positive definite matrix.
-
-    Construction validates the symmetry residual (relative tolerance
-    ``1e-10``) and the eigenvalue floor ``EPS_PD``; the stored array is the
-    symmetrized input, marked read-only.
-    """
+    """Immutable SPD matrix: construction validates the symmetry residual
+    (``_SYM_TOL``, relative) and the eigenvalue floor ``EPS_PD``, and stores the
+    symmetrized input, read-only."""
 
     mat: Array
 
@@ -65,20 +68,14 @@ class SpdMatrix:
             raise InvariantViolationError("SpdMatrix must be at least 1 x 1, got 0 x 0")
         if not np.all(np.isfinite(a)):
             raise InvariantViolationError("SpdMatrix entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        asym = float(np.max(np.abs(a - a.T)))
-        if asym > _SYM_TOL * scale:
-            raise InvariantViolationError(
-                f"matrix is not symmetric: residual {asym:.3e} exceeds {_SYM_TOL * scale:.3e}"
-            )
+        _check_symmetric(a, "matrix is not symmetric: residual {:.3e} exceeds {:.3e}")
         a = sym(a)
         lam_min = float(np.linalg.eigvalsh(a)[0])
         # Absolute slack of 1e-12 absorbs eigensolver round-off on matrices
         # whose spectrum sits exactly on the floor.
         if lam_min < EPS_PD - 1e-12:
-            raise InvariantViolationError(
-                f"matrix is not positive definite: min eigenvalue {lam_min:.3e} < {EPS_PD:.1e}"
-            )
+            raise InvariantViolationError(f"matrix is not positive definite: min eigenvalue "
+                                          f"{lam_min:.3e} < {EPS_PD:.1e}")
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "mat", a)
@@ -107,10 +104,8 @@ class SpdMatrix:
 
 
 def eigendecompose(a: Array) -> tuple[Array, Array]:
-    """Eigenvalues (ascending) and eigenvectors of the symmetric part of ``a``.
-
-    The one ``eigh`` in the package; ``perfbench/tracing.py`` traces it by name.
-    """
+    """Eigenvalues (ascending) and eigenvectors of the symmetric part of ``a``: the
+    one ``eigh``, for the retraction.  ``perfbench/tracing.py`` traces it by name."""
     a = _check_square(a)
     try:
         return np.linalg.eigh(sym(a))
@@ -118,25 +113,39 @@ def eigendecompose(a: Array) -> tuple[Array, Array]:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
-def from_spectrum(vecs: Array, vals: Array) -> Array:
-    """Symmetric V diag(vals) V^T; unchanged by flipping the sign of any column."""
-    return sym((vecs * vals) @ vecs.T)
+def inverse_logdet(a: Array) -> tuple[Array, Array | float]:
+    """W^-1 = L^-T L^-1 and log det W = 2 sum(log diag L) from one Cholesky
+    W = L L^T, of an SPD matrix or of each of a (B, n, n) stack.  It checks
+    nothing: a matrix that is not positive definite raises ``LinAlgError``."""
+    chol = np.linalg.cholesky(a)
+    chol_inv = np.linalg.inv(chol)
+    return (sym(chol_inv.swapaxes(-1, -2) @ chol_inv),
+            2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1))
+
+
+def _factored(w: SpdMatrix) -> tuple[Array, Array | float]:
+    """``inverse_logdet`` of W, whose failed Cholesky is an invariant violation."""
+    try:
+        return inverse_logdet(w.mat)
+    except np.linalg.LinAlgError:
+        raise InvariantViolationError("matrix is not positive definite (Cholesky failed)") from None
 
 
 def spd_inverse(w: SpdMatrix) -> SpdMatrix:
-    """Inverse through the eigendecomposition, so symmetry is preserved."""
-    vals, vecs = eigendecompose(w.mat)
-    lam_min = float(vals[0])
-    if lam_min < EPS_PD * (1.0 - 1e-6) - 1e-12:
-        raise InvariantViolationError(
-            f"cannot invert: min eigenvalue {lam_min:.3e} below floor {EPS_PD:.1e}"
-        )
-    return SpdMatrix._trusted(from_spectrum(vecs, 1.0 / vals))
+    """Inverse from one Cholesky factor; refuses a W below the eigenvalue floor.
+    As diag(W^-1) <= 1 / lambda_min(W), it refuses no matrix that ``SpdMatrix``
+    validation accepts."""
+    inv = _factored(w)[0]
+    diag_max = float(np.max(np.diagonal(inv, axis1=-2, axis2=-1)))
+    if diag_max > 1.0 / (EPS_PD * (1.0 - 1e-6) - 1e-12):
+        raise InvariantViolationError(f"cannot invert: max diag(W^-1) {diag_max:.3e} puts the min "
+                                      f"eigenvalue below floor {EPS_PD:.1e}")
+    return SpdMatrix._trusted(inv)
 
 
 def spd_logdet(w: SpdMatrix) -> float:
-    """log det W as the sum of the logs of the eigenvalues."""
-    return float(np.sum(np.log(np.linalg.eigvalsh(w.mat))))
+    """log det W from one Cholesky factor."""
+    return float(_factored(w)[1])
 
 
 def logdet_divergence(w: SpdMatrix, w0: SpdMatrix) -> float:
@@ -156,44 +165,34 @@ def logdet_divergence(w: SpdMatrix, w0: SpdMatrix) -> float:
 def retract_array(a: Array) -> Array:
     """Eigenvalue-clipped projection of a symmetric matrix into the SPD cone:
     eigenvalues below EPS_PD are raised to EPS_PD (1 + 1e-4), a margin that
-    reconstruction round-off cannot undo.  ``perfbench/tracing.py`` traces it
-    by name.
+    reconstruction round-off cannot undo; the rebuilt V diag(vals) V^T does not
+    depend on the signs of the eigenvector columns.  ``perfbench/tracing.py``
+    traces it by name.
     """
     vals, vecs = eigendecompose(a)
-    return from_spectrum(vecs, np.where(vals < EPS_PD, EPS_PD * (1.0 + 1e-4), vals))
+    vals = np.where(vals < EPS_PD, EPS_PD * (1.0 + 1e-4), vals)
+    return sym((vecs * vals) @ vecs.T)
 
 
 def retract(w: SpdMatrix, step: Array) -> SpdMatrix:
-    """Move from W along a symmetric step and re-enter the SPD cone.
-
-    Returns the eigendecomposition of W + step with eigenvalues clipped at
-    the EPS_PD floor.  When W + step is already comfortably SPD the result
-    equals W + step up to round-off.  The paper's retraction; acceptance
-    criterion 2 checks that its output stays SPD.
-    """
+    """The paper's retraction: move from W along a symmetric step and re-enter
+    the SPD cone (``retract_array`` of W + step).  When W + step is comfortably
+    SPD the result equals it up to round-off; acceptance criterion 2 checks
+    that the output stays SPD."""
     s = _check_square(step, "step")
     if s.shape[0] != w.dim:
         raise DimensionMismatchError(f"step dim {s.shape[0]} != point dim {w.dim}")
-    scale = max(1.0, float(np.max(np.abs(s)))) if s.size else 1.0
-    if float(np.max(np.abs(s - s.T))) > _SYM_TOL * scale:
-        raise InvariantViolationError("retraction step must be symmetric")
+    _check_symmetric(s, "retraction step must be symmetric")
     return SpdMatrix._trusted(retract_array(w.mat + sym(s)))
 
 
 def rowwise_quadratic(w_mat: Array, rows: Array) -> Array:
-    """diag(X @ W @ X.T) from one BLAS product X @ W and a row-wise dot.
-
-    A row's value may move at round-off with the rest of the batch, so
-    ``metric`` takes each window's pair distances from one batched product
-    (one BLAS call per window's fixed pair matrix), and
-    ``evaluation.knn_neighbors`` uses its own BLAS screen only to choose
-    candidates, then ranks them by row-wise distances that do not depend on
-    the batch.
-    ``perfbench/tracing.py`` wraps this by name and reads ``rows`` from args[1].
-    """
+    """diag(X @ W @ X.T) from one BLAS product X @ W and a row-wise dot.  A row's
+    value may move at round-off with the rest of the batch, so ``metric`` takes
+    a window's pair distances from one batched product and ``knn_neighbors``
+    ranks by row-wise distances.  ``perfbench/tracing.py`` wraps this by name
+    and reads ``rows`` from args[1]."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != w_mat.shape[0]:
-        raise DimensionMismatchError(
-            f"rows shape {rows.shape} incompatible with metric dim {w_mat.shape[0]}"
-        )
+        raise DimensionMismatchError(f"rows shape {rows.shape} incompatible with metric dim {w_mat.shape[0]}")
     return np.einsum("ij,ij->i", rows @ w_mat, rows)

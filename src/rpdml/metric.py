@@ -65,6 +65,7 @@ from .errors import (
 from .manifold import (
     EPS_PD,
     SpdMatrix,
+    inverse_logdet,
     spd_inverse,
     spd_logdet,
     sym,
@@ -280,10 +281,10 @@ def inner_solve_w(
     where M folds the reference inverse ``w0_inv``, the dual contraction and
     the prox anchor's ``w_t_inv``.  J has the unique minimizer W* = c inv(M)
     if M is positive definite and is unbounded below otherwise.  One Cholesky
-    W*^-1 = M / c = L L^T is that test and gives W* = L^-T L^-1 and
-    log det W* = -2 sum(log diag L); W*^-1 comes back beside them.  Since
-    lambda_min(W*) >= 1 / tr(W*^-1) >= EPS_PD while the trace is at most
-    1 / EPS_PD, a step with a larger trace is refused, never clipped.
+    W*^-1 = M / c = L L^T (``inverse_logdet``) is that test and gives W* and
+    log det W*; W*^-1 comes back beside them.  Since lambda_min(W*) >=
+    1 / tr(W*^-1) >= EPS_PD while the trace is at most 1 / EPS_PD, a step with
+    a larger trace is refused, never clipped.
 
     With stacked pairs every array has a leading window axis and each
     window's step is its own: the stacked kernels run the same LAPACK/BLAS
@@ -293,7 +294,7 @@ def inner_solve_w(
     m_lin = 0.5 * w0_inv + grad_h_contraction(lam, pairs) + w_t_inv / (2.0 * eta_t)
     w_inv = m_lin / (0.5 + 1.0 / (2.0 * eta_t))
     try:
-        chol = np.linalg.cholesky(w_inv)
+        w, logdet_inv = inverse_logdet(w_inv)
     except np.linalg.LinAlgError:
         # A nonpositive direction of M is a descent ray: no minimizer exists.
         raise InnerSolveError("inner objective is unbounded below (dual pull exceeds the "
@@ -303,9 +304,7 @@ def inner_solve_w(
         raise InnerSolveError(f"W step refused: tr(W*^-1) = {trace.max():.3e} > 1/EPS_PD, "
                               f"so W* could cross the eigenvalue floor {EPS_PD:.1e}; "
                               "use a smaller step size")
-    chol_inv = np.linalg.inv(chol)
-    logdet = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return SpdMatrix._trusted(sym(chol_inv.swapaxes(-1, -2) @ chol_inv)), w_inv, logdet
+    return SpdMatrix._trusted(w), w_inv, -logdet_inv
 
 
 def update_slack(

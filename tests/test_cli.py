@@ -27,6 +27,7 @@ from rpdml.data import (
     write_panel_csv,
 )
 from rpdml.errors import ConfigError, DivergedError
+from rpdml.manifold import SpdMatrix, logdet_divergence, retract
 from rpdml.metric import RpdmlConfig, train
 
 
@@ -222,8 +223,9 @@ class TestTrainEval:
 
 class TestReadmeTrainPin:
     """Values of the README desk ``train`` (seed 7, ``--train-frac 0.5``), as
-    the eigendecomposition W step computed them; any numerical change to the
-    training path that moves them by more than 1e-9 relative shows here."""
+    the Cholesky W step computes them: pinned to 1e-9 relative, so a change
+    that moves them shows by how much, and by digest, so any change to a bit
+    of ``trace.jsonl`` or ``model.json`` shows."""
 
     PINNED = {0: (0.0, 7534.819019467227),
               19: (68.92781286753652, 1.3970057648895642),
@@ -244,6 +246,12 @@ class TestReadmeTrainPin:
             assert math.isclose(records[t]["h_violation"], h_violation, rel_tol=1e-9), t
         w = np.array(json.loads((outdir / "model.json").read_text())["w"])
         assert math.isclose(float(np.linalg.norm(w)), self.W_FROBENIUS, rel_tol=1e-9)
+        digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                   for name in ("trace.jsonl", "model.json")}
+        assert digests == {
+            "trace.jsonl": "f9f6ecdf6283bbc56f08222b3b486fdd00d1c24939a99d8727a026dbc2db6c26",
+            "model.json": "f31ea4453565dd6140d4b1cf8c9521faf7fbc9132b138c9cdf18b4d2d9c79060",
+        }
 
 
 class TestInverseCovarianceTrainPin:
@@ -272,6 +280,38 @@ class TestInverseCovarianceTrainPin:
             assert math.isclose(records[t]["h_violation"], h_violation, rel_tol=1e-9), t
         w = np.array(json.loads((outdir / "model.json").read_text())["w"])
         assert math.isclose(float(np.linalg.norm(w)), self.W_FROBENIUS, rel_tol=1e-9)
+
+
+class TestEighOnlyInRetraction:
+    """Every SPD inverse and log-determinant comes from one Cholesky factor;
+    ``np.linalg.eigh`` runs in the retraction only."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        return calls
+
+    def test_cli_inverses_run_no_eigh(self, labeled_csv, panel_csv, tmp_path, eigh_calls):
+        assert run_cli("train", "--seed", "7", "--data", str(labeled_csv), "--outdir",
+                       str(tmp_path / "train"), "--w0", "inverse_covariance", "--iters", "10") == 0
+        assert run_cli("eval", "--seed", "7", "--data", str(labeled_csv), "--outdir",
+                       str(tmp_path / "eval"), "--metric", "mahalanobis") == 0
+        assert run_cli("backtest", "--seed", "7", "--data", str(panel_csv), "--outdir",
+                       str(tmp_path / "bt"), "--metric", "mahalanobis", "--k", "5", "--top-n", "3") == 0
+        assert eigh_calls == []
+
+    def test_divergence_runs_no_eigh_and_retraction_does(self, eigh_calls):
+        w, w0 = SpdMatrix(np.diag([2.0, 1.0, 0.5])), SpdMatrix.identity(3)
+        assert logdet_divergence(w, w0) > 0.0
+        assert eigh_calls == []
+        retract(w0, np.diag([-2.0, 0.0, 0.1]))
+        assert eigh_calls == [(3, 3)]
 
 
 class TestBacktest:
@@ -467,6 +507,32 @@ class TestBacktest:
         for (_, rets), (_, labels) in zip(windows, split):
             want = (rets > np.median(rets)).astype(int)
             assert labels.dtype == want.dtype and np.array_equal(labels, want)
+
+
+class TestEfficacyGate:
+    """The paper's efficacy claim on README-shape panels, seeds 1-12, at the
+    backtest defaults: ``rpdml`` beats both the Euclidean and the Mahalanobis
+    baseline on ``final_return`` and on ``ic_mean``, on every seed.  The
+    smallest margins over the better baseline are 0.072 and 0.063."""
+
+    def test_rpdml_beats_both_baselines_on_every_seed(self, tmp_path):
+        losses = []
+        for seed in range(1, 13):
+            panel = tmp_path / f"panel{seed}.csv"
+            assert run_cli("gen-data", "--seed", str(seed), "--kind", "panel", "--out", str(panel),
+                           "--dim", "12", "--informative-dims", "3", "--periods", "12",
+                           "--assets", "40") == 0
+            got = {}
+            for metric in ("rpdml", "euclidean", "mahalanobis"):
+                outdir = tmp_path / f"bt{seed}_{metric}"
+                assert run_cli("backtest", "--seed", str(seed), "--data", str(panel),
+                               "--outdir", str(outdir), "--metric", metric) == 0
+                got[metric] = json.loads((outdir / "metrics.json").read_text())
+            for key in ("final_return", "ic_mean"):
+                best = max(got["euclidean"][key], got["mahalanobis"][key])
+                if not got["rpdml"][key] > best:
+                    losses.append((seed, key, got["rpdml"][key], best))
+        assert losses == []
 
 
 class TestBenchConvergence:

@@ -4,15 +4,17 @@ import re
 import numpy as np
 import pytest
 
+from rpdml import manifold as manifold_module
 from rpdml.errors import ConfigError, DimensionMismatchError, InvariantViolationError
 from rpdml.manifold import (
     EPS_PD,
     SpdMatrix,
     eigendecompose,
-    from_spectrum,
     logdet_divergence,
     retract,
+    retract_array,
     spd_inverse,
+    spd_logdet,
 )
 from rpdml.metric import MetricModel
 from rpdml.solver import RunTrace
@@ -65,22 +67,32 @@ class TestSpdMatrix:
 
 class TestEigendecompose:
     def test_reconstruction_and_orthogonality(self):
+        # The retraction rebuilds V diag(vals) V^T; above the floor it clips
+        # nothing, so it gives the matrix back.
         rng = np.random.default_rng(0)
         for _ in range(50):
             a = rng.normal(size=(5, 5))
             a = 0.5 * (a + a.T)
             vals, vecs = eigendecompose(a)
             scale = max(1.0, np.linalg.norm(a))
-            assert np.linalg.norm(from_spectrum(vecs, vals) - a) <= 1e-8 * scale
+            assert np.linalg.norm((vecs * vals) @ vecs.T - a) <= 1e-8 * scale
             assert np.linalg.norm(vecs.T @ vecs - np.eye(5)) <= 1e-8
             assert np.all(np.diff(vals) >= -1e-12)
+            shifted = a + (1.0 - vals[0]) * np.eye(5)  # min eigenvalue 1
+            assert np.linalg.norm(retract_array(shifted) - shifted) <= 1e-8 * (scale + 1.0 - vals[0])
 
-    def test_rebuild_ignores_column_signs(self):
+    def test_rebuild_ignores_column_signs(self, monkeypatch):
         rng = np.random.default_rng(123)
         a = rng.normal(size=(6, 6))
-        vals, vecs = eigendecompose(a + a.T)
-        flipped = vecs * np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
-        assert from_spectrum(flipped, vals).tobytes() == from_spectrum(vecs, vals).tobytes()
+        a = a + a.T
+        want = retract_array(a)
+
+        def flipped(m):
+            vals, vecs = eigendecompose(m)
+            return vals, vecs * np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
+
+        monkeypatch.setattr(manifold_module, "eigendecompose", flipped)
+        assert retract_array(a).tobytes() == want.tobytes()
 
 
 class TestLogdetDivergence:
@@ -171,6 +183,11 @@ class TestSpdInverse:
         bad = SpdMatrix._trusted(np.diag([1.0, 1e-12]))
         with pytest.raises(InvariantViolationError):
             spd_inverse(bad)
+
+    @pytest.mark.parametrize("fn", [spd_inverse, spd_logdet])
+    def test_failed_cholesky_is_an_invariant_violation(self, fn):
+        with pytest.raises(InvariantViolationError, match="Cholesky failed"):
+            fn(SpdMatrix._trusted(np.diag([1.0, -1.0])))
 
 
 class TestSerialization:
